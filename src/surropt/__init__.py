@@ -8,6 +8,8 @@ that prices every policy by the holding, transshipment, outdate, ordering,
 and shortage costs it induces.
 """
 
+__version__ = "0.1.0"
+
 from .demand import DemandModel, HospitalDemandConfig, ZinbParams, default_demand_configs
 from .errors import ConfigError, InputError, InternalError, ResourceLimitError, SurroptError
 from .learners import Dataset, fit_gbdt, fit_ridge, fit_svr, load_model, save_model
@@ -36,6 +38,4 @@ from .simulate import (
     run_horizon,
     step,
 )
-from .two_stage import SaaConfig, StageOneSolution, brute_force_oracle, build_saa, solve_stage_one
-
-__version__ = "0.1.0"
+from .two_stage import SaaConfig, StageOneSolution, build_saa, solve_stage_one

@@ -1,20 +1,28 @@
 """Experiment configuration: a single versioned JSON file.
 
-Unknown keys are rejected at every level so a typo in a hyperparameter name
-fails loudly instead of silently using a default.  Every error message names
-the offending field.
+The schema is the dataclass fields.  Each JSON section is read by
+:func:`_fields`, which takes the allowed keys from ``dataclasses.fields`` and
+checks every value against its field's declared type, so a typo in a
+hyperparameter name or a value of the wrong type fails loudly instead of
+silently using a default.  Only the few places where the JSON layout and the
+dataclasses differ are mapped by hand: ``hospitals``, ``learner.loss`` and
+``learner.delta``, ``learner.svr``, the top-level ``seed`` that also seeds
+the SAA scenarios, and ``initial_inventory``.  Every error is a
+``ConfigError`` (or an ``InputError`` from a constructor) naming the
+offending field.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import sys
 
 import numpy as np
 
 from .demand import HospitalDemandConfig, ZinbParams
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .learners.gbdt import GbdtParams
-from .learners.ridge import DEFAULT_LAMBDAS
 from .losses import LossSpec
 from .pipeline import ExperimentConfig, LearnerSpec
 from .simulate import CostParams, InventoryState
@@ -22,147 +30,138 @@ from .two_stage import SaaConfig
 
 CONFIG_VERSION = 1
 
-_TOP_KEYS = {
-    "version",
-    "seed",
-    "horizon_days",
-    "rollout_days",
-    "train_fraction",
-    "max_age",
-    "issuing",
-    "hospitals",
-    "costs",
-    "saa",
-    "learner",
-    "initial_inventory",
-}
-_HOSPITAL_KEYS = {"id", "pi", "r", "p"}
-_COST_KEYS = {"holding", "ordering", "transship_unit", "shortage", "outdate"}
-_SAA_KEYS = {"scenario_count", "rounding", "form"}
-_LEARNER_KEYS = {"kind", "loss", "delta", "folds", "gbdt", "ridge_lambdas", "svr"}
-_GBDT_KEYS = {
-    "eta",
-    "max_depth",
-    "min_child_weight",
-    "subsample",
-    "colsample_bytree",
-    "n_iterations",
-    "l1",
-    "l2",
-    "max_bins",
-}
-_SVR_KEYS = {"C", "gamma", "epsilon"}
+_EXPECTED = {"int": "an integer", "float": "a finite number", "str": "a string"}
 
 
-def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
+def _coerce(value, kind: str, where: str):
+    """``value`` checked against a declared field type such as ``"int"`` or
+    ``"float | None"``: an int takes a JSON integer (not a bool), a float a
+    finite number, a str a string, a tuple a nonempty list of finite numbers."""
+    options = kind.split(" | ")
+    if value is None and "None" in options:
+        return None
+    if "tuple" in options and (isinstance(value, list) or options == ["tuple"]):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where}: expected a nonempty list of numbers, got {value!r:.60}")
+        return tuple(_coerce(v, "float", f"{where}[{k}]") for k, v in enumerate(value))
+    kind = options[0]
+    if not isinstance(value, bool):
+        if kind == "int" and isinstance(value, int):
+            return value
+        if kind == "float" and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
+            return float(value)
+        if kind == "str" and isinstance(value, str):
+            return value
+    raise ConfigError(f"{where}: expected {_EXPECTED[kind]}, got {value!r:.60}")
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ConfigError(f"{where}: missing required field '{key}'")
-    return obj[key]
-
-
-def parse_config(obj: dict, where: str = "config") -> ExperimentConfig:
+def _object(obj, where: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: must be a JSON object")
-    _reject_unknown(obj, _TOP_KEYS, where)
-    version = obj.get("version", CONFIG_VERSION)
+    return dict(obj)
+
+
+def _fields(cls, obj, where: str, given=(), prefix: str = "") -> dict:
+    """Keyword arguments for ``cls`` read from the JSON object ``obj``.
+
+    The JSON keys are the names of the fields of ``cls`` that start with
+    ``prefix`` (which the key drops), less those in ``given``.  An absent key
+    takes the field's default; a field without one is required."""
+    obj = _object(obj, where)
+    fields = {
+        f.name[len(prefix) :]: f
+        for f in dataclasses.fields(cls)
+        if f.name.startswith(prefix) and f.name not in given
+    }
+    unknown = sorted(set(obj) - set(fields))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
+    kwargs = {}
+    for key, f in fields.items():
+        if key in obj:
+            kwargs[f.name] = _coerce(obj[key], f.type, f"{where}.{key}")
+        elif f.default is not dataclasses.MISSING:
+            kwargs[f.name] = f.default
+        else:
+            raise ConfigError(f"{where}: missing required field '{key}'")
+    return kwargs
+
+
+def _construct(cls, where: str, *args, **kwargs):
+    """``cls(*args, **kwargs)``, with the location put in front of its errors."""
+    try:
+        return cls(*args, **kwargs)
+    except (ConfigError, InputError) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
+def _build(cls, obj, where: str, **given):
+    return _construct(cls, where, **given, **_fields(cls, obj, where, given))
+
+
+def _hospital(entry, k: int, where: str) -> HospitalDemandConfig:
+    entry = _object(entry, where)
+    hospital_id = _coerce(entry.pop("id", k + 1), "int", f"{where}.id")
+    return HospitalDemandConfig(hospital_id, _build(ZinbParams, entry, where))
+
+
+def _learner(obj, where: str) -> LearnerSpec:
+    obj = _object(obj, where)
+    kind = _coerce(obj.pop("loss", "mse"), "str", f"{where}.loss")
+    delta = _coerce(obj.pop("delta", 1.0), "float", f"{where}.delta")
+    loss = _construct(LossSpec, f"{where}.loss", kind, delta)
+    gbdt = _build(GbdtParams, obj.pop("gbdt", {}), f"{where}.gbdt")
+    svr = _fields(LearnerSpec, obj.pop("svr", {}), f"{where}.svr", prefix="svr_")
+    return _build(LearnerSpec, obj, where, loss=loss, gbdt=gbdt, **svr)
+
+
+def _inventory(grid, where: str) -> InventoryState:
+    """A per-hospital list of per-age unit counts."""
+    if not isinstance(grid, list) or not all(isinstance(row, list) for row in grid):
+        raise ConfigError(f"{where}: expected \"empty\" or a list of per-hospital lists")
+    if len({len(row) for row in grid}) > 1:
+        raise ConfigError(f"{where}: hospital rows differ in length")
+    rows = [
+        [_coerce(v, "int", f"{where}[{i}][{a}]") for a, v in enumerate(row)]
+        for i, row in enumerate(grid)
+    ]
+    if any(not 0 <= v < 2**63 for row in rows for v in row):
+        raise ConfigError(f"{where}: unit counts must be in [0, 2**63)")
+    return _construct(InventoryState, where, np.array(rows, dtype=np.int64))
+
+
+def parse_config(obj, where: str = "config") -> ExperimentConfig:
+    obj = _object(obj, where)
+    version = _coerce(obj.pop("version", CONFIG_VERSION), "int", f"{where}.version")
     if version != CONFIG_VERSION:
         raise ConfigError(f"{where}.version: unsupported version {version}")
-
-    hospitals = _require(obj, "hospitals", where)
+    if "hospitals" not in obj:
+        raise ConfigError(f"{where}: missing required field 'hospitals'")
+    hospitals = obj.pop("hospitals")
     if not isinstance(hospitals, list) or not hospitals:
         raise ConfigError(f"{where}.hospitals: must be a nonempty list")
-    demand_configs = []
-    for k, entry in enumerate(hospitals):
-        loc = f"{where}.hospitals[{k}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{loc}: must be an object")
-        _reject_unknown(entry, _HOSPITAL_KEYS, loc)
-        for fieldname in ("pi", "r", "p"):
-            _require(entry, fieldname, loc)
-        try:
-            params = ZinbParams(float(entry["pi"]), int(entry["r"]), float(entry["p"]))
-        except ConfigError as exc:
-            raise ConfigError(f"{loc}: {exc}") from None
-        demand_configs.append(HospitalDemandConfig(int(entry.get("id", k + 1)), params))
-
-    costs_obj = obj.get("costs", {})
-    _reject_unknown(costs_obj, _COST_KEYS, f"{where}.costs")
-    costs = CostParams(**{k: float(v) for k, v in costs_obj.items()})
-
-    saa_obj = obj.get("saa", {})
-    _reject_unknown(saa_obj, _SAA_KEYS, f"{where}.saa")
-    saa = SaaConfig(seed=int(obj.get("seed", 0)), **saa_obj)
-
-    learner_obj = obj.get("learner", {})
-    _reject_unknown(learner_obj, _LEARNER_KEYS, f"{where}.learner")
-    loss_kind = learner_obj.get("loss", "mse")
-    try:
-        loss = LossSpec(loss_kind, float(learner_obj.get("delta", 1.0)))
-    except ConfigError as exc:
-        raise ConfigError(f"{where}.learner.loss: {exc}") from None
-    gbdt_obj = learner_obj.get("gbdt", {})
-    _reject_unknown(gbdt_obj, _GBDT_KEYS, f"{where}.learner.gbdt")
-    try:
-        gbdt = GbdtParams(**gbdt_obj)
-    except ConfigError as exc:
-        raise ConfigError(f"{where}.learner.gbdt: {exc}") from None
-    svr_obj = learner_obj.get("svr", {})
-    _reject_unknown(svr_obj, _SVR_KEYS, f"{where}.learner.svr")
-    svr_c = svr_obj.get("C", 1.0)
-    if isinstance(svr_c, list):
-        svr_c = tuple(float(c) for c in svr_c)
-    else:
-        svr_c = float(svr_c)
-    lambdas = learner_obj.get("ridge_lambdas", list(DEFAULT_LAMBDAS))
-    try:
-        learner = LearnerSpec(
-            kind=learner_obj.get("kind", "ridge"),
-            loss=loss,
-            gbdt=gbdt,
-            ridge_lambdas=tuple(float(l) for l in lambdas),
-            svr_C=svr_c,
-            svr_gamma=None if svr_obj.get("gamma") is None else float(svr_obj["gamma"]),
-            svr_epsilon=float(svr_obj.get("epsilon", 0.1)),
-            folds=int(learner_obj.get("folds", 10)),
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"{where}.learner: {exc}") from None
-
-    max_age = int(obj.get("max_age", 11))
-    initial = obj.get("initial_inventory", "empty")
+    demand_configs = tuple(
+        _hospital(entry, k, f"{where}.hospitals[{k}]") for k, entry in enumerate(hospitals)
+    )
+    costs = _build(CostParams, obj.pop("costs", {}), f"{where}.costs")
+    seed = _coerce(obj.get("seed", 0), "int", f"{where}.seed")
+    saa = _build(SaaConfig, obj.pop("saa", {}), f"{where}.saa", seed=seed)
+    learner = _learner(obj.pop("learner", {}), f"{where}.learner")
+    initial = obj.pop("initial_inventory", "empty")
+    config = _build(
+        ExperimentConfig,
+        obj,
+        where,
+        demand_configs=demand_configs,
+        costs=costs,
+        saa=saa,
+        learner=learner,
+        initial_state=None,
+    )
     if initial == "empty":
-        state = InventoryState.zeros(len(demand_configs), max_age)
-    else:
-        grid = np.asarray(initial)
-        if grid.shape != (len(demand_configs), max_age):
-            raise ConfigError(
-                f"{where}.initial_inventory: expected shape "
-                f"({len(demand_configs)}, {max_age}), got {grid.shape}"
-            )
-        state = InventoryState(grid)
-
-    try:
-        return ExperimentConfig(
-            seed=int(obj.get("seed", 0)),
-            horizon_days=int(obj.get("horizon_days", 500)),
-            rollout_days=int(obj.get("rollout_days", 200)),
-            train_fraction=float(obj.get("train_fraction", 0.9)),
-            demand_configs=tuple(demand_configs),
-            costs=costs,
-            saa=saa,
-            learner=learner,
-            max_age=max_age,
-            initial_state=state,
-            issuing=obj.get("issuing", "fifo"),
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        return config
+    where = f"{where}.initial_inventory"
+    return _construct(dataclasses.replace, where, config, initial_state=_inventory(initial, where))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -174,42 +173,25 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(obj, where=str(path))
 
 
+def _json_object(pairs) -> dict:
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in pairs}
+
+
 def config_to_dict(config: ExperimentConfig) -> dict:
     """Canonical dict form, round-trippable through parse_config."""
+    out = dataclasses.asdict(config, dict_factory=_json_object)
+    learner = out.pop("learner")
+    loss = learner.pop("loss")
+    svr = {name[4:]: learner.pop(name) for name in list(learner) if name.startswith("svr_")}
+    learner.update(loss=loss["kind"], delta=loss["delta"], svr=svr)
+    del out["saa"]["seed"]
+    del out["initial_state"]
+    hospitals = [{"id": c["hospital_id"], **c["params"]} for c in out.pop("demand_configs")]
+    state = config.initial_state
     return {
         "version": CONFIG_VERSION,
-        "seed": config.seed,
-        "horizon_days": config.horizon_days,
-        "rollout_days": config.rollout_days,
-        "train_fraction": config.train_fraction,
-        "max_age": config.max_age,
-        "issuing": config.issuing,
-        "hospitals": [
-            {"id": c.hospital_id, "pi": c.params.pi, "r": c.params.r, "p": c.params.p}
-            for c in config.demand_configs
-        ],
-        "costs": config.costs.to_dict(),
-        "saa": {
-            "scenario_count": config.saa.scenario_count,
-            "rounding": config.saa.rounding,
-            "form": config.saa.form,
-        },
-        "learner": {
-            "kind": config.learner.kind,
-            "loss": config.learner.loss.kind,
-            "delta": config.learner.loss.delta,
-            "folds": config.learner.folds,
-            "gbdt": config.learner.gbdt.to_dict(),
-            "ridge_lambdas": list(config.learner.ridge_lambdas),
-            "svr": {
-                "C": list(config.learner.svr_C)
-                if isinstance(config.learner.svr_C, tuple)
-                else config.learner.svr_C,
-                "gamma": config.learner.svr_gamma,
-                "epsilon": config.learner.svr_epsilon,
-            },
-        },
-        "initial_inventory": "empty"
-        if config.initial_state.total() == 0
-        else config.initial_state.units.tolist(),
+        **out,
+        "hospitals": hospitals,
+        "learner": learner,
+        "initial_inventory": "empty" if state.total() == 0 else state.units.tolist(),
     }

@@ -113,11 +113,6 @@ class ZinbSampler:
         return int(k) if size is None else k.astype(np.int64)
 
 
-def zinb_sample(params: ZinbParams, rng: np.random.Generator) -> int:
-    """One zero-inflated negative binomial draw."""
-    return ZinbSampler(params).sample(rng)
-
-
 @dataclass(frozen=True)
 class DemandModel:
     """Samplers for the whole network, one per hospital."""
@@ -137,17 +132,8 @@ class DemandModel:
 
     def sample_day(self, rng: np.random.Generator) -> np.ndarray:
         """One independent draw per hospital -> int64 vector of length H."""
-        u = rng.random(self.n_hospitals)
-        return np.array(
-            [int(np.searchsorted(s._cdf, ui, side="right")) for s, ui in zip(self._samplers, u)],
-            dtype=np.int64,
-        )
+        return np.array([s.sample(rng) for s in self._samplers], dtype=np.int64)
 
     def sample_days(self, rng: np.random.Generator, days: int) -> np.ndarray:
         """Stack of ``days`` daily draws, shape (days, H)."""
         return np.stack([self.sample_day(rng) for _ in range(days)])
-
-
-def sample_day(configs, rng: np.random.Generator) -> np.ndarray:
-    """Functional form of :meth:`DemandModel.sample_day`."""
-    return DemandModel(tuple(configs)).sample_day(rng)

@@ -27,15 +27,4 @@ __all__ = [
     "fit_svr",
     "save_model",
     "load_model",
-    "predict",
 ]
-
-
-def predict(model, x):
-    """Raw multi-output prediction for a single input vector."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("predict takes a single input vector; use model.predict for batches")
-    return model.predict(x[None, :])[0]

@@ -58,19 +58,6 @@ class GbdtParams:
         if not 2 <= self.max_bins <= 255:
             raise ConfigError("max_bins must be in 2..255")
 
-    def to_dict(self):
-        return {
-            "eta": self.eta,
-            "max_depth": self.max_depth,
-            "min_child_weight": self.min_child_weight,
-            "subsample": self.subsample,
-            "colsample_bytree": self.colsample_bytree,
-            "n_iterations": self.n_iterations,
-            "l1": self.l1,
-            "l2": self.l2,
-            "max_bins": self.max_bins,
-        }
-
 
 @dataclass
 class Tree:
@@ -205,11 +192,7 @@ def _grow_tree(binned, thresholds, rows, feats, g, h, residual, loss, params):
 
 @dataclass
 class GbdtModel:
-    """Per-output tree ensembles plus the shared training recipe.
-
-    ``row_order_sensitive`` is False: subsampling seeds derive from the
-    configured seed and the output index, not from row order.
-    """
+    """Per-output tree ensembles plus the shared training recipe."""
 
     params: GbdtParams
     loss: LossSpec
@@ -218,7 +201,6 @@ class GbdtModel:
     n_features: int
     seed: int
     diagnostics: dict = field(default_factory=dict)
-    row_order_sensitive: bool = False
 
     @property
     def n_outputs(self) -> int:

@@ -8,6 +8,8 @@ model.  ``format_version`` guards future layout changes.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 
 from ..errors import InputError
@@ -54,11 +56,10 @@ def save_model(path, model) -> None:
         meta = {
             "format_version": FORMAT_VERSION,
             "kind": "gbdt",
-            "params": model.params.to_dict(),
-            "loss": model.loss.to_dict(),
+            "params": asdict(model.params),
+            "loss": asdict(model.loss),
             "n_features": model.n_features,
             "seed": model.seed,
-            "row_order_sensitive": model.row_order_sensitive,
             "diagnostics": model.diagnostics,
         }
         save_arrays(path, meta, arrays)
@@ -119,13 +120,12 @@ def load_model(path):
             ensembles.append(trees)
         return GbdtModel(
             params=GbdtParams(**meta["params"]),
-            loss=LossSpec.from_dict(meta["loss"]),
+            loss=LossSpec(**meta["loss"]),
             base=arrays["base"],
             ensembles=ensembles,
             n_features=int(meta["n_features"]),
             seed=int(meta["seed"]),
             diagnostics=meta.get("diagnostics", {}),
-            row_order_sensitive=bool(meta.get("row_order_sensitive", False)),
         )
     if kind == "svr":
         n_out = arrays["sv_counts"].size

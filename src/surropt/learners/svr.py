@@ -149,17 +149,24 @@ class SvrModel:
         return out
 
 
-def _fit_all_outputs(X, Y, K, C, epsilon, tol, max_iter):
-    support, coef, bias = [], [], []
+def _fit_all_outputs(X, Y, gamma, C, epsilon, tol, max_iter) -> SvrModel:
+    """One SMO solve per output; raises ResourceLimitError, carrying the
+    outputs fitted so far, at the first output that does not converge."""
+    K = rbf_kernel(X, X, gamma)
+    model = SvrModel([], [], np.zeros(0), gamma=gamma, epsilon=epsilon, C=C, n_features=X.shape[1])
     for j in range(Y.shape[1]):
         beta, b, _, converged = smo_solve(K, Y[:, j], C, epsilon, tol, max_iter)
         sv = np.abs(beta) > 1e-9
-        support.append(X[sv].copy())
-        coef.append(beta[sv].copy())
-        bias.append(b)
+        model.support.append(X[sv].copy())
+        model.coef.append(beta[sv].copy())
+        model.bias = np.append(model.bias, b)
         if not converged:
-            return support, coef, bias, False
-    return support, coef, bias, True
+            raise ResourceLimitError(
+                f"SMO did not reach the KKT tolerance within the iteration cap "
+                f"(output {j}, C={C})",
+                partial=model,
+            )
+    return model
 
 
 def fit_svr(
@@ -178,51 +185,33 @@ def fit_svr(
     outputs is selected with ``folds`` folds before the final fit.
     """
     X, Y = data.X, data.Y
+    cross_validate = isinstance(C, (list, tuple, np.ndarray))
+    candidates = [float(c) for c in C] if cross_validate else [float(C)]
+    if not candidates:
+        raise InputError("C needs at least one candidate value")
+    for c in candidates:
+        if not (np.isfinite(c) and c > 0):
+            raise InputError(f"C must be finite and positive, got {c}")
+    if gamma is not None and not (np.isfinite(gamma) and gamma > 0):
+        raise InputError(f"gamma must be finite and positive, got {gamma}")
+    if epsilon < 0:
+        raise InputError(f"epsilon must be nonnegative, got {epsilon}")
     if gamma is None:
         gamma = scale_gamma(X)
     cv_mse = {}
-    if isinstance(C, (list, tuple, np.ndarray)):
+    if cross_validate:
         if data.n_rows < folds:
             raise InputError(f"{data.n_rows} rows cannot fill {folds} folds")
         assignment = kfold_split(data.n_rows, folds=folds, seed=seed)
-        candidates = [float(c) for c in C]
         for c in candidates:
             total = 0.0
             for k in range(folds):
                 test = assignment == k
-                Ktr = rbf_kernel(X[~test], X[~test], gamma)
-                model = SvrModel(
-                    *_fit_all_outputs(X[~test], Y[~test], Ktr, c, epsilon, tol, max_iter)[:3],
-                    gamma=gamma,
-                    epsilon=epsilon,
-                    C=c,
-                    n_features=data.n_features,
-                )
-                model.bias = np.asarray(model.bias, dtype=float)
+                model = _fit_all_outputs(X[~test], Y[~test], gamma, c, epsilon, tol, max_iter)
                 resid = model.predict(X[test]) - Y[test]
                 total += float(np.mean(resid**2) * data.n_outputs)
             cv_mse[c] = total / folds
-        C = min(cv_mse, key=lambda c: (cv_mse[c], c))
-    C = float(C)
-    if C <= 0:
-        raise InputError(f"C must be positive, got {C}")
-    if epsilon < 0:
-        raise InputError(f"epsilon must be nonnegative, got {epsilon}")
-    K = rbf_kernel(X, X, gamma)
-    support, coef, bias, converged = _fit_all_outputs(X, Y, K, C, epsilon, tol, max_iter)
-    model = SvrModel(
-        support=support,
-        coef=coef,
-        bias=np.asarray(bias, dtype=float),
-        gamma=gamma,
-        epsilon=epsilon,
-        C=C,
-        n_features=data.n_features,
-        cv_mse=cv_mse,
-    )
-    if not converged:
-        raise ResourceLimitError(
-            "SMO did not reach the KKT tolerance within the iteration cap",
-            partial=model,
-        )
+        candidates = [min(cv_mse, key=lambda c: (cv_mse[c], c))]
+    model = _fit_all_outputs(X, Y, gamma, candidates[0], epsilon, tol, max_iter)
+    model.cv_mse = cv_mse
     return model

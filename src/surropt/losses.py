@@ -44,13 +44,6 @@ class LossSpec:
         if self.kind == "huber" and not self.delta > 0:
             raise ConfigError(f"huber delta must be > 0, got {self.delta}")
 
-    def to_dict(self):
-        return {"kind": self.kind, "delta": float(self.delta)}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(kind=d["kind"], delta=float(d.get("delta", 1.0)))
-
 
 def _check_finite(*arrays):
     for a in arrays:

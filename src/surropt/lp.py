@@ -30,36 +30,18 @@ STALL_LIMIT = 100  # degenerate pivots before switching to Bland's rule
 
 SENSES = ("<=", "==", ">=")
 
-try:  # pragma: no cover - exercised implicitly everywhere
-    from numba import njit
 
-    @njit(cache=True)
-    def _pivot_kernel(T, r, j):
-        m, n = T.shape
-        piv = T[r, j]
-        for k in range(n):
-            T[r, k] /= piv
-        for i in range(m):
-            if i == r:
-                continue
-            f = T[i, j]
-            if f != 0.0:
-                for k in range(n):
-                    T[i, k] -= f * T[r, k]
-        for i in range(m):
-            T[i, j] = 0.0
-        T[r, j] = 1.0
-
-except ImportError:  # pragma: no cover
-
-    def _pivot_kernel(T, r, j):
-        piv = T[r, j]
-        T[r] = T[r] / piv
-        col = T[:, j].copy()
-        col[r] = 0.0
-        T -= np.outer(col, T[r])
-        T[:, j] = 0.0
-        T[r, j] = 1.0
+def _pivot_kernel(T, r, j):
+    # Only rows with a nonzero in column j and columns with a nonzero in row r
+    # change; elsewhere the dense rank-one update subtracts a zero.  The
+    # scenario tableaux are sparse, so that block is a small part of T.
+    T[r] = T[r] / T[r, j]
+    rows = np.flatnonzero(T[:, j])
+    rows = rows[rows != r]
+    cols = np.flatnonzero(T[r])
+    T[np.ix_(rows, cols)] -= np.outer(T[rows, j], T[r, cols])
+    T[:, j] = 0.0
+    T[r, j] = 1.0
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,10 @@ LEARNER_KINDS = ("ridge", "gbdt", "svr")
 GENERATION_PHASE = 0
 ROLLOUT_PHASE = 1
 
+# Bounds the H x max_age state grid, so a mistyped age count fails as a
+# config error instead of as an allocation.
+MAX_AGE_LIMIT = 1000
+
 
 @dataclass(frozen=True)
 class LearnerSpec:
@@ -54,8 +58,8 @@ class LearnerSpec:
     loss: LossSpec = LossSpec("mse")
     gbdt: GbdtParams = GbdtParams()
     ridge_lambdas: tuple = DEFAULT_LAMBDAS
-    svr_C: object = 1.0
-    svr_gamma: float = None
+    svr_C: float | tuple = 1.0          # one value, or candidates to cross-validate
+    svr_gamma: float | None = None      # None: the 1 / (n_features * Var(X)) default
     svr_epsilon: float = 0.1
     folds: int = 10
 
@@ -87,14 +91,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.demand_configs is None:
             object.__setattr__(self, "demand_configs", tuple(default_demand_configs()))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.horizon_days < 1:
             raise ConfigError("horizon_days must be >= 1")
         if self.rollout_days < 1:
             raise ConfigError("rollout_days must be >= 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must be in (0, 1)")
-        if self.max_age < 1:
-            raise ConfigError("max_age must be >= 1")
+        if not 1 <= self.max_age <= MAX_AGE_LIMIT:
+            raise ConfigError(f"max_age must be in 1..{MAX_AGE_LIMIT}, got {self.max_age}")
         if self.issuing not in ("fifo", "lifo"):
             raise ConfigError("issuing must be 'fifo' or 'lifo'")
         h = len(self.demand_configs)

@@ -12,6 +12,7 @@ import json
 
 import numpy as np
 
+from . import __version__
 from .errors import InputError
 from .learners.data import Dataset
 from .pipeline import ComparisonResult
@@ -19,7 +20,6 @@ from .simulate import decision_length, trajectory_columns
 from .util import config_digest
 
 ARTIFACT_NAME = "surropt"
-ARTIFACT_VERSION = "0.1.0"
 
 
 def read_dataset_csv(path, hospitals: int = 4, max_age: int = 11) -> Dataset:
@@ -108,7 +108,7 @@ def write_inventory_csv(path, comparison: ComparisonResult) -> None:
 
 def write_manifest(path, config_dict: dict, outputs, extra: dict = None) -> None:
     manifest = {
-        "artifact": {"name": ARTIFACT_NAME, "version": ARTIFACT_VERSION},
+        "artifact": {"name": ARTIFACT_NAME, "version": __version__},
         "config_digest": config_digest(config_dict),
         "seed": config_dict.get("seed"),
         "outputs": [str(p) for p in outputs],

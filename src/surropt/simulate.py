@@ -173,15 +173,6 @@ class CostParams:
             if getattr(self, name) < 0:
                 raise InputError(f"cost rate {name} must be nonnegative")
 
-    def to_dict(self):
-        return {
-            "holding": self.holding,
-            "ordering": self.ordering,
-            "transship_unit": self.transship_unit,
-            "shortage": self.shortage,
-            "outdate": self.outdate,
-        }
-
 
 @dataclass(frozen=True)
 class CostBreakdown:

@@ -12,18 +12,16 @@ oldest-first issuing is not linear), which makes it a true lower bound on
 that evaluation; first-stage quantities are integerized by rounding and
 re-repaired against the current stock.
 
-Two interchangeable LP builds exist.  The default ``compact`` form encodes
-each hospital-scenario recourse with three hinge variables (unmet demand,
-leftover stock, and the old-stock excess that outdates), which is exactly
-the optimal value of the ``age`` form - the explicit formulation with
-per-age issued/leftover variables - at a fraction of the row count.  The
-``age`` form is kept for reference and cross-checking.
+The LP encodes each hospital-scenario recourse with three hinge variables
+(unmet demand, leftover stock, and the old-stock excess that outdates).
+Its optimal value equals that of the explicit formulation with per-age
+issued/leftover variables, at a fraction of the row count; the tests keep
+that formulation as a cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -44,12 +42,6 @@ from .simulate import (
 from .util import TAG_SAA_SCENARIO, stream
 
 ROUNDING_MODES = ("nearest", "floor")
-FORMS = ("compact", "age")
-
-BRUTE_MAX_HOSPITALS = 2
-BRUTE_MAX_AGE = 2
-BRUTE_MAX_CAP = 5
-BRUTE_MAX_ENUM = 200_000
 
 
 @dataclass(frozen=True)
@@ -59,23 +51,12 @@ class SaaConfig:
     scenario_count: int = 50
     seed: int = 0
     rounding: str = "nearest"
-    form: str = "compact"
 
     def __post_init__(self):
         if self.scenario_count < 1:
             raise ConfigError(f"scenario_count must be >= 1, got {self.scenario_count}")
         if self.rounding not in ROUNDING_MODES:
             raise ConfigError(f"rounding must be one of {ROUNDING_MODES}")
-        if self.form not in FORMS:
-            raise ConfigError(f"form must be one of {FORMS}")
-
-    def to_dict(self):
-        return {
-            "scenario_count": self.scenario_count,
-            "seed": self.seed,
-            "rounding": self.rounding,
-            "form": self.form,
-        }
 
 
 @dataclass(frozen=True)
@@ -103,7 +84,6 @@ def build_saa(
     state: InventoryState,
     scenarios,
     costs: CostParams,
-    form: str = "compact",
 ) -> LinearProgram:
     """Assemble the scenario LP.  The first ``decision_length(H, M)`` columns
     are the flattened first stage (orders, then lanes); recourse columns
@@ -115,11 +95,7 @@ def build_saa(
     for s in scenarios:
         if s.shape != (h,):
             raise InputError(f"scenario shape {s.shape} does not match {h} hospitals")
-    if form not in FORMS:
-        raise InputError(f"form must be one of {FORMS}")
-    if form == "compact":
-        return _build_compact(state, scenarios, costs)
-    return _build_age(state, scenarios, costs)
+    return _build_compact(state, scenarios, costs)
 
 
 def _first_stage_frame(state, costs):
@@ -234,70 +210,6 @@ def _build_compact(state, scenarios, costs):
     return LinearProgram(c=obj, A=A, b=b, senses=tuple(sense_list))
 
 
-def _build_age(state, scenarios, costs):
-    """Reference formulation: issued y[i,m], leftover o[i,m], shortage s[i]
-    per scenario, with post-receipt availability balance and demand balance."""
-    h, m = state.n_hospitals, state.max_age
-    d, lanes, c_fs, rows, rhs, senses = _first_stage_frame(state, costs)
-    ns = len(scenarios)
-    weight = 1.0 / ns
-    per_scn = 2 * h * m + h  # y block, o block, s block
-    n_cols = d + ns * per_scn
-    obj = np.zeros(n_cols)
-    obj[:d] = c_fs
-
-    def y_col(w, i, a):
-        return d + w * per_scn + i * m + a
-
-    def o_col(w, i, a):
-        return d + w * per_scn + h * m + i * m + a
-
-    def s_col(w, i):
-        return d + w * per_scn + 2 * h * m + i
-
-    all_rows = []
-    for w, dem in enumerate(scenarios):
-        for i in range(h):
-            obj[s_col(w, i)] = weight * costs.shortage
-            for a in range(m):
-                rate = costs.outdate if a == m - 1 else costs.holding
-                obj[o_col(w, i, a)] = weight * rate
-                # availability: y + o - inbound - order[m=1] + outbound = units
-                row = np.zeros(n_cols)
-                row[y_col(w, i, a)] = 1.0
-                row[o_col(w, i, a)] = 1.0
-                if a == 0:
-                    row[i] = -1.0
-                for k, (si, sj, sa) in enumerate(lanes):
-                    if sa != a:
-                        continue
-                    if sj == i:
-                        row[h + k] -= 1.0
-                    if si == i:
-                        row[h + k] += 1.0
-                all_rows.append((row, float(state.units[i, a]), "=="))
-            # demand balance: sum_m y + s = demand
-            row = np.zeros(n_cols)
-            for a in range(m):
-                row[y_col(w, i, a)] = 1.0
-            row[s_col(w, i)] = 1.0
-            all_rows.append((row, float(dem[i]), "=="))
-
-    n_rows = len(rows) + len(all_rows)
-    A = np.zeros((n_rows, n_cols))
-    b = np.empty(n_rows)
-    sense_list = []
-    for r, row in enumerate(rows):
-        A[r, :d] = row
-        b[r] = rhs[r]
-        sense_list.append(senses[r])
-    for k, (row, bv, s) in enumerate(all_rows):
-        A[len(rows) + k] = row
-        b[len(rows) + k] = bv
-        sense_list.append(s)
-    return LinearProgram(c=obj, A=A, b=b, senses=tuple(sense_list))
-
-
 def evaluate_decision(
     state: InventoryState,
     decision: DecisionVector,
@@ -353,7 +265,7 @@ def solve_stage_one(
         scenarios = [model.sample_day(rng) for _ in range(saa.scenario_count)]
     scenarios = [np.asarray(s, dtype=np.int64) for s in scenarios]
 
-    lp = build_saa(state, scenarios, costs, form=saa.form)
+    lp = build_saa(state, scenarios, costs)
     sol: LpSolution = solve_lp(lp)
     if sol.status != "optimal":
         raise InternalError(
@@ -377,43 +289,3 @@ def solve_stage_one(
         lp_integral=integral,
         scenarios=tuple(tuple(int(x) for x in s) for s in scenarios),
     )
-
-
-def brute_force_oracle(
-    state: InventoryState,
-    costs: CostParams,
-    scenarios,
-    cap: int,
-    issuing: str = "fifo",
-):
-    """Exhaustive minimizer over integer decisions on tiny instances.
-
-    Orders range over 0..cap; each lane over 0..min(cap, stock in its slot),
-    which keeps every enumerated decision feasible because a slot has at
-    most one outbound lane when H <= 2.  Ties go to the lexicographically
-    smallest flattened decision.  Returns (decision, expected cost)."""
-    h, m = state.n_hospitals, state.max_age
-    if h > BRUTE_MAX_HOSPITALS or m > BRUTE_MAX_AGE:
-        raise InputError(f"brute force capped at H<={BRUTE_MAX_HOSPITALS}, M<={BRUTE_MAX_AGE}")
-    if cap < 0 or cap > BRUTE_MAX_CAP:
-        raise InputError(f"per-variable cap must be in 0..{BRUTE_MAX_CAP}")
-    scenarios = [np.asarray(s, dtype=np.int64) for s in scenarios]
-    lanes = _lane_columns(h, m)
-    ranges = [range(cap + 1)] * h
-    for (i, j, a) in lanes:
-        ranges.append(range(min(cap, int(state.units[i, a])) + 1))
-    size = 1
-    for r in ranges:
-        size *= len(r)
-    if size > BRUTE_MAX_ENUM:
-        raise InputError(f"enumeration of {size} decisions exceeds {BRUTE_MAX_ENUM}")
-
-    best = None
-    best_cost = np.inf
-    for combo in product(*ranges):
-        decision = DecisionVector.from_flat(np.asarray(combo, dtype=np.int64), h, m)
-        cost = evaluate_decision(state, decision, scenarios, costs, issuing=issuing).total
-        if cost < best_cost - 1e-12:
-            best_cost = cost
-            best = decision
-    return best, float(best_cost)

@@ -1,4 +1,4 @@
-"""Shared plumbing: seeded RNG streams, worker counts, deterministic archives.
+"""Shared plumbing: seeded RNG streams, deterministic archives, config digests.
 
 All randomness in the package flows through :func:`stream` so that every
 consumer owns an independent, reproducible generator derived from a single
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import zipfile
 
 import numpy as np
@@ -21,7 +20,6 @@ TAG_DATASET_DEMAND = 1  # realized demand during dataset generation
 TAG_SAA_SCENARIO = 2    # scenario draws inside the two-stage solver
 TAG_ROLLOUT_DEMAND = 3  # fresh demand during surrogate evaluation
 TAG_LEARNER = 4         # subsampling inside learners
-TAG_INSTANCE = 5        # synthetic instance generation in tests/demos
 
 
 def stream(seed: int, tag: int, *indices: int) -> np.random.Generator:
@@ -32,16 +30,6 @@ def stream(seed: int, tag: int, *indices: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(tag, *map(int, indices)))
     return np.random.default_rng(ss)
-
-
-def worker_count() -> int:
-    """Worker cap from the SURROPT_THREADS environment variable (default 1)."""
-    raw = os.environ.get("SURROPT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 def save_arrays(path, meta: dict, arrays: dict) -> None:

@@ -3,15 +3,26 @@
 Each oracle recomputes a quantity through a different route than the
 package code it checks: basis enumeration instead of simplex pivoting,
 projected gradient instead of SMO, first-principles cost accounting instead
-of the simulator's bookkeeping, and plain gradient descent instead of the
-ridge normal equations.
+of the simulator's bookkeeping, plain gradient descent instead of the
+ridge normal equations, the explicit per-age scenario LP instead of the
+hinge form, and exhaustive enumeration instead of the LP oracle.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
+
+from surropt.errors import InputError
+from surropt.lp import LinearProgram
+from surropt.simulate import DecisionVector
+from surropt.two_stage import _first_stage_frame, _lane_columns, evaluate_decision
+
+BRUTE_MAX_HOSPITALS = 2
+BRUTE_MAX_AGE = 2
+BRUTE_MAX_CAP = 5
+BRUTE_MAX_ENUM = 200_000
 
 
 def enumerate_lp_optimum(c, A, b, upper=None, maximize=False):
@@ -67,8 +78,10 @@ def enumerate_lp_optimum(c, A, b, upper=None, maximize=False):
 def projected_gradient_svr_dual(K, y, C, epsilon, iters=40_000):
     """Minimize 0.5 a'Qa + p'a over the SVR dual box with sum-zero coupling.
 
-    Uses projected gradient with a fixed 1/L step; the projection onto
-    {0 <= a <= C, z.a = 0} is computed by bisection on the shift multiplier.
+    Uses projected gradient with a fixed 1/L step.  The projection onto
+    {0 <= a <= C, z.a = 0} is clip(v - mu z, 0, C) at the root mu of the
+    piecewise-linear, nonincreasing s(mu) = z.clip(v - mu z, 0, C); the root
+    is found exactly by walking the sorted breakpoints of s.
     Returns the dual objective value and the beta vector.
     """
     n = K.shape[0]
@@ -79,18 +92,22 @@ def projected_gradient_svr_dual(K, y, C, epsilon, iters=40_000):
     )
     lip = float(np.linalg.eigvalsh(Q).max()) + 1e-9
     step = 1.0 / lip
+    # a_i(mu) moves linearly between C and 0 for mu in [z_i v_i + shift_i,
+    # z_i v_i + shift_i + C]; inside that interval it adds -1 to the slope of s.
+    shift = np.where(z > 0, -C, 0.0)
+    slope_change = np.concatenate([-np.ones(2 * n), np.ones(2 * n)])
 
     def project(v):
-        lo, hi = -np.max(np.abs(v)) - C - 1.0, np.max(np.abs(v)) + C + 1.0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            a = np.clip(v - mid * z, 0.0, C)
-            s = float(z @ a)
-            if s > 0:
-                lo = mid
-            else:
-                hi = mid
-        return np.clip(v - 0.5 * (lo + hi) * z, 0.0, C)
+        start = z * v + shift
+        points = np.concatenate([start, start + C])
+        order = np.argsort(points, kind="stable")
+        points = points[order]
+        slope = np.cumsum(slope_change[order])
+        # s = n C left of every breakpoint (all z=+1 entries at C, the rest at 0)
+        s = n * C + np.concatenate([[0.0], np.cumsum(slope[:-1] * np.diff(points))])
+        k = int(np.argmax(s <= 0.0)) - 1
+        mu = points[k] + s[k] / -slope[k]
+        return np.clip(v - mu * z, 0.0, C)
 
     a = project(np.zeros(2 * n))
     for _ in range(iters):
@@ -161,3 +178,104 @@ def gradient_descent_ridge(X, Y, lam, iters=60_000, intercept=True):
 
 def central_difference(fn, x, eps=1e-6):
     return (fn(x + eps) - fn(x - eps)) / (2.0 * eps)
+
+
+def build_age_lp(state, scenarios, costs):
+    """The scenario LP with explicit per-scenario issued y[i,m], leftover
+    o[i,m] and shortage s[i] variables, post-receipt availability balance and
+    demand balance.  Same first-stage columns as ``two_stage.build_saa``, and
+    the same optimal value."""
+    scenarios = [np.asarray(s, dtype=np.int64) for s in scenarios]
+    h, m = state.n_hospitals, state.max_age
+    d, lanes, c_fs, rows, rhs, senses = _first_stage_frame(state, costs)
+    ns = len(scenarios)
+    weight = 1.0 / ns
+    per_scn = 2 * h * m + h  # y block, o block, s block
+    n_cols = d + ns * per_scn
+    obj = np.zeros(n_cols)
+    obj[:d] = c_fs
+
+    def y_col(w, i, a):
+        return d + w * per_scn + i * m + a
+
+    def o_col(w, i, a):
+        return d + w * per_scn + h * m + i * m + a
+
+    def s_col(w, i):
+        return d + w * per_scn + 2 * h * m + i
+
+    all_rows = []
+    for w, dem in enumerate(scenarios):
+        for i in range(h):
+            obj[s_col(w, i)] = weight * costs.shortage
+            for a in range(m):
+                rate = costs.outdate if a == m - 1 else costs.holding
+                obj[o_col(w, i, a)] = weight * rate
+                # availability: y + o - inbound - order[m=1] + outbound = units
+                row = np.zeros(n_cols)
+                row[y_col(w, i, a)] = 1.0
+                row[o_col(w, i, a)] = 1.0
+                if a == 0:
+                    row[i] = -1.0
+                for k, (si, sj, sa) in enumerate(lanes):
+                    if sa != a:
+                        continue
+                    if sj == i:
+                        row[h + k] -= 1.0
+                    if si == i:
+                        row[h + k] += 1.0
+                all_rows.append((row, float(state.units[i, a]), "=="))
+            # demand balance: sum_m y + s = demand
+            row = np.zeros(n_cols)
+            for a in range(m):
+                row[y_col(w, i, a)] = 1.0
+            row[s_col(w, i)] = 1.0
+            all_rows.append((row, float(dem[i]), "=="))
+
+    n_rows = len(rows) + len(all_rows)
+    A = np.zeros((n_rows, n_cols))
+    b = np.empty(n_rows)
+    sense_list = []
+    for r, row in enumerate(rows):
+        A[r, :d] = row
+        b[r] = rhs[r]
+        sense_list.append(senses[r])
+    for k, (row, bv, s) in enumerate(all_rows):
+        A[len(rows) + k] = row
+        b[len(rows) + k] = bv
+        sense_list.append(s)
+    return LinearProgram(c=obj, A=A, b=b, senses=tuple(sense_list))
+
+
+def brute_force_oracle(state, costs, scenarios, cap: int, issuing: str = "fifo"):
+    """Exhaustive minimizer over integer decisions on tiny instances.
+
+    Orders range over 0..cap; each lane over 0..min(cap, stock in its slot),
+    which keeps every enumerated decision feasible because a slot has at
+    most one outbound lane when H <= 2.  Ties go to the lexicographically
+    smallest flattened decision.  Returns (decision, expected cost)."""
+    h, m = state.n_hospitals, state.max_age
+    if h > BRUTE_MAX_HOSPITALS or m > BRUTE_MAX_AGE:
+        raise InputError(f"brute force capped at H<={BRUTE_MAX_HOSPITALS}, M<={BRUTE_MAX_AGE}")
+    if cap < 0 or cap > BRUTE_MAX_CAP:
+        raise InputError(f"per-variable cap must be in 0..{BRUTE_MAX_CAP}")
+    scenarios = [np.asarray(s, dtype=np.int64) for s in scenarios]
+    lanes = _lane_columns(h, m)
+    ranges = [range(cap + 1)] * h
+    for (i, j, a) in lanes:
+        ranges.append(range(min(cap, int(state.units[i, a])) + 1))
+    size = 1
+    for r in ranges:
+        size *= len(r)
+    if size > BRUTE_MAX_ENUM:
+        raise InputError(f"enumeration of {size} decisions exceeds {BRUTE_MAX_ENUM}")
+
+    best = None
+    best_cost = np.inf
+    for combo in product(*ranges):
+        decision = DecisionVector.from_flat(np.asarray(combo, dtype=np.int64), h, m)
+        cost = evaluate_decision(state, decision, scenarios, costs, issuing=issuing).total
+        if cost < best_cost - 1e-12:
+            best_cost = cost
+            best = decision
+    return best, float(best_cost)

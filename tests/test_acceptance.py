@@ -38,10 +38,11 @@ from surropt.simulate import (
     InventoryState,
     write_trajectory_csv,
 )
-from surropt.two_stage import SaaConfig, brute_force_oracle, solve_stage_one
+from surropt.two_stage import SaaConfig, solve_stage_one
 from surropt.util import stream
 
 from _oracles import (
+    brute_force_oracle,
     enumerate_lp_optimum,
     gradient_descent_ridge,
     projected_gradient_svr_dual,

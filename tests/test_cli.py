@@ -184,6 +184,21 @@ class TestRollout:
         result = run_cli("rollout", "--config", config, "--out", tmp_path)
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("days", [0, -1])
+    def test_nonpositive_days_exit_2(self, generated, tmp_path, days):
+        config, out = generated
+        train_dir = tmp_path / "t"
+        assert run_cli("train", "--config", config, "--data", out / "dataset.csv", "--out", train_dir).returncode == 0
+        result = run_cli(
+            "rollout",
+            "--config", config,
+            "--model", train_dir / "model-ridge.surropt",
+            "--out", tmp_path / "r",
+            "--days", days,
+        )
+        assert result.returncode == 2
+        assert "error:" in result.stderr and "rollout_days" in result.stderr
+
     def test_missing_model_file_exit_3(self, generated, tmp_path):
         config, _ = generated
         result = run_cli(

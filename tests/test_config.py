@@ -1,0 +1,204 @@
+"""Config parsing: the dataclass fields are the schema, and every malformed
+value ends in a ConfigError (or an InputError from a constructor) that names
+its field."""
+
+import copy
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from surropt import cli
+from surropt.config import config_to_dict, parse_config
+from surropt.errors import ConfigError, InputError
+
+from test_cli import BASE_CONFIG
+
+# Every section and every key filled in, none at its default.
+FULL_CONFIG = {
+    "version": 1,
+    "seed": 9,
+    "horizon_days": 12,
+    "rollout_days": 3,
+    "train_fraction": 0.75,
+    "max_age": 3,
+    "issuing": "lifo",
+    "hospitals": [
+        {"id": 1, "pi": 0.5, "r": 2, "p": 0.5},
+        {"id": 2, "pi": 0.25, "r": 3, "p": 0.4},
+    ],
+    "costs": {"holding": 0.5, "ordering": 4.0, "transship_unit": 2.0, "shortage": 30.0, "outdate": 12.0},
+    "saa": {"scenario_count": 7, "rounding": "floor"},
+    "learner": {
+        "kind": "svr",
+        "loss": "huber",
+        "delta": 0.5,
+        "folds": 3,
+        "gbdt": {
+            "eta": 0.2,
+            "max_depth": 3,
+            "min_child_weight": 1.5,
+            "subsample": 0.8,
+            "colsample_bytree": 0.9,
+            "n_iterations": 20,
+            "l1": 0.0,
+            "l2": 2.0,
+            "max_bins": 16,
+        },
+        "ridge_lambdas": [0.1, 1.0, 10.0],
+        "svr": {"C": [0.5, 5.0], "gamma": 0.25, "epsilon": 0.05},
+    },
+    "initial_inventory": [[1, 0, 2], [0, 3, 0]],
+}
+
+# config_to_dict of BASE_CONFIG: the given keys plus every default.
+BASE_DICT = {
+    "version": 1,
+    "seed": 5,
+    "horizon_days": 10,
+    "rollout_days": 4,
+    "train_fraction": 0.8,
+    "max_age": 11,
+    "issuing": "fifo",
+    "hospitals": BASE_CONFIG["hospitals"],
+    "costs": {"holding": 1.0, "ordering": 10.0, "transship_unit": 7.0, "shortage": 40.0, "outdate": 35.0},
+    "saa": {"scenario_count": 4, "rounding": "nearest"},
+    "learner": {
+        "kind": "ridge",
+        "loss": "mse",
+        "delta": 1.0,
+        "folds": 5,
+        "gbdt": {
+            "eta": 0.01,
+            "max_depth": 15,
+            "min_child_weight": 5.0,
+            "subsample": 0.7,
+            "colsample_bytree": 1.0,
+            "n_iterations": 1000,
+            "l1": 0.1,
+            "l2": 1.0,
+            "max_bins": 64,
+        },
+        "ridge_lambdas": [1.0],
+        "svr": {"C": 1.0, "gamma": None, "epsilon": 0.1},
+    },
+    "initial_inventory": "empty",
+}
+
+
+def with_node(base, path, value):
+    cfg = copy.deepcopy(base)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+# (path, value, the field the error must name)
+MALFORMED = [
+    (("costs",), [1], "config.costs"),
+    (("saa", "scenario_count"), "5", "config.saa.scenario_count"),
+    (("learner",), 5, "config.learner"),
+    (("learner", "gbdt"), {"max_depth": "3"}, "config.learner.gbdt.max_depth"),
+    (("learner", "svr"), {"C": {}}, "config.learner.svr.C"),
+    (("learner", "svr"), {"C": []}, "config.learner.svr.C"),
+    (("hospitals", 0, "pi"), None, "config.hospitals[0].pi"),
+    (("horizon_days",), "x", "config.horizon_days"),
+    (("initial_inventory",), [[0] * 11] * 3 + [[0] * 10], "config.initial_inventory"),
+    (("initial_inventory",), [[0] * 11] * 3, "config.initial_inventory"),
+    (("learner", "delta"), "a", "config.learner.delta"),
+    (("horizon_days",), json.loads("1e999"), "config.horizon_days"),
+    (("costs",), {"holding": math.nan}, "config.costs.holding"),
+    (("train_fraction",), 10**400, "config.train_fraction"),
+    (("hospitals", 0, "r"), 3.7, "config.hospitals[0].r"),
+    (("seed",), 1.9, "config.seed"),
+    (("seed",), True, "config.seed"),
+    (("seed",), -1, "seed must be >= 0"),
+    (("max_age",), 10**12, "max_age must be in"),
+    (("version",), True, "config.version"),
+    (("saa", "form"), "compact", "config.saa: unknown key(s) form"),
+]
+
+
+@pytest.mark.parametrize("path, value, field", MALFORMED)
+def test_malformed_value_names_its_field(path, value, field):
+    with pytest.raises(ConfigError) as err:
+        parse_config(with_node(BASE_CONFIG, path, value))
+    assert field in str(err.value)
+
+
+def test_negative_cost_is_an_input_error_naming_the_field():
+    with pytest.raises(InputError) as err:
+        parse_config(with_node(BASE_CONFIG, ("costs",), {"shortage": -1}))
+    assert "config.costs" in str(err.value) and "shortage" in str(err.value)
+
+
+@pytest.mark.parametrize("path, value, field", MALFORMED)
+def test_malformed_config_exits_2(path, value, field, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(with_node(BASE_CONFIG, path, value)))
+    code = cli.main(["generate", "--config", str(config), "--out", str(tmp_path / "g")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field.replace("config", str(config), 1) in err
+    assert not (tmp_path / "g").exists()
+
+
+def test_round_trip_of_base_config():
+    d = config_to_dict(parse_config(BASE_CONFIG))
+    assert d == BASE_DICT
+    assert config_to_dict(parse_config(d)) == d
+
+
+def test_round_trip_of_full_config():
+    d = config_to_dict(parse_config(FULL_CONFIG))
+    assert d == FULL_CONFIG
+    assert config_to_dict(parse_config(d)) == d
+    assert json.loads(json.dumps(d)) == d
+
+
+def test_float_fields_take_integers_and_seed_feeds_saa():
+    config = parse_config(with_node(BASE_CONFIG, ("costs",), {"holding": 2}))
+    assert config.costs.holding == 2.0 and isinstance(config.costs.holding, float)
+    assert config.saa.seed == config.seed == 5
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def node_paths(node, path=()):
+    """Paths to every value below the root, containers included."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from node_paths(child, path + (key,))
+
+
+NODES = [(base, path) for base in (BASE_CONFIG, FULL_CONFIG) for path in node_paths(base)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_any_json_value_parses_or_raises_config_error(value):
+    try:
+        parse_config(value)
+    except (ConfigError, InputError):
+        pass
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(NODES), JSON_VALUES)
+def test_one_replaced_value_parses_or_raises_config_error(node, value):
+    base, path = node
+    try:
+        config = parse_config(with_node(base, path, value))
+    except (ConfigError, InputError):
+        return
+    assert config_to_dict(parse_config(config_to_dict(config))) == config_to_dict(config)

@@ -7,8 +7,6 @@ from surropt.demand import (
     ZinbParams,
     ZinbSampler,
     default_demand_configs,
-    sample_day,
-    zinb_sample,
 )
 from surropt.errors import ConfigError
 from surropt.util import stream
@@ -23,8 +21,10 @@ def test_certain_zero_inflation():
 
 
 def test_single_draw_api():
-    value = zinb_sample(ZinbParams(0.5, 2, 0.5), stream(2, 50))
+    value = ZinbSampler(ZinbParams(0.5, 2, 0.5)).sample(stream(2, 50))
     assert isinstance(value, int) and value >= 0
+    day = DemandModel((HospitalDemandConfig(1, ZinbParams(0.5, 2, 0.5)),)).sample_day(stream(2, 50))
+    assert day.tolist() == [value]
 
 
 @pytest.mark.parametrize(
@@ -72,21 +72,21 @@ def test_same_seed_identical_stream():
 
 
 def test_sample_day_all_certain_zero():
-    configs = [HospitalDemandConfig(i + 1, ZinbParams(1.0, 2, 0.5)) for i in range(4)]
-    assert np.array_equal(sample_day(configs, stream(8, 50)), np.zeros(4, dtype=np.int64))
+    model = DemandModel(tuple(HospitalDemandConfig(i + 1, ZinbParams(1.0, 2, 0.5)) for i in range(4)))
+    assert np.array_equal(model.sample_day(stream(8, 50)), np.zeros(4, dtype=np.int64))
 
 
 def test_sample_day_paper_parameters():
-    day = sample_day(default_demand_configs(), stream(9, 50))
+    day = DemandModel(tuple(default_demand_configs())).sample_day(stream(9, 50))
     assert day.shape == (4,)
     assert day.dtype == np.int64
     assert np.all(day >= 0)
 
 
 def test_sample_day_deterministic():
-    configs = default_demand_configs()
-    a = sample_day(configs, stream(10, 50))
-    b = sample_day(configs, stream(10, 50))
+    model = DemandModel(tuple(default_demand_configs()))
+    a = model.sample_day(stream(10, 50))
+    b = model.sample_day(stream(10, 50))
     assert np.array_equal(a, b)
 
 

@@ -9,7 +9,6 @@ from surropt.learners import (
     fit_svr,
     kfold_split,
     load_model,
-    predict,
     save_model,
     split_train_test,
 )
@@ -326,15 +325,37 @@ class TestSvr:
         assert err.value.partial is not None
         assert err.value.partial.predict(X).shape == (60, 1)
 
+    def test_cv_raises_when_a_fold_does_not_converge(self):
+        rng = np.random.default_rng(26)
+        data = make_dataset(rng, n=40, p=2, q=3)
+        with pytest.raises(ResourceLimitError) as err:
+            fit_svr(data, C=[1.0, 10.0], folds=4, max_iter=2)
+        # the error comes from the first fold's first output, before any CV score
+        assert err.value.partial.n_outputs == 1
+
+    @pytest.mark.parametrize("C", [(), (-1.0, 1.0), (0.0,), (float("nan"),), -2.0])
+    def test_invalid_c_rejected_before_cv(self, C):
+        rng = np.random.default_rng(27)
+        data = make_dataset(rng, n=20, p=2, q=2)
+        with pytest.raises(InputError, match="C "):
+            fit_svr(data, C=C, folds=4)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("inf")])
+    def test_invalid_gamma_rejected(self, gamma):
+        rng = np.random.default_rng(28)
+        data = make_dataset(rng, n=20, p=2, q=1)
+        with pytest.raises(InputError, match="gamma"):
+            fit_svr(data, C=1.0, gamma=gamma)
+
 
 class TestPredictApi:
     def test_single_vector_and_dim_check(self):
         rng = np.random.default_rng(30)
         data = make_dataset(rng, n=100)
         model = fit_ridge(data, lambdas=(1.0,), folds=5)
-        single = predict(model, data.X[0])
-        assert single.shape == (3,)
-        assert np.array_equal(single, model.predict(data.X[:1])[0])
+        single = model.predict(data.X[:1])
+        assert single.shape == (1, 3)
+        assert np.allclose(single[0], model.predict(data.X)[0], rtol=0, atol=1e-12)
         with pytest.raises(InputError):
             model.predict(np.zeros((2, 7)))
 

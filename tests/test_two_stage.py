@@ -4,13 +4,9 @@ import pytest
 from surropt.errors import InputError
 from surropt.lp import solve_lp
 from surropt.simulate import CostParams, DecisionVector, InventoryState, check_feasibility
-from surropt.two_stage import (
-    SaaConfig,
-    brute_force_oracle,
-    build_saa,
-    evaluate_decision,
-    solve_stage_one,
-)
+from surropt.two_stage import SaaConfig, build_saa, evaluate_decision, solve_stage_one
+
+from _oracles import build_age_lp, brute_force_oracle
 
 NEWSVENDOR_COSTS = CostParams(
     holding=0.1, ordering=1.0, transship_unit=0.0, shortage=10.0, outdate=0.0
@@ -43,9 +39,8 @@ class TestBuildSaa:
 
     def test_newsvendor_relaxation(self):
         state = InventoryState.zeros(1, 2)
-        for form in ("compact", "age"):
-            lp = build_saa(state, NEWSVENDOR_SCENARIOS, NEWSVENDOR_COSTS, form=form)
-            sol = solve_lp(lp)
+        for build in (build_saa, build_age_lp):
+            sol = solve_lp(build(state, NEWSVENDOR_SCENARIOS, NEWSVENDOR_COSTS))
             assert sol.objective == pytest.approx(2.1, abs=1e-9)
             assert sol.x[0] == pytest.approx(2.0, abs=1e-7)
 
@@ -62,8 +57,8 @@ class TestBuildSaa:
         rng = np.random.default_rng(22)
         for _ in range(15):
             state, costs, scenarios = random_tiny_instance(rng)
-            a = solve_lp(build_saa(state, scenarios, costs, form="compact"))
-            b = solve_lp(build_saa(state, scenarios, costs, form="age"))
+            a = solve_lp(build_saa(state, scenarios, costs))
+            b = solve_lp(build_age_lp(state, scenarios, costs))
             assert a.status == b.status == "optimal"
             assert a.objective == pytest.approx(b.objective, abs=1e-7)
 
@@ -78,8 +73,8 @@ class TestBuildSaa:
                 shortage=costs.shortage,
                 outdate=1.0,
             )
-            a = solve_lp(build_saa(state, scenarios, costs, form="compact"))
-            b = solve_lp(build_saa(state, scenarios, costs, form="age"))
+            a = solve_lp(build_saa(state, scenarios, costs))
+            b = solve_lp(build_age_lp(state, scenarios, costs))
             assert a.objective == pytest.approx(b.objective, abs=1e-7)
 
     def test_empty_scenarios_rejected(self):
