@@ -87,10 +87,20 @@ def save_model(path, model) -> None:
 
 
 def load_model(path):
+    """Read a model file; a malformed one raises ``InputError`` naming it."""
     meta, arrays = load_arrays(path)
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
-        raise InputError(f"unsupported model format version {version}")
+        raise InputError(f"{path}: unsupported model format version {version}")
+    try:
+        return _model_from(meta, arrays)
+    except KeyError as exc:
+        raise InputError(f"{path}: model file lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed model file ({exc})") from None
+
+
+def _model_from(meta: dict, arrays: dict):
     kind = meta.get("kind")
     if kind == "ridge":
         return RidgeModel(
@@ -139,4 +149,4 @@ def load_model(path):
             n_features=int(meta["n_features"]),
             cv_mse={float(k): v for k, v in meta.get("cv_mse", {}).items()},
         )
-    raise InputError(f"unknown model kind {kind!r}")
+    raise ValueError(f"unknown model kind {kind!r}")

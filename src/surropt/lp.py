@@ -113,117 +113,79 @@ def dump_lp(lp: LinearProgram) -> str:
 
 class _Standardizer:
     """Rewrites an LP as min c.x, A x = b, x >= 0, b >= 0 and remembers how
-    to map a standard-form point back onto the original variables."""
+    to map a standard-form point back onto the original variables.
+
+    A variable with a finite lower bound becomes ``x - lower`` (plus a row
+    ``x - lower <= upper - lower`` when the upper bound is finite too), one
+    with only an upper bound ``upper - x``, and a free one the difference of
+    two columns.  Standard column k stands for ``col_sign[k]`` times original
+    variable ``source[k]``, less its ``offset``."""
 
     def __init__(self, lp: LinearProgram):
-        n = lp.n_vars
+        n, m0 = lp.n_vars, lp.n_rows
         sign = -1.0 if lp.maximize else 1.0
-        c_orig = sign * lp.c
+        has_lower = np.isfinite(lp.lower)
+        upper_only = ~has_lower & np.isfinite(lp.upper)
+        free = ~has_lower & ~upper_only
+        boxed = has_lower & np.isfinite(lp.upper)
+        width = np.where(free, 2, 1)
+        self.source = np.repeat(np.arange(n), width)
+        first = np.cumsum(width) - width  # each variable's first standard column
+        self.col_sign = np.ones(self.source.size)
+        self.col_sign[first[upper_only]] = -1.0
+        self.col_sign[first[free] + 1] = -1.0
+        # -0.0 adds exactly nothing, so a free variable restores to the bits
+        # of x_plus - x_minus
+        self.offset = np.where(has_lower, lp.lower, np.where(upper_only, lp.upper, -0.0))
 
-        cols = []        # columns of structural standard-form variables
-        costs = []
-        self.var_map = []  # per original var: (kind, data...)
-        A = lp.A
-        shift_b = np.array(lp.b, dtype=float)
-        extra_rows = []  # (column_index, rhs) for residual upper bounds
+        # b - A[:, j] * offset[j], one shifted variable after the other
+        terms = np.vstack([lp.b, lp.A.T[~free]])
+        terms[1:] *= self.offset[~free, None]
+        rhs = np.concatenate([np.subtract.reduce(terms, axis=0), (lp.upper - lp.lower)[boxed]])
+        senses = np.array(lp.senses + ("<=",) * int(boxed.sum()), dtype="U2")
+        # +1: slack column, -1: surplus column, 0: none
+        slack = (senses == "<=").astype(float) - (senses == ">=")
 
-        for j in range(n):
-            lo, up = lp.lower[j], lp.upper[j]
-            if np.isfinite(lo):
-                shift_b -= A[:, j] * lo
-                cols.append(A[:, j].copy())
-                costs.append(c_orig[j])
-                idx = len(cols) - 1
-                self.var_map.append(("shift", idx, lo))
-                if np.isfinite(up):
-                    extra_rows.append((idx, up - lo))
-            elif np.isfinite(up):
-                # x = up - t with t >= 0
-                shift_b -= A[:, j] * up
-                cols.append(-A[:, j])
-                costs.append(-c_orig[j])
-                self.var_map.append(("neg", len(cols) - 1, up))
-            else:
-                cols.append(A[:, j].copy())
-                costs.append(c_orig[j])
-                cols.append(-A[:, j])
-                costs.append(-c_orig[j])
-                self.var_map.append(("free", len(cols) - 2, len(cols) - 1))
+        # negate the rows with a negative rhs (bound rows never have one)
+        row_sign = np.where(rhs < 0, -1.0, 1.0)
+        rhs *= row_sign
+        slack *= row_sign
 
-        n_struct = len(cols)
-        m0 = lp.n_rows
-        m = m0 + len(extra_rows)
-        body = np.zeros((m, n_struct))
-        if n_struct:
-            body[:m0, :] = np.column_stack(cols) if cols else body[:m0, :]
-        rhs = np.concatenate([shift_b, [r for _, r in extra_rows]]) if extra_rows else shift_b.copy()
-        senses = list(lp.senses) + ["<="] * len(extra_rows)
-        for k, (idx, _) in enumerate(extra_rows):
-            body[m0 + k, idx] = 1.0
-
-        # normalize to nonnegative rhs
-        flip = rhs < 0
-        body[flip] *= -1.0
-        rhs = np.where(flip, -rhs, rhs)
-        swap = {"<=": ">=", ">=": "<=", "==": "=="}
-        senses = [swap[s] if f else s for s, f in zip(senses, flip)]
-
-        # slack / surplus columns
-        aug_cols = []
-        aug_costs = []
-        for i, s in enumerate(senses):
-            if s == "<=":
-                col = np.zeros(m)
-                col[i] = 1.0
-                aug_cols.append(col)
-                aug_costs.append(0.0)
-            elif s == ">=":
-                col = np.zeros(m)
-                col[i] = -1.0
-                aug_cols.append(col)
-                aug_costs.append(0.0)
-
-        if aug_cols:
-            body = np.hstack([body, np.column_stack(aug_cols)])
-        self.A = body
+        m, n_struct = rhs.size, self.source.size
+        slack_rows = np.flatnonzero(slack)
+        self.A = np.zeros((m, n_struct + slack_rows.size))
+        self.A[:m0, :n_struct] = lp.A[:, self.source] * self.col_sign * row_sign[:m0, None]
+        self.A[np.arange(m0, m), first[boxed]] = 1.0
+        self.A[slack_rows, n_struct + np.arange(slack_rows.size)] = slack[slack_rows]
         self.b = rhs
-        self.c = np.concatenate([costs, aug_costs]) if aug_costs else np.asarray(costs, float)
-        self.n_struct = n_struct
-        self.n_orig = n
-        self.sign = sign
+        self.c = np.zeros(self.A.shape[1])
+        self.c[:n_struct] = sign * lp.c[self.source] * self.col_sign
 
     def restore(self, x_std: np.ndarray) -> np.ndarray:
-        x = np.empty(self.n_orig)
-        for j, spec in enumerate(self.var_map):
-            kind = spec[0]
-            if kind == "shift":
-                x[j] = spec[2] + x_std[spec[1]]
-            elif kind == "neg":
-                x[j] = spec[2] - x_std[spec[1]]
-            else:
-                x[j] = x_std[spec[1]] - x_std[spec[2]]
+        x = self.offset.copy()
+        np.add.at(x, self.source, self.col_sign * x_std[: self.source.size])
         return x
 
 
 def _crash_basis(A, b):
-    """Choose a starting basis: slack columns first, then any unused column
-    whose support is a single row with a positive entry (the row is rescaled
-    to make it a unit column).  Rows left uncovered get artificials."""
+    """Choose a starting basis: for each row, the first column whose support
+    is that row alone, with a positive entry (the row is rescaled to make it a
+    unit column).  Rows left uncovered (-1) get artificials."""
     m, n = A.shape
     basis = np.full(m, -1, dtype=np.int64)
-    nonzero_rows = [np.flatnonzero(np.abs(A[:, j]) > 0) for j in range(n)]
-    taken = np.zeros(n, dtype=bool)
-    # singleton columns indexed by their row
-    for j in range(n):
-        rows = nonzero_rows[j]
-        if rows.size == 1:
-            i = rows[0]
-            if basis[i] < 0 and A[i, j] > PIVOT_TOL and not taken[j]:
-                scale = A[i, j]
-                A[i] /= scale
-                b[i] /= scale
-                basis[i] = j
-                taken[j] = True
+    if m == 0:
+        return basis
+    support = A != 0.0
+    row = np.argmax(support, axis=0)
+    singleton = (support.sum(axis=0) == 1) & (A[row, np.arange(n)] > PIVOT_TOL)
+    cols = np.flatnonzero(singleton)
+    rows, firsts = np.unique(row[cols], return_index=True)
+    cols = cols[firsts]
+    scale = np.ones(m)  # x / 1.0 is exactly x
+    scale[rows] = A[rows, cols]
+    A /= scale[:, None]
+    b /= scale
+    basis[rows] = cols
     return basis
 
 
@@ -291,9 +253,8 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 1_000_000, pivot_rule: str = "
     T = np.zeros((m + 1, total_cols + 1))
     T[:m, :n] = A
     T[:m, -1] = b
-    for k, i in enumerate(art_rows):
-        T[i, n + k] = 1.0
-        basis[i] = n + k
+    T[art_rows, n + np.arange(n_art)] = 1.0
+    basis[art_rows] = n + np.arange(n_art)
     allowed = np.ones(total_cols, dtype=bool)
     iterations = 0
 
@@ -303,9 +264,7 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 1_000_000, pivot_rule: str = "
         phase_cost[n:] = 1.0
         T[-1, :-1] = phase_cost
         T[-1, -1] = 0.0
-        for i in range(m):
-            if basis[i] >= n:
-                T[-1] -= T[i]
+        T[-1] = np.subtract.reduce(np.vstack([T[-1:], T[art_rows]]), axis=0)
         status, iterations = _simplex_loop(T, basis, allowed, pivot_rule, max_pivots, iterations)
         if status != "optimal":
             raise InternalError("phase 1 cannot be unbounded")
@@ -330,22 +289,21 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 1_000_000, pivot_rule: str = "
             m = keep.size
         allowed[n:] = False
 
-    # phase 2 cost row
+    # phase 2 cost row: c less c_B times each basic row, one row after the other
     T[-1, :] = 0.0
     T[-1, :n] = c
-    for i in range(m):
-        j = basis[i]
-        cj = c[j] if j < n else 0.0
-        if cj != 0.0:
-            T[-1] -= cj * T[i]
+    c_basic = np.append(c, 0.0)[np.minimum(basis, n)]
+    priced = np.flatnonzero(c_basic)
+    terms = np.vstack([T[-1:], T[priced]])
+    terms[1:] *= c_basic[priced, None]
+    T[-1] = np.subtract.reduce(terms, axis=0)
     status, iterations = _simplex_loop(T, basis, allowed, pivot_rule, max_pivots, iterations)
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=iterations)
 
     x_std = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x_std[basis[i]] = T[i, -1]
+    structural = basis < n
+    x_std[basis[structural]] = T[:m, -1][structural]
     x = std.restore(x_std)
     objective = float(lp.c @ x)
     _verify(lp, x)
@@ -354,17 +312,14 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 1_000_000, pivot_rule: str = "
 
 def _verify(lp: LinearProgram, x: np.ndarray) -> None:
     scale = max(1.0, float(np.abs(lp.b).max()) if lp.n_rows else 1.0)
-    ax = lp.A @ x
-    for i, s in enumerate(lp.senses):
-        resid = ax[i] - lp.b[i]
-        ok = (
-            resid <= FEAS_TOL * scale
-            if s == "<="
-            else resid >= -FEAS_TOL * scale
-            if s == ">="
-            else abs(resid) <= FEAS_TOL * scale
-        )
-        if not ok:
-            raise InternalError(f"optimal point violates row {i} by {resid:.3e}")
+    resid = lp.A @ x - lp.b
+    senses = np.asarray(lp.senses)
+    tol = FEAS_TOL * scale
+    ok = np.where(
+        senses == "<=", resid <= tol, np.where(senses == ">=", resid >= -tol, np.abs(resid) <= tol)
+    )
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise InternalError(f"optimal point violates row {bad[0]} by {resid[bad[0]]:.3e}")
     if np.any(x < lp.lower - FEAS_TOL * scale) or np.any(x > lp.upper + FEAS_TOL * scale):
         raise InternalError("optimal point violates variable bounds")

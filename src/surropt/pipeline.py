@@ -86,7 +86,6 @@ class ExperimentConfig:
     learner: LearnerSpec = LearnerSpec()
     max_age: int = 11
     initial_state: InventoryState = None
-    issuing: str = "fifo"
 
     def __post_init__(self):
         if self.demand_configs is None:
@@ -101,8 +100,6 @@ class ExperimentConfig:
             raise ConfigError("train_fraction must be in (0, 1)")
         if not 1 <= self.max_age <= MAX_AGE_LIMIT:
             raise ConfigError(f"max_age must be in 1..{MAX_AGE_LIMIT}, got {self.max_age}")
-        if self.issuing not in ("fifo", "lifo"):
-            raise ConfigError("issuing must be 'fifo' or 'lifo'")
         h = len(self.demand_configs)
         if self.initial_state is None:
             object.__setattr__(self, "initial_state", InventoryState.zeros(h, self.max_age))
@@ -130,14 +127,7 @@ class OraclePolicy:
     def __call__(self, day: int, state: InventoryState) -> DecisionVector:
         cfg = self.config
         rng = stream(cfg.seed, TAG_SAA_SCENARIO, self.phase, day)
-        sol = solve_stage_one(
-            state,
-            cfg.costs,
-            cfg.saa,
-            rng=rng,
-            demand_configs=cfg.demand_configs,
-            issuing=cfg.issuing,
-        )
+        sol = solve_stage_one(state, cfg.costs, cfg.saa, rng=rng, demand_configs=cfg.demand_configs)
         return sol.decision
 
 
@@ -192,7 +182,7 @@ def oracle_generation_run(config: ExperimentConfig, days: int = None) -> Horizon
     """The oracle trajectory that dataset generation records."""
     demands = generation_demands(config, days)
     policy = OraclePolicy(config, GENERATION_PHASE)
-    return run_horizon(config.initial_state, policy, demands, config.costs, issuing=config.issuing)
+    return run_horizon(config.initial_state, policy, demands, config.costs)
 
 
 def generate_dataset(config: ExperimentConfig, days: int = None) -> Dataset:
@@ -273,7 +263,7 @@ def report_from_run(label: str, result: HorizonResult) -> RolloutReport:
 def rollout(config: ExperimentConfig, model, demands, label: str = "model") -> RolloutReport:
     """Closed-loop evaluation of a trained surrogate on the given demands."""
     policy = SurrogatePolicy(model, config.n_hospitals, config.max_age)
-    result = run_horizon(config.initial_state, policy, demands, config.costs, issuing=config.issuing)
+    result = run_horizon(config.initial_state, policy, demands, config.costs)
     return report_from_run(label, result)
 
 
@@ -281,7 +271,7 @@ def replay_rollout(config: ExperimentConfig, data: Dataset) -> RolloutReport:
     """Replay stored labels against the generation demand stream."""
     demands = generation_demands(config, data.n_rows)
     policy = LabelReplayPolicy(data, config.n_hospitals, config.max_age)
-    result = run_horizon(config.initial_state, policy, demands, config.costs, issuing=config.issuing)
+    result = run_horizon(config.initial_state, policy, demands, config.costs)
     return report_from_run("replay", result)
 
 
@@ -356,8 +346,6 @@ def compare_models(
     reports = [rollout(config, model, demands, label=name) for name, model in models.items()]
     if include_oracle:
         policy = OraclePolicy(config, ROLLOUT_PHASE)
-        result = run_horizon(
-            config.initial_state, policy, demands, config.costs, issuing=config.issuing
-        )
+        result = run_horizon(config.initial_state, policy, demands, config.costs)
         reports.append(report_from_run("oracle", result))
     return ComparisonResult(reports=reports, days=len(demands))

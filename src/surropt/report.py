@@ -36,9 +36,15 @@ def read_dataset_csv(path, hospitals: int = 4, max_age: int = 11) -> Dataset:
             )
         days, xs, ys = [], [], []
         for row in reader:
-            days.append(int(row[0]))
-            xs.append([float(v) for v in row[1 : 1 + n_in]])
-            ys.append([float(v) for v in row[1 + n_in : 1 + n_in + n_out]])
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(expected):
+                raise InputError(f"{where} has {len(row)} fields, expected {len(expected)}")
+            try:
+                days.append(int(row[0]))
+                xs.append([float(v) for v in row[1 : 1 + n_in]])
+                ys.append([float(v) for v in row[1 + n_in : 1 + n_in + n_out]])
+            except ValueError as exc:
+                raise InputError(f"{where}: {exc}") from None
     if not days:
         raise InputError(f"{path}: no data rows")
     return Dataset(np.asarray(xs), np.asarray(ys), np.asarray(days))

@@ -7,8 +7,8 @@ transshipments) and a demand realization in a fixed event order:
 
   1. charge ordering and transshipment costs;
   2. outbound transshipped units leave the senders' inventories;
-  3. demand is realized and issued from on-hand stock (oldest first by
-     default), unmet demand is lost and charged as shortage;
+  3. demand is realized and issued from on-hand stock, oldest first; unmet
+     demand is lost and charged as shortage;
   4. at end of day inbound transshipments arrive at their age class and
      fresh orders arrive at age class 1;
   5. every unit ages one class; units that would exceed age M are discarded
@@ -286,14 +286,13 @@ def repair(state: InventoryState, decision: DecisionVector) -> DecisionVector:
     return DecisionVector(decision.orders, ship)
 
 
-def _issue(on_hand: np.ndarray, demand: np.ndarray, issuing: str):
-    """Units issued per (hospital, age) slot under the issuing policy."""
+def _issue(on_hand: np.ndarray, demand: np.ndarray):
+    """Units issued per (hospital, age) slot, oldest first."""
     h, m = on_hand.shape
     issued = np.zeros_like(on_hand)
-    ages = range(m - 1, -1, -1) if issuing == "fifo" else range(m)
     for i in range(h):
         need = int(demand[i])
-        for a in ages:
+        for a in range(m - 1, -1, -1):
             if need == 0:
                 break
             take = min(int(on_hand[i, a]), need)
@@ -307,15 +306,12 @@ def step(
     decision: DecisionVector,
     demand,
     costs: CostParams,
-    issuing: str = "fifo",
 ):
     """Advance the network one day; returns (next_state, cost_breakdown).
 
     The decision must be feasible (run check_feasibility/repair first); an
     infeasible decision is a caller bug and raises InternalError.
     """
-    if issuing not in ("fifo", "lifo"):
-        raise InputError(f"issuing must be 'fifo' or 'lifo', got {issuing!r}")
     demand = np.asarray(demand, dtype=np.int64)
     if demand.shape != (state.n_hospitals,):
         raise InputError(f"demand must have shape ({state.n_hospitals},), got {demand.shape}")
@@ -330,7 +326,7 @@ def step(
     transship_cost = float(decision.transship.sum()) * costs.transship_unit
 
     on_hand = state.units - outbound
-    issued = _issue(on_hand, demand, issuing)
+    issued = _issue(on_hand, demand)
     unmet = demand - issued.sum(axis=1)
     shortage_cost = float(unmet.sum()) * costs.shortage
 
@@ -392,7 +388,7 @@ class HorizonResult:
         return self.cost_sum().scaled(1.0 / self.days)
 
 
-def run_horizon(initial: InventoryState, policy, demands, costs: CostParams, issuing="fifo"):
+def run_horizon(initial: InventoryState, policy, demands, costs: CostParams):
     """Roll a policy forward: check -> repair -> step each day.
 
     ``policy`` is called as policy(day, state) and returns a DecisionVector;
@@ -407,7 +403,7 @@ def run_horizon(initial: InventoryState, policy, demands, costs: CostParams, iss
         result.violations.extend(check_feasibility(state, decision, day=day))
         result.slots_checked += slots
         applied = repair(state, decision)
-        state, breakdown = step(state, applied, demand, costs, issuing=issuing)
+        state, breakdown = step(state, applied, demand, costs)
         result.states.append(state)
         result.decisions.append(applied)
         result.demands.append(np.asarray(demand, dtype=np.int64))

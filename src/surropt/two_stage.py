@@ -41,22 +41,16 @@ from .simulate import (
 )
 from .util import TAG_SAA_SCENARIO, stream
 
-ROUNDING_MODES = ("nearest", "floor")
-
-
 @dataclass(frozen=True)
 class SaaConfig:
     """Controls for the sample-average approximation."""
 
     scenario_count: int = 50
     seed: int = 0
-    rounding: str = "nearest"
 
     def __post_init__(self):
         if self.scenario_count < 1:
             raise ConfigError(f"scenario_count must be >= 1, got {self.scenario_count}")
-        if self.rounding not in ROUNDING_MODES:
-            raise ConfigError(f"rounding must be one of {ROUNDING_MODES}")
 
 
 @dataclass(frozen=True)
@@ -75,11 +69,6 @@ class StageOneSolution:
         return self.objective - self.lp_objective
 
 
-def _lane_columns(h: int, m: int):
-    """(sender, receiver, age) per lane column, in DecisionVector.flatten order."""
-    return [(i, j, a) for i in range(h) for j in range(h) if j != i for a in range(m)]
-
-
 def build_saa(
     state: InventoryState,
     scenarios,
@@ -88,126 +77,79 @@ def build_saa(
     """Assemble the scenario LP.  The first ``decision_length(H, M)`` columns
     are the flattened first stage (orders, then lanes); recourse columns
     follow per scenario."""
-    scenarios = [np.asarray(s, dtype=np.int64) for s in scenarios]
-    if not scenarios:
+    h = state.n_hospitals
+    try:
+        demand = np.asarray(scenarios, dtype=np.int64)
+    except (TypeError, ValueError):
+        raise InputError(f"scenarios must be demand vectors of length {h}") from None
+    if demand.ndim != 2 or demand.shape[1] != h:
+        raise InputError(f"scenarios of shape {demand.shape} do not match {h} hospitals")
+    if demand.shape[0] == 0:
         raise InputError("at least one demand scenario is required")
-    h, m = state.n_hospitals, state.max_age
-    for s in scenarios:
-        if s.shape != (h,):
-            raise InputError(f"scenario shape {s.shape} does not match {h} hospitals")
-    return _build_compact(state, scenarios, costs)
+    return _build_compact(state, demand, costs)
 
 
-def _first_stage_frame(state, costs):
-    """Shared first-stage pieces: column count, objective, cap rows."""
+def _build_compact(state, demand, costs):
+    """Rows: the stock caps of the lanes out of each (hospital, age) slot
+    (only when lanes exist), then per scenario and hospital the unmet-demand
+    row ``total + u >= d``, the leftover row ``total - v <= d`` and, when the
+    hinge has a cost, the outdate row ``oldest - w <= d`` (or, when holding
+    costs more than outdating, ``(total - oldest) - w <= d``).  ``total`` and
+    ``oldest`` are the post-receipt stock of a hospital and of its age-M slot
+    as linear maps of the first stage; orders land in the age-M slot only
+    when M == 1.  Recourse column k belongs to recourse row k."""
     h, m = state.n_hospitals, state.max_age
     d = decision_length(h, m)
-    lanes = _lane_columns(h, m)
-    c_fs = np.empty(d)
-    c_fs[:h] = costs.ordering
-    c_fs[h:] = costs.transship_unit
-    rows = []
-    rhs = []
-    senses = []
-    if h > 1:
-        for i in range(h):
-            for a in range(m):
-                row = np.zeros(d)
-                for k, (si, sj, sa) in enumerate(lanes):
-                    if si == i and sa == a:
-                        row[h + k] = 1.0
-                rows.append(row)
-                rhs.append(float(state.units[i, a]))
-                senses.append("<=")
-    return d, lanes, c_fs, rows, rhs, senses
+    # lane columns in DecisionVector.flatten order: (sender, receiver, age)
+    sender, receiver = np.nonzero(~np.eye(h, dtype=bool))
+    age = np.tile(np.arange(m), sender.size)
+    sender, receiver = np.repeat(sender, m), np.repeat(receiver, m)
+    lane_cols = h + np.arange(sender.size)
+    on_hand = state.units.sum(axis=1).astype(float)
+    on_hand_oldest = state.units[:, -1].astype(float)
 
-
-def _post_receipt_coeffs(h, m, lanes, d):
-    """Linear maps from the first stage onto post-receipt totals.
-
-    total[i]: coefficients adding orders and netting lane flows into the
-    hospital-i post-receipt total; oldest[i]: same for the age-M slot only
-    (orders land there too when M == 1)."""
     total = np.zeros((h, d))
+    total[np.arange(h), np.arange(h)] = 1.0
+    total[sender, lane_cols] = -1.0
+    total[receiver, lane_cols] = 1.0
     oldest = np.zeros((h, d))
-    for i in range(h):
-        total[i, i] = 1.0
-        if m == 1:
-            oldest[i, i] = 1.0
-    for k, (si, sj, sa) in enumerate(lanes):
-        total[si, k + h] -= 1.0
-        total[sj, k + h] += 1.0
-        if sa == m - 1:
-            oldest[si, k + h] -= 1.0
-            oldest[sj, k + h] += 1.0
-    return total, oldest
-
-
-def _build_compact(state, scenarios, costs):
-    h, m = state.n_hospitals, state.max_age
-    d, lanes, c_fs, rows, rhs, senses = _first_stage_frame(state, costs)
-    total_c, oldest_c = _post_receipt_coeffs(h, m, lanes, d)
-    units_total = state.units.sum(axis=1).astype(float)
-    units_oldest = state.units[:, -1].astype(float)
-    ns = len(scenarios)
-    weight = 1.0 / ns
+    if m == 1:
+        oldest[np.arange(h), np.arange(h)] = 1.0
+    last = age == m - 1
+    oldest[sender[last], lane_cols[last]] = -1.0
+    oldest[receiver[last], lane_cols[last]] = 1.0
 
     old_regime = costs.outdate >= costs.holding
     hinge_cost = costs.outdate - costs.holding if old_regime else costs.holding - costs.outdate
-    use_w = hinge_cost > 0.0
-    per_pair = 3 if use_w else 2
+    weight = 1.0 / demand.shape[0]
+    # Per hospital, one entry per recourse row: first-stage coefficients,
+    # stock netted out of the rhs, sign and cost of the recourse column.
+    coeffs, stock = [total, total], [on_hand, on_hand]
+    signs = [1.0, -1.0]
+    rec_costs = [weight * costs.shortage, weight * (costs.holding if old_regime else costs.outdate)]
+    if hinge_cost > 0.0:
+        coeffs.append(oldest if old_regime else total - oldest)
+        stock.append(on_hand_oldest if old_regime else on_hand - on_hand_oldest)
+        signs.append(-1.0)
+        rec_costs.append(weight * hinge_cost)
+    per_pair = len(coeffs)
+    pairs = demand.size
+    block = np.stack(coeffs, axis=1).reshape(h * per_pair, d)
+    rhs = demand.astype(float)[:, :, None] - np.stack(stock, axis=1)
 
-    n_cols = d + per_pair * ns * h
-    obj = np.zeros(n_cols)
-    obj[:d] = c_fs
-
-    all_rows = []
-    for w, dem in enumerate(scenarios):
-        for i in range(h):
-            base = d + per_pair * (w * h + i)
-            u_col, v_col = base, base + 1
-            obj[u_col] = weight * costs.shortage
-            obj[v_col] = weight * (costs.holding if old_regime else costs.outdate)
-            # unmet demand: total + u >= demand
-            row = np.zeros(n_cols)
-            row[:d] = total_c[i]
-            row[u_col] = 1.0
-            all_rows.append((row, float(dem[i]) - units_total[i], ">="))
-            # leftover stock: total - v <= demand
-            row = np.zeros(n_cols)
-            row[:d] = total_c[i]
-            row[v_col] = -1.0
-            all_rows.append((row, float(dem[i]) - units_total[i], "<="))
-            if use_w:
-                w_col = base + 2
-                obj[w_col] = weight * hinge_cost
-                row = np.zeros(n_cols)
-                if old_regime:
-                    # old-stock excess that must outdate: oldest - w <= demand
-                    row[:d] = oldest_c[i]
-                    row[w_col] = -1.0
-                    all_rows.append((row, float(dem[i]) - units_oldest[i], "<="))
-                else:
-                    # young leftover beyond the old slots: (total - oldest) - w <= demand
-                    row[:d] = total_c[i] - oldest_c[i]
-                    row[w_col] = -1.0
-                    all_rows.append(
-                        (row, float(dem[i]) - (units_total[i] - units_oldest[i]), "<=")
-                    )
-
-    n_rows = len(rows) + len(all_rows)
-    A = np.zeros((n_rows, n_cols))
-    b = np.empty(n_rows)
-    sense_list = []
-    for r, row in enumerate(rows):
-        A[r, :d] = row
-        b[r] = rhs[r]
-        sense_list.append(senses[r])
-    for k, (row, bv, s) in enumerate(all_rows):
-        A[len(rows) + k] = row
-        b[len(rows) + k] = bv
-        sense_list.append(s)
-    return LinearProgram(c=obj, A=A, b=b, senses=tuple(sense_list))
+    n_cap = h * m if h > 1 else 0
+    n_rec = per_pair * pairs
+    A = np.zeros((n_cap + n_rec, d + n_rec))
+    A[sender * m + age, lane_cols] = 1.0
+    A[n_cap:, :d] = np.tile(block, (demand.shape[0], 1))
+    A[n_cap + np.arange(n_rec), d + np.arange(n_rec)] = np.tile(signs, pairs)
+    b = np.concatenate([state.units.reshape(-1)[:n_cap].astype(float), rhs.reshape(-1)])
+    c = np.concatenate([
+        np.repeat([costs.ordering, costs.transship_unit], [h, d - h]),
+        np.tile(rec_costs, pairs),
+    ])
+    senses = ("<=",) * n_cap + (">=", "<=", "<=")[:per_pair] * pairs
+    return LinearProgram(c=c, A=A, b=b, senses=senses)
 
 
 def evaluate_decision(
@@ -215,7 +157,6 @@ def evaluate_decision(
     decision: DecisionVector,
     scenarios,
     costs: CostParams,
-    issuing: str = "fifo",
 ) -> CostBreakdown:
     """Expected cost of a feasible decision over the given scenarios.
 
@@ -230,7 +171,7 @@ def evaluate_decision(
     zero = DecisionVector.zeros(state.n_hospitals, state.max_age)
     acc = CostBreakdown.zero()
     for dem in scenarios:
-        _, br = step(post, zero, dem, costs, issuing=issuing)
+        _, br = step(post, zero, dem, costs)
         acc = acc + br
     mean = acc.scaled(1.0 / len(scenarios))
     return CostBreakdown(
@@ -249,7 +190,6 @@ def solve_stage_one(
     rng: np.random.Generator = None,
     demand_configs=None,
     scenarios=None,
-    issuing: str = "fifo",
 ) -> StageOneSolution:
     """Solve the scenario LP, integerize the first stage, and price the result.
 
@@ -274,13 +214,9 @@ def solve_stage_one(
     h, m = state.n_hospitals, state.max_age
     first = sol.x[: decision_length(h, m)]
     integral = bool(np.max(np.abs(first - np.round(first))) < 1e-6)
-    if saa.rounding == "nearest":
-        ints = np.rint(first)
-    else:
-        ints = np.floor(first + 1e-9)
-    ints = np.maximum(ints, 0.0).astype(np.int64)
+    ints = np.maximum(np.rint(first), 0.0).astype(np.int64)
     decision = repair(state, DecisionVector.from_flat(ints, h, m))
-    breakdown = evaluate_decision(state, decision, scenarios, costs, issuing=issuing)
+    breakdown = evaluate_decision(state, decision, scenarios, costs)
     return StageOneSolution(
         decision=decision,
         objective=breakdown.total,

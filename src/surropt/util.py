@@ -14,6 +14,8 @@ import zipfile
 
 import numpy as np
 
+from .errors import InputError
+
 # Stream tags used across the package. Kept in one place so seeds never
 # collide between subsystems.
 TAG_DATASET_DEMAND = 1  # realized demand during dataset generation
@@ -50,13 +52,20 @@ def save_arrays(path, meta: dict, arrays: dict) -> None:
 
 
 def load_arrays(path):
-    """Read back an archive written by :func:`save_arrays`."""
+    """Read back an archive written by :func:`save_arrays`.
+
+    A file that is not such an archive raises ``InputError`` naming it."""
     arrays = {}
-    with zipfile.ZipFile(path, "r") as zf:
-        meta = json.loads(zf.read("meta.json").decode("utf-8"))
-        for name in zf.namelist():
-            if name.endswith(".npy"):
-                arrays[name[:-4]] = np.load(io.BytesIO(zf.read(name)), allow_pickle=False)
+    try:
+        with zipfile.ZipFile(path, "r") as zf:
+            meta = json.loads(zf.read("meta.json").decode("utf-8"))
+            for name in zf.namelist():
+                if name.endswith(".npy"):
+                    arrays[name[:-4]] = np.load(io.BytesIO(zf.read(name)), allow_pickle=False)
+    except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+        raise InputError(f"{path}: not a readable archive ({type(exc).__name__}: {exc})") from None
+    if not isinstance(meta, dict):
+        raise InputError(f"{path}: meta.json must hold a JSON object")
     return meta, arrays
 
 

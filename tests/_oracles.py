@@ -17,7 +17,7 @@ import numpy as np
 from surropt.errors import InputError
 from surropt.lp import LinearProgram
 from surropt.simulate import DecisionVector
-from surropt.two_stage import _first_stage_frame, _lane_columns, evaluate_decision
+from surropt.two_stage import evaluate_decision
 
 BRUTE_MAX_HOSPITALS = 2
 BRUTE_MAX_AGE = 2
@@ -180,6 +180,29 @@ def central_difference(fn, x, eps=1e-6):
     return (fn(x + eps) - fn(x - eps)) / (2.0 * eps)
 
 
+def lane_columns(h: int, m: int):
+    """(sender, receiver, age) per lane column, in DecisionVector.flatten order."""
+    return [(i, j, a) for i in range(h) for j in range(h) if j != i for a in range(m)]
+
+
+def first_stage(state, costs):
+    """The first stage written out loop by loop: its lanes, objective, and one
+    stock-cap row per (hospital, age) slot over the first-stage columns."""
+    h, m = state.n_hospitals, state.max_age
+    lanes = lane_columns(h, m)
+    d = h + len(lanes)
+    c_fs = np.array([costs.ordering] * h + [costs.transship_unit] * len(lanes), dtype=float)
+    rows = np.zeros((h * m, d))
+    rhs = np.zeros(h * m)
+    for i in range(h):
+        for a in range(m):
+            for k, (si, _, sa) in enumerate(lanes):
+                if (si, sa) == (i, a):
+                    rows[i * m + a, h + k] = 1.0
+            rhs[i * m + a] = float(state.units[i, a])
+    return lanes, c_fs, rows, rhs
+
+
 def build_age_lp(state, scenarios, costs):
     """The scenario LP with explicit per-scenario issued y[i,m], leftover
     o[i,m] and shortage s[i] variables, post-receipt availability balance and
@@ -187,7 +210,8 @@ def build_age_lp(state, scenarios, costs):
     the same optimal value."""
     scenarios = [np.asarray(s, dtype=np.int64) for s in scenarios]
     h, m = state.n_hospitals, state.max_age
-    d, lanes, c_fs, rows, rhs, senses = _first_stage_frame(state, costs)
+    lanes, c_fs, rows, rhs = first_stage(state, costs)
+    d = c_fs.size
     ns = len(scenarios)
     weight = 1.0 / ns
     per_scn = 2 * h * m + h  # y block, o block, s block
@@ -232,22 +256,14 @@ def build_age_lp(state, scenarios, costs):
             row[s_col(w, i)] = 1.0
             all_rows.append((row, float(dem[i]), "=="))
 
-    n_rows = len(rows) + len(all_rows)
-    A = np.zeros((n_rows, n_cols))
-    b = np.empty(n_rows)
-    sense_list = []
-    for r, row in enumerate(rows):
-        A[r, :d] = row
-        b[r] = rhs[r]
-        sense_list.append(senses[r])
-    for k, (row, bv, s) in enumerate(all_rows):
-        A[len(rows) + k] = row
-        b[len(rows) + k] = bv
-        sense_list.append(s)
-    return LinearProgram(c=obj, A=A, b=b, senses=tuple(sense_list))
+    caps = np.hstack([rows, np.zeros((rows.shape[0], n_cols - d))])
+    A = np.vstack([caps] + [row for row, _, _ in all_rows])
+    b = np.concatenate([rhs, [bv for _, bv, _ in all_rows]])
+    senses = ("<=",) * rows.shape[0] + tuple(s for _, _, s in all_rows)
+    return LinearProgram(c=obj, A=A, b=b, senses=senses)
 
 
-def brute_force_oracle(state, costs, scenarios, cap: int, issuing: str = "fifo"):
+def brute_force_oracle(state, costs, scenarios, cap: int):
     """Exhaustive minimizer over integer decisions on tiny instances.
 
     Orders range over 0..cap; each lane over 0..min(cap, stock in its slot),
@@ -260,7 +276,7 @@ def brute_force_oracle(state, costs, scenarios, cap: int, issuing: str = "fifo")
     if cap < 0 or cap > BRUTE_MAX_CAP:
         raise InputError(f"per-variable cap must be in 0..{BRUTE_MAX_CAP}")
     scenarios = [np.asarray(s, dtype=np.int64) for s in scenarios]
-    lanes = _lane_columns(h, m)
+    lanes = lane_columns(h, m)
     ranges = [range(cap + 1)] * h
     for (i, j, a) in lanes:
         ranges.append(range(min(cap, int(state.units[i, a])) + 1))
@@ -274,7 +290,7 @@ def brute_force_oracle(state, costs, scenarios, cap: int, issuing: str = "fifo")
     best_cost = np.inf
     for combo in product(*ranges):
         decision = DecisionVector.from_flat(np.asarray(combo, dtype=np.int64), h, m)
-        cost = evaluate_decision(state, decision, scenarios, costs, issuing=issuing).total
+        cost = evaluate_decision(state, decision, scenarios, costs).total
         if cost < best_cost - 1e-12:
             best_cost = cost
             best = decision

@@ -1,12 +1,15 @@
 import json
 import subprocess
 import sys
+import zipfile
 
 import numpy as np
 import pytest
 
+from surropt import cli
 from surropt.learners import load_model
 from surropt.report import read_dataset_csv
+from surropt.simulate import trajectory_columns
 
 BASE_CONFIG = {
     "version": 1,
@@ -205,6 +208,62 @@ class TestRollout:
             "rollout", "--config", config, "--model", tmp_path / "nope.surropt", "--out", tmp_path
         )
         assert result.returncode == 3
+
+
+class TestMalformedFiles:
+    """A malformed dataset or model file is the user's error: exit 2, naming it."""
+
+    @staticmethod
+    def dataset(tmp_path, row):
+        header = trajectory_columns(4, 11)
+        good = ["0"] * len(header)
+        path = tmp_path / "dataset.csv"
+        path.write_text("\n".join([",".join(header), ",".join(good), row(good)]) + "\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            lambda good: ",".join(good[:40]),  # short row
+            lambda good: ",".join(good[:5] + ["x0"] + good[6:]),  # non-numeric field
+        ],
+        ids=["short-row", "non-numeric"],
+    )
+    def test_malformed_dataset_exit_2(self, tmp_path, capsys, row):
+        config = write_config(tmp_path)
+        data = self.dataset(tmp_path, row)
+        code = cli.main(
+            ["train", "--config", str(config), "--data", str(data), "--out", str(tmp_path / "t")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{data}: line 3" in err
+
+    @pytest.mark.parametrize(
+        "members",
+        [
+            None,  # not a zip archive
+            {"coef.npy": b""},  # no meta.json
+            {"meta.json": b"{not json"},
+            {"meta.json": json.dumps({"format_version": 1, "kind": "ridge", "lambda": 1.0})},
+        ],
+        ids=["not-zip", "no-meta", "bad-json", "missing-array"],
+    )
+    def test_malformed_model_exit_2(self, tmp_path, capsys, members):
+        config = write_config(tmp_path)
+        model = tmp_path / "model-ridge.surropt"
+        if members is None:
+            model.write_text("not a zip archive")
+        else:
+            with zipfile.ZipFile(model, "w") as zf:
+                for name, payload in members.items():
+                    zf.writestr(name, payload)
+        code = cli.main(
+            ["rollout", "--config", str(config), "--model", str(model), "--out", str(tmp_path / "r")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(model) in err
 
 
 class TestSelftest:

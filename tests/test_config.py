@@ -24,13 +24,12 @@ FULL_CONFIG = {
     "rollout_days": 3,
     "train_fraction": 0.75,
     "max_age": 3,
-    "issuing": "lifo",
     "hospitals": [
         {"id": 1, "pi": 0.5, "r": 2, "p": 0.5},
         {"id": 2, "pi": 0.25, "r": 3, "p": 0.4},
     ],
     "costs": {"holding": 0.5, "ordering": 4.0, "transship_unit": 2.0, "shortage": 30.0, "outdate": 12.0},
-    "saa": {"scenario_count": 7, "rounding": "floor"},
+    "saa": {"scenario_count": 7},
     "learner": {
         "kind": "svr",
         "loss": "huber",
@@ -61,10 +60,9 @@ BASE_DICT = {
     "rollout_days": 4,
     "train_fraction": 0.8,
     "max_age": 11,
-    "issuing": "fifo",
     "hospitals": BASE_CONFIG["hospitals"],
     "costs": {"holding": 1.0, "ordering": 10.0, "transship_unit": 7.0, "shortage": 40.0, "outdate": 35.0},
-    "saa": {"scenario_count": 4, "rounding": "nearest"},
+    "saa": {"scenario_count": 4},
     "learner": {
         "kind": "ridge",
         "loss": "mse",
@@ -120,6 +118,8 @@ MALFORMED = [
     (("max_age",), 10**12, "max_age must be in"),
     (("version",), True, "config.version"),
     (("saa", "form"), "compact", "config.saa: unknown key(s) form"),
+    (("issuing",), "fifo", "config: unknown key(s) issuing"),
+    (("saa", "rounding"), "nearest", "config.saa: unknown key(s) rounding"),
 ]
 
 

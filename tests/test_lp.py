@@ -152,3 +152,46 @@ class TestValidation:
         text = dump_lp(lp)
         assert "min 1 vars, 1 rows" in text
         assert "r0: 2 <= 3" in text
+
+
+class TestAgainstHighs:
+    def test_mixed_senses_bounds_and_maximize(self):
+        """Random LPs with <=, >= and == rows, every bound kind (nonnegative,
+        shifted, boxed, upper-only, free) and both objective senses agree
+        with HiGHS on status and optimum."""
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(404)
+        statuses = set()
+        for _ in range(300):
+            n, m = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            A = rng.normal(size=(m, n))
+            x0 = rng.uniform(-2.0, 2.0, size=n)
+            senses = tuple(rng.choice(["<=", ">=", "=="], size=m))
+            gap = rng.uniform(-0.5, 1.0, size=m) * [{"<=": 1, ">=": -1, "==": 0}[s] for s in senses]
+            kind = rng.integers(0, 5, size=n)
+            lower = np.select([kind == 0, kind <= 2], [0.0, x0 - rng.uniform(0, 2, n)], -np.inf)
+            upper = np.where((kind == 2) | (kind == 3), x0 + rng.uniform(0, 2, n), np.inf)
+            lp = LinearProgram(
+                c=rng.normal(size=n), A=A, b=A @ x0 + gap, senses=senses,
+                lower=lower, upper=upper, maximize=bool(rng.integers(0, 2)),
+            )
+            sol = solve_lp(lp)
+
+            def highs(c):
+                le, ge, eq = (np.asarray(senses) == s for s in ("<=", ">=", "=="))
+                return linprog(
+                    c, A_ub=np.vstack([A[le], -A[ge]]), b_ub=np.concatenate([lp.b[le], -lp.b[ge]]),
+                    A_eq=A[eq], b_eq=lp.b[eq], bounds=np.column_stack([lower, upper]),
+                    method="highs",
+                )
+
+            sign = -1.0 if lp.maximize else 1.0
+            ref = highs(sign * lp.c)
+            status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+            if status == "infeasible" and highs(np.zeros(n)).status == 0:
+                status = "unbounded"  # HiGHS may call a feasible unbounded LP infeasible
+            assert sol.status == status
+            statuses.add(status)
+            if status == "optimal":
+                assert sol.objective == pytest.approx(sign * ref.fun, rel=1e-6, abs=1e-6)
+        assert statuses == {"optimal", "infeasible", "unbounded"}

@@ -178,14 +178,6 @@ class TestStep:
         # the three oldest units are gone; the two young units age forward
         assert np.array_equal(nxt.units, [[0, 2, 0]])
 
-    def test_lifo_issues_youngest_first(self):
-        grid = np.array([[2, 0, 3]])
-        nxt, _ = step(
-            _state(grid), DecisionVector.zeros(1, 3), np.array([3]), CostParams(), issuing="lifo"
-        )
-        # two young and one old issued; two old age out of class 3
-        assert nxt.total() == 0
-
     def test_infeasible_decision_raises(self):
         state = InventoryState.zeros(2, 2)
         decision = _ship_one_slot(2, 2, 0, 0, {1: 1})

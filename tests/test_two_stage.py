@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from surropt.lp import solve_lp
 from surropt.simulate import CostParams, DecisionVector, InventoryState, check_feasibility
 from surropt.two_stage import SaaConfig, build_saa, evaluate_decision, solve_stage_one
 
-from _oracles import build_age_lp, brute_force_oracle
+from _oracles import brute_force_oracle, build_age_lp, first_stage
 
 NEWSVENDOR_COSTS = CostParams(
     holding=0.1, ordering=1.0, transship_unit=0.0, shortage=10.0, outdate=0.0
@@ -53,11 +55,25 @@ class TestBuildSaa:
             )
             assert sol.lp_objective <= sol.objective + 1e-7
 
-    def test_compact_and_age_forms_agree(self):
+    @pytest.mark.parametrize("h, m", [(1, 1), (1, 3), (2, 1), (3, 2), (4, 3)])
+    @pytest.mark.parametrize("regime", ["outdate>holding", "holding>outdate", "equal"])
+    def test_compact_and_age_forms_agree(self, h, m, regime):
+        # one hospital has no lanes and no cap rows; one age class receives
+        # orders in its oldest slot; equal rates drop the hinge column
         rng = np.random.default_rng(22)
-        for _ in range(15):
-            state, costs, scenarios = random_tiny_instance(rng)
-            a = solve_lp(build_saa(state, scenarios, costs))
+        for _ in range(6):
+            state, costs, scenarios = random_tiny_instance(rng, h, m)
+            outdate = {"outdate>holding": 4.0, "holding>outdate": 0.5, "equal": 1.5}[regime]
+            costs = replace(costs, holding=1.5, outdate=outdate)
+            lp = build_saa(state, scenarios, costs)
+            _, c_fs, caps, rhs = first_stage(state, costs)
+            n_cap = caps.shape[0] if h > 1 else 0
+            n_rec = (2 if regime == "equal" else 3) * len(scenarios) * h
+            assert lp.A.shape == (n_cap + n_rec, c_fs.size + n_rec)
+            assert np.array_equal(lp.c[: c_fs.size], c_fs)
+            assert np.array_equal(lp.A[:n_cap, : c_fs.size], caps[:n_cap])
+            assert not lp.A[:n_cap, c_fs.size :].any() and np.array_equal(lp.b[:n_cap], rhs[:n_cap])
+            a = solve_lp(lp)
             b = solve_lp(build_age_lp(state, scenarios, costs))
             assert a.status == b.status == "optimal"
             assert a.objective == pytest.approx(b.objective, abs=1e-7)
