@@ -12,6 +12,11 @@ increases while subsampling is off.
 Features are pre-binned once per fit on equal-frequency quantiles (64 bins
 by default); numeric thresholds are stored in the nodes, so prediction
 needs only the raw feature values.
+
+A fitted forest is packed once into the flat arrays of the model file.
+Prediction walks every (row, tree) pair one level per array step, then adds
+each output's leaf values to its base one at a time in fit order, so it
+gives the same bits as adding the trees one by one.
 """
 
 from __future__ import annotations
@@ -70,29 +75,13 @@ class Tree:
     value: np.ndarray
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        if X.shape[0] == 1:
-            node = 0
-            row = X[0]
-            while self.feature[node] >= 0:
-                if row[self.feature[node]] <= self.threshold[node]:
-                    node = self.left[node]
-                else:
-                    node = self.right[node]
-            return self.value[node : node + 1]
         idx = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            feat = self.feature[idx]
-            active = feat >= 0
-            if not active.any():
-                return self.value[idx]
-            f = np.where(active, feat, 0)
-            go_left = X[np.arange(X.shape[0]), f] <= self.threshold[idx]
-            nxt = np.where(go_left, self.left[idx], self.right[idx])
-            idx = np.where(active, nxt, idx)
-
-    @property
-    def n_leaves(self) -> int:
-        return int((self.feature < 0).sum())
+        rows = np.arange(X.shape[0])
+        while (split := self.feature[idx] >= 0).any():
+            at = idx[split]
+            go_left = X[rows[split], self.feature[at]] <= self.threshold[at]
+            idx[split] = np.where(go_left, self.left[at], self.right[at])
+        return self.value[idx]
 
 
 class _Binner:
@@ -190,30 +179,96 @@ def _grow_tree(binned, thresholds, rows, feats, g, h, residual, loss, params):
     )
 
 
+_NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+# the packed forest: the arrays a model file holds
+PACKED = ("base", "tree_counts", "node_counts") + _NODE_ARRAYS
+
+
 @dataclass
 class GbdtModel:
-    """Per-output tree ensembles plus the shared training recipe."""
+    """Per-output tree ensembles packed into flat arrays, plus the training
+    recipe.  Output j boosts from ``base[j]`` and owns the next
+    ``tree_counts[j]`` trees, tree t the next ``node_counts[t]`` nodes.  A
+    node is a leaf (feature, left and right -1) or a split sending x left
+    when ``x[feature] <= threshold``, to later nodes of its own tree; other
+    arrays raise ``ValueError``."""
 
     params: GbdtParams
     loss: LossSpec
-    base: np.ndarray              # per-output boost-from constant
-    ensembles: list               # per output: list[Tree]
+    base: np.ndarray              # (outputs,) boost-from constants
+    tree_counts: np.ndarray       # (outputs,) int64
+    node_counts: np.ndarray       # (trees,) int64
+    feature: np.ndarray           # (nodes,) int32
+    threshold: np.ndarray         # (nodes,) float64
+    left: np.ndarray              # (nodes,) int32, index local to the tree
+    right: np.ndarray             # (nodes,) int32, index local to the tree
+    value: np.ndarray             # (nodes,) float64
     n_features: int
     seed: int
     diagnostics: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        for name in PACKED:
+            a = getattr(self, name)
+            if a.ndim != 1 or a.dtype.kind != ("f" if name in ("base", "threshold", "value") else "i"):
+                raise ValueError(f"{name} is a {a.dtype} array of shape {a.shape}")
+        counts, nodes, n = self.tree_counts, self.node_counts, self.feature.size
+        if (
+            (counts < 0).any() or (nodes < 1).any() or self.base.size != counts.size
+            or counts.sum() != nodes.size or nodes.sum() != n
+            or any(getattr(self, a).size != n for a in _NODE_ARRAYS)
+        ):
+            raise ValueError(f"{counts.size} outputs, {nodes.size} trees and {n} nodes do not match")
+        self._roots = np.cumsum(nodes) - nodes
+        own = np.arange(n)
+        local, size = own - np.repeat(self._roots, nodes), np.repeat(nodes, nodes)
+        leaf = (self.feature == -1) & (self.left == -1) & (self.right == -1)
+        split = (self.feature >= 0) & (self.feature < self.n_features)
+        for child in (self.left, self.right):
+            split &= (child > local) & (child < size)
+        if not (leaf | split).all():
+            raise ValueError(f"node {np.argmin(leaf | split)} is neither a leaf nor a forward split")
+        # node ids across the forest; a leaf is its own child
+        self._left = np.where(leaf, own, own - local + self.left)
+        self._right = np.where(leaf, own, own - local + self.right)
+        # each output with trees sums one row of terms: its base, then its
+        # leaf values in fit order; _slot is each tree's place in those rows
+        self._grown, self._width = np.flatnonzero(counts), 1 + int(counts.max(initial=0))
+        grown = counts[self._grown]
+        row_start = np.arange(grown.size) * self._width + 1 - (np.cumsum(grown) - grown)
+        self._slot = np.repeat(row_start, grown) + np.arange(nodes.size)
+
     @property
     def n_outputs(self) -> int:
-        return len(self.ensembles)
+        return self.tree_counts.size
+
+    @property
+    def ensembles(self) -> list:
+        """Per output, its trees in fit order as views of the node arrays."""
+        end = np.cumsum(self.node_counts)
+        trees = [Tree(*(getattr(self, a)[i:j] for a in _NODE_ARRAYS))
+                 for i, j in zip(end - self.node_counts, end)]
+        end = np.cumsum(self.tree_counts)
+        return [trees[i:j] for i, j in zip(end - self.tree_counts, end)]
 
     def predict(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise InputError(f"expected (N, {self.n_features}) inputs, got {X.shape}")
-        out = np.tile(self.base, (X.shape[0], 1))
-        for j, trees in enumerate(self.ensembles):
-            for tree in trees:
-                out[:, j] += tree.apply(X)
+        n = X.shape[0]
+        rows, node = np.arange(n)[:, None], np.tile(self._roots, (n, 1))
+        # a leaf reads column -1 and goes back to itself either way
+        while ((feature := self.feature[node]) >= 0).any():
+            go_left = X[rows, feature] <= self.threshold[node]
+            node = np.where(go_left, self._left[node], self._right[node])
+        # x + -0.0 is x for every x, so -0.0 pads the rows of fewer trees
+        terms = np.full((n, self._grown.size * self._width), -0.0)
+        terms[:, self._slot] = self.value[node]
+        terms = terms.reshape(n, self._grown.size, self._width)
+        terms[:, :, 0] = self.base[self._grown]
+        out = np.tile(self.base, (n, 1))
+        # accumulate adds left to right, unlike the pairwise np.sum
+        out[:, self._grown] = np.add.accumulate(terms, axis=2)[:, :, -1]
         return out
 
 
@@ -273,11 +328,17 @@ def fit_gbdt(data: Dataset, params: GbdtParams, loss: LossSpec, seed: int = 0) -
         "train_rmse_mean": float(train_rmse.mean()),
         "trees_per_output": [len(t) for t in ensembles],
     }
+    trees = [t for output in ensembles for t in output]
     return GbdtModel(
         params=params,
         loss=loss,
         base=base,
-        ensembles=ensembles,
+        tree_counts=np.asarray(diagnostics["trees_per_output"], dtype=np.int64),
+        node_counts=np.asarray([t.feature.size for t in trees], dtype=np.int64),
+        **{
+            a: np.concatenate([np.zeros(0, d)] + [getattr(t, a) for t in trees])
+            for a, d in zip(_NODE_ARRAYS, (np.int32, float, np.int32, np.int32, float))
+        },
         n_features=data.n_features,
         seed=seed,
         diagnostics=diagnostics,

@@ -15,7 +15,7 @@ import numpy as np
 from ..errors import InputError
 from ..losses import LossSpec
 from ..util import load_arrays, save_arrays
-from .gbdt import GbdtModel, GbdtParams, Tree
+from .gbdt import PACKED, GbdtModel, GbdtParams
 from .ridge import RidgeModel
 from .svr import SvrModel
 
@@ -33,26 +33,7 @@ def save_model(path, model) -> None:
         save_arrays(path, meta, {"coef": model.coef})
         return
     if isinstance(model, GbdtModel):
-        arrays = {"base": model.base}
-        tree_counts = []
-        node_counts = []
-        feature, threshold, left, right, value = [], [], [], [], []
-        for trees in model.ensembles:
-            tree_counts.append(len(trees))
-            for t in trees:
-                node_counts.append(t.feature.size)
-                feature.append(t.feature)
-                threshold.append(t.threshold)
-                left.append(t.left)
-                right.append(t.right)
-                value.append(t.value)
-        arrays["tree_counts"] = np.asarray(tree_counts, dtype=np.int64)
-        arrays["node_counts"] = np.asarray(node_counts, dtype=np.int64)
-        arrays["feature"] = np.concatenate(feature) if feature else np.zeros(0, np.int32)
-        arrays["threshold"] = np.concatenate(threshold) if threshold else np.zeros(0)
-        arrays["left"] = np.concatenate(left) if left else np.zeros(0, np.int32)
-        arrays["right"] = np.concatenate(right) if right else np.zeros(0, np.int32)
-        arrays["value"] = np.concatenate(value) if value else np.zeros(0)
+        arrays = {name: getattr(model, name) for name in PACKED}
         meta = {
             "format_version": FORMAT_VERSION,
             "kind": "gbdt",
@@ -109,30 +90,10 @@ def _model_from(meta: dict, arrays: dict):
             cv_mse={float(k): v for k, v in meta.get("cv_mse", {}).items()},
         )
     if kind == "gbdt":
-        ensembles = []
-        node_counts = arrays["node_counts"]
-        starts = np.concatenate([[0], np.cumsum(node_counts)])
-        t = 0
-        for count in arrays["tree_counts"]:
-            trees = []
-            for _ in range(int(count)):
-                lo, hi = starts[t], starts[t + 1]
-                trees.append(
-                    Tree(
-                        feature=arrays["feature"][lo:hi],
-                        threshold=arrays["threshold"][lo:hi],
-                        left=arrays["left"][lo:hi],
-                        right=arrays["right"][lo:hi],
-                        value=arrays["value"][lo:hi],
-                    )
-                )
-                t += 1
-            ensembles.append(trees)
         return GbdtModel(
             params=GbdtParams(**meta["params"]),
             loss=LossSpec(**meta["loss"]),
-            base=arrays["base"],
-            ensembles=ensembles,
+            **{name: arrays[name] for name in PACKED},
             n_features=int(meta["n_features"]),
             seed=int(meta["seed"]),
             diagnostics=meta.get("diagnostics", {}),

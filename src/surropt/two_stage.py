@@ -79,14 +79,19 @@ def build_saa(
     follow per scenario."""
     h = state.n_hospitals
     try:
-        demand = np.asarray(scenarios, dtype=np.int64)
+        demand = np.asarray(scenarios, dtype=float)
     except (TypeError, ValueError):
         raise InputError(f"scenarios must be demand vectors of length {h}") from None
     if demand.ndim != 2 or demand.shape[1] != h:
         raise InputError(f"scenarios of shape {demand.shape} do not match {h} hospitals")
     if demand.shape[0] == 0:
         raise InputError("at least one demand scenario is required")
-    return _build_compact(state, demand, costs)
+    # NaN fails every comparison and infinity the upper one
+    whole = (demand >= 0) & (demand < 2.0**63) & (demand == np.floor(demand))
+    if not whole.all():
+        bad = float(demand[~whole][0])
+        raise InputError(f"scenario demand must be whole numbers >= 0, got {bad}")
+    return _build_compact(state, demand.astype(np.int64), costs)
 
 
 def _build_compact(state, demand, costs):
@@ -203,9 +208,9 @@ def solve_stage_one(
             rng = stream(saa.seed, TAG_SAA_SCENARIO)
         model = DemandModel(tuple(demand_configs))
         scenarios = [model.sample_day(rng) for _ in range(saa.scenario_count)]
-    scenarios = [np.asarray(s, dtype=np.int64) for s in scenarios]
 
     lp = build_saa(state, scenarios, costs)
+    scenarios = np.asarray(scenarios, dtype=np.int64)  # build_saa checked them
     sol: LpSolution = solve_lp(lp)
     if sol.status != "optimal":
         raise InternalError(

@@ -5,7 +5,8 @@ package code it checks: basis enumeration instead of simplex pivoting,
 projected gradient instead of SMO, first-principles cost accounting instead
 of the simulator's bookkeeping, plain gradient descent instead of the
 ridge normal equations, the explicit per-age scenario LP instead of the
-hinge form, and exhaustive enumeration instead of the LP oracle.
+hinge form, exhaustive enumeration instead of the LP oracle, and a
+row-by-row, tree-by-tree walk instead of the packed GBDT forest.
 """
 
 from __future__ import annotations
@@ -178,6 +179,23 @@ def gradient_descent_ridge(X, Y, lam, iters=60_000, intercept=True):
 
 def central_difference(fn, x, eps=1e-6):
     return (fn(x + eps) - fn(x - eps)) / (2.0 * eps)
+
+
+def reference_gbdt_predict(model, X):
+    """GbdtModel.predict one tree and one row at a time: each output starts
+    at its base and adds its trees' leaf values in fit order, each row
+    walked node by node (left when x[feature] <= threshold)."""
+    X = np.asarray(X, dtype=float)
+    out = np.tile(model.base, (X.shape[0], 1))
+    for j, trees in enumerate(model.ensembles):
+        for tree in trees:
+            for r, row in enumerate(X):
+                node = 0
+                while tree.feature[node] >= 0:
+                    go_left = row[tree.feature[node]] <= tree.threshold[node]
+                    node = tree.left[node] if go_left else tree.right[node]
+                out[r, j] += tree.value[node]
+    return out
 
 
 def lane_columns(h: int, m: int):

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from surropt import cli
 from surropt.learners import load_model
 from surropt.report import read_dataset_csv
 from surropt.simulate import trajectory_columns
+from surropt.util import load_arrays, save_arrays
+
+GBDT_MODEL = Path(__file__).parent / "data" / "gbdt-mae-v1.surropt"
 
 BASE_CONFIG = {
     "version": 1,
@@ -264,6 +268,30 @@ class TestMalformedFiles:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(model) in err
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("left", 0),  # the first root is a split whose left child is itself
+            ("feature", 4),  # the model has 4 features
+            ("right", 9),  # the first tree has 9 nodes
+            ("node_counts", 10),  # one more node than the arrays hold
+        ],
+        ids=["cyclic-node", "feature-out-of-range", "child-out-of-range", "count-mismatch"],
+    )
+    def test_malformed_gbdt_model_exit_2(self, tmp_path, capsys, name, value):
+        meta, arrays = load_arrays(GBDT_MODEL)
+        assert arrays["feature"][0] >= 0 and arrays["node_counts"][0] == 9
+        arrays[name][0] = value
+        model = tmp_path / "model-gbdt.surropt"
+        save_arrays(model, meta, arrays)
+        config = write_config(tmp_path)
+        code = cli.main(
+            ["rollout", "--config", str(config), "--model", str(model), "--out", str(tmp_path / "r")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: malformed model file")
 
 
 class TestSelftest:

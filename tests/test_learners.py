@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,12 +15,16 @@ from surropt.learners import (
     save_model,
     split_train_test,
 )
-from surropt.learners.gbdt import GbdtParams
+from surropt.learners.gbdt import GbdtModel, GbdtParams, Tree
 from surropt.learners.ridge import solve_ridge
 from surropt.learners.svr import dual_objective, rbf_kernel, smo_solve
 from surropt.losses import LossSpec, loss_value
 
-from _oracles import gradient_descent_ridge, projected_gradient_svr_dual
+from _oracles import gradient_descent_ridge, projected_gradient_svr_dual, reference_gbdt_predict
+
+# A GBDT model file written before the forest was packed in memory; the
+# fitting recipe is format_fixture_model below.
+GBDT_FORMAT_FIXTURE = Path(__file__).parent / "data" / "gbdt-mae-v1.surropt"
 
 
 def make_dataset(rng, n=80, p=5, q=3, fn=None):
@@ -255,6 +262,100 @@ class TestGbdt:
             fit_gbdt(data, GbdtParams(min_child_weight=5.0), LossSpec("mse"))
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def packed_forest(ensembles):
+    """The node arrays of per-output tree lists, concatenated by hand."""
+    trees = [t for output in ensembles for t in output]
+
+    def cat(name, dtype):
+        return np.concatenate([np.zeros(0, dtype)] + [getattr(t, name) for t in trees])
+
+    return dict(
+        tree_counts=np.array([len(output) for output in ensembles], dtype=np.int64),
+        node_counts=np.array([t.feature.size for t in trees], dtype=np.int64),
+        feature=cat("feature", np.int32),
+        threshold=cat("threshold", np.float64),
+        left=cat("left", np.int32),
+        right=cat("right", np.int32),
+        value=cat("value", np.float64),
+    )
+
+
+def probe_rows(model, n, rng):
+    """Random rows, the first ones set onto split thresholds (ties go left)."""
+    X = rng.normal(size=(n, model.n_features))
+    splits = np.flatnonzero(model.feature >= 0)
+    for r, node in enumerate(splits[:n]):
+        X[r, model.feature[node]] = model.threshold[node]
+    return X
+
+
+def format_fixture_model():
+    rng = np.random.default_rng(60)
+    X = rng.normal(size=(60, 4))
+    Y = np.column_stack([np.abs(X[:, 0] + X[:, 1]), np.full(60, 1.5), np.abs(np.sin(2 * X[:, 2]))])
+    params = GbdtParams(n_iterations=6, max_depth=3, min_child_weight=1, subsample=0.7)
+    return fit_gbdt(Dataset(X, Y, np.arange(60)), params, LossSpec("mae"), seed=4)
+
+
+class TestGbdtPredict:
+    """The packed forest predicts the same bits as adding trees one by one."""
+
+    @pytest.mark.parametrize("loss", [LossSpec("mse"), LossSpec("mae"), LossSpec("huber", 1.0)])
+    def test_matches_reference(self, loss):
+        rng = np.random.default_rng(18)
+        # the constant output grows no trees
+        data = make_dataset(rng, n=80, p=4, fn=lambda X: np.column_stack(
+            [X[:, 0] + X[:, 1], np.sin(2 * X[:, 2]), np.full(len(X), 0.75), X[:, 3] ** 2]
+        ))
+        params = GbdtParams(n_iterations=9, max_depth=3, min_child_weight=1, subsample=0.7)
+        fitted = fit_gbdt(data, params, loss, seed=2)
+        assert fitted.tree_counts.tolist() == [9, 9, 0, 9]
+        uneven = [trees[:k] for trees, k in zip(fitted.ensembles, (9, 4, 0, 1))]
+        cut = replace(fitted, **packed_forest(uneven))
+        for model in (fitted, cut):
+            for n in (0, 1, 2, 37):
+                X = probe_rows(model, n, rng)
+                assert same_bits(model.predict(X), reference_gbdt_predict(model, X))
+
+    def test_model_without_trees(self):
+        rng = np.random.default_rng(19)
+        X = rng.normal(size=(40, 3))
+        data = Dataset(X, np.column_stack([np.full(40, 2.25), np.zeros(40)]), np.arange(40))
+        params = GbdtParams(n_iterations=5, max_depth=3, min_child_weight=1, subsample=1.0)
+        model = fit_gbdt(data, params, LossSpec("mse"))
+        assert model.node_counts.size == 0
+        for n in (0, 1, 2, 37):
+            X = rng.normal(size=(n, 3))
+            assert same_bits(model.predict(X), reference_gbdt_predict(model, X))
+
+    def test_negative_zero_survives(self):
+        def leaf(v):
+            none = np.array([-1], dtype=np.int32)
+            return Tree(none, np.zeros(1), none, none, np.array([v]))
+
+        stump = Tree(
+            feature=np.array([1, -1, -1], dtype=np.int32),
+            threshold=np.array([0.5, 0.0, 0.0]),
+            left=np.array([1, -1, -1], dtype=np.int32),
+            right=np.array([2, -1, -1], dtype=np.int32),
+            value=np.array([0.0, -0.0, 2.0]),
+        )
+        ensembles = [[], [leaf(-0.0)], [stump, leaf(1.0), stump], [stump]]
+        model = GbdtModel(
+            params=GbdtParams(), loss=LossSpec("mse"), base=np.array([-0.0, -0.0, 1.0, -0.0]),
+            **packed_forest(ensembles), n_features=2, seed=0,
+        )
+        X = np.array([[0.0, 0.0], [0.0, 0.5], [0.0, 3.0]])
+        out = model.predict(X)
+        assert same_bits(out, reference_gbdt_predict(model, X))
+        assert np.signbit(out[:, :2]).all() and np.signbit(out[:2, 3]).all()
+        assert out[:, 2].tolist() == [2.0, 2.0, 6.0]
+
+
 class TestSvr:
     def test_constant_target_inside_tube(self):
         rng = np.random.default_rng(20)
@@ -386,6 +487,15 @@ class TestSerialization:
         loaded = load_model(path)
         probe = rng.normal(size=(25, data.n_features))
         assert np.array_equal(model.predict(probe), loaded.predict(probe))
+
+    def test_gbdt_file_format_unchanged(self, tmp_path):
+        model = load_model(GBDT_FORMAT_FIXTURE)
+        X = probe_rows(model, 37, np.random.default_rng(42))
+        assert same_bits(model.predict(X), reference_gbdt_predict(model, X))
+        for i, source in enumerate((model, format_fixture_model())):
+            path = tmp_path / f"again-{i}.surropt"
+            save_model(path, source)
+            assert path.read_bytes() == GBDT_FORMAT_FIXTURE.read_bytes()
 
     def test_save_is_deterministic(self, tmp_path):
         rng = np.random.default_rng(41)

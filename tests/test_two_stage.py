@@ -97,6 +97,24 @@ class TestBuildSaa:
         with pytest.raises(InputError):
             build_saa(InventoryState.zeros(2, 2), [], CostParams())
 
+    @pytest.mark.parametrize(
+        "scenarios",
+        [[[-3, 1]], [[2.7, 1.0]], [[np.nan, 1.0]], [[np.inf, 1.0]]],
+        ids=["negative", "fractional", "nan", "inf"],
+    )
+    def test_demand_must_be_whole_and_nonnegative(self, scenarios):
+        state = InventoryState.zeros(2, 2)
+        with pytest.raises(InputError, match="whole numbers"):
+            build_saa(state, scenarios, CostParams())
+        with pytest.raises(InputError, match="whole numbers"):
+            solve_stage_one(state, CostParams(), SaaConfig(), scenarios=scenarios)
+
+    def test_whole_float_demand_builds_the_integer_lp(self):
+        state = InventoryState.zeros(2, 2)
+        a = build_saa(state, [[2.0, 1.0]], CostParams())
+        b = build_saa(state, [[2, 1]], CostParams())
+        assert a.b.tobytes() == b.b.tobytes() and a.A.tobytes() == b.A.tobytes()
+
 
 class TestSolveStageOne:
     def test_zero_demand_zero_decision(self):
