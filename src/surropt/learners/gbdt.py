@@ -13,7 +13,19 @@ Features are pre-binned once per fit on equal-frequency quantiles (64 bins
 by default); numeric thresholds are stored in the nodes, so prediction
 needs only the raw feature values.
 
-A fitted forest is packed once into the flat arrays of the model file.
+A round grows the trees of all outputs still boosting together, one depth
+level at a time: one bincount per feature fills the histograms of every
+node in the level, and one pass scores all their splits.  The trees are,
+bit for bit, those of growing each output's tree alone, node by node.
+Each output draws its rows, then its features, from its own stream; a
+histogram cell adds its rows in ascending order, as do the pairwise sums
+that give node totals; the best split is the first maximum over (feature,
+bin); each leaf takes ``eta * leaf_optimal_value`` of its own residuals;
+every row, sampled or not, goes left when its bin is at most the split's,
+which is ``x <= threshold`` since a bin counts the thresholds below x;
+and each tree's nodes are numbered depth-first, left subtree first.
+
+A fitted forest is packed into the flat arrays of the model file.
 Prediction walks every (row, tree) pair one level per array step, then adds
 each output's leaf values to its base one at a time in fit order, so it
 gives the same bits as adding the trees one by one.
@@ -74,18 +86,10 @@ class Tree:
     right: np.ndarray
     value: np.ndarray
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        idx = np.zeros(X.shape[0], dtype=np.int64)
-        rows = np.arange(X.shape[0])
-        while (split := self.feature[idx] >= 0).any():
-            at = idx[split]
-            go_left = X[rows[split], self.feature[at]] <= self.threshold[at]
-            idx[split] = np.where(go_left, self.left[at], self.right[at])
-        return self.value[idx]
-
 
 class _Binner:
-    """Equal-frequency candidate thresholds per feature."""
+    """Equal-frequency candidate thresholds per feature, and the split
+    cells: each (feature, bin) below a threshold, feature-major."""
 
     def __init__(self, X: np.ndarray, max_bins: int):
         self.thresholds = []
@@ -95,6 +99,12 @@ class _Binner:
             # an edge equal to the column max cannot separate anything
             edges = edges[edges < X[:, f].max()] if edges.size else edges
             self.thresholds.append(edges.astype(float))
+        sizes = [t.size for t in self.thresholds]
+        self.cell_feature = np.repeat(np.arange(X.shape[1]), sizes)
+        self.cell_bin = np.concatenate([np.zeros(0, np.int64)] + [np.arange(k) for k in sizes])
+        self.cell_threshold = np.concatenate([np.zeros(0)] + self.thresholds)
+        # (feature, first cell, end cell) of each feature with thresholds
+        self.segments = [(f, e - k, e) for f, (k, e) in enumerate(zip(sizes, np.cumsum(sizes))) if k]
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         binned = np.empty(X.shape, dtype=np.int32)
@@ -103,80 +113,91 @@ class _Binner:
         return binned
 
 
-def _soft_threshold(G, l1):
-    return np.sign(G) * np.maximum(np.abs(G) - l1, 0.0)
+def _score(G, H, params):
+    """The split score T(G)^2 / (H + l2) of arrays, T the L1 soft threshold."""
+    return np.maximum(np.abs(G) - params.l1, 0.0) ** 2 / (H + params.l2)
 
 
-def _grow_tree(binned, thresholds, rows, feats, g, h, residual, loss, params):
-    """Depth-first growth on the sampled rows and features."""
-    feature, threshold, left, right, value = [], [], [], [], []
-    max_bins = params.max_bins
-    offsets = (np.arange(feats.size) * max_bins).astype(np.int32)
-    n_cells = feats.size * max_bins
-    # bins beyond a feature's threshold list can never be split positions
-    valid = np.zeros((feats.size, max_bins), dtype=bool)
-    for k, f in enumerate(feats):
-        valid[k, : thresholds[f].size] = True
-
-    def new_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
-
-    def grow(node_rows, depth):
-        node = new_node()
-        sub = binned[node_rows][:, feats] + offsets[None, :]
-        flat = sub.ravel()
-        hg = np.bincount(flat, weights=np.repeat(g[node_rows], feats.size), minlength=n_cells)
-        hh = np.bincount(flat, weights=np.repeat(h[node_rows], feats.size), minlength=n_cells)
-        hg = hg.reshape(feats.size, max_bins)
-        hh = hh.reshape(feats.size, max_bins)
-        g_tot = float(g[node_rows].sum())
-        h_tot = float(h[node_rows].sum())
-
-        best = None
-        if depth < params.max_depth and h_tot >= 2 * params.min_child_weight:
-            gl = np.cumsum(hg, axis=1)
-            hl = np.cumsum(hh, axis=1)
-            gr = g_tot - gl
-            hr = h_tot - hl
-            ok = valid & (hl >= params.min_child_weight) & (hr >= params.min_child_weight)
-            parent = _soft_threshold(g_tot, params.l1) ** 2 / (h_tot + params.l2)
+def _grow_round(binner, bins, rows, feats, g, h, residual, loss, params):
+    """Grow one tree per row of ``residual`` (an output's residuals on all
+    training rows), level by level, tree i on the sampled rows ``rows[i]``
+    and features ``feats[i]``; ``bins`` is (features, rows).  Returns the
+    trees' node arrays and sizes, and the leaf value each (tree, row) reaches."""
+    n_trees, n = residual.shape
+    n_cells, width = binner.cell_bin.size, int(binner.cell_bin.max(initial=0)) + 2
+    sample = (np.arange(n_trees)[:, None] * n + rows).ravel()
+    # each (tree, row)'s node in the level, or the level's size past a leaf
+    at = np.repeat(np.arange(n_trees), n).reshape(n_trees, n)
+    leaf_value, levels, owner = np.empty((n_trees, n)), [], np.arange(n_trees)
+    while size := owner.size:
+        # the sampled rows grouped by node, ascending within a node
+        count = np.bincount(at.ravel()[sample], minlength=size + 1)[:size]
+        end = np.cumsum(count)
+        start, order = end - count, sample[np.argsort(at.ravel()[sample], kind="stable")[: end[-1]]]
+        node, row = at.ravel()[order], order % n
+        e_g, e_h, e_res = g.ravel()[order], h.ravel()[order], residual.ravel()[order]
+        split, best = np.zeros(size + 1, dtype=bool), np.zeros(size, dtype=np.int64)
+        if len(levels) < params.max_depth and n_cells:
+            g_tot, h_tot, parent = np.empty(size), np.empty(size), np.empty(size)
+            for k, (s, e) in enumerate(zip(start, end)):
+                g_tot[k] = gt = float(e_g[s:e].sum())
+                h_tot[k] = ht = float(e_h[s:e].sum())
+                # the node's own score: float ** is libm pow, which can round unlike
+                # the array square; ht + l2 is 0 only at an empty node with l2 = 0
+                parent[k] = max(abs(gt) - params.l1, 0.0) ** 2 / (ht + params.l2) if ht + params.l2 else np.nan
+            can = h_tot >= 2 * params.min_child_weight
+            grow, mine = np.flatnonzero(can), can[node]
+            # one bincount per feature fills the gradient, then the hessian,
+            # histogram of each node that may split, at its rank among them
+            slot = (np.cumsum(can) - 1)[node[mine]]
+            key = np.concatenate([slot, slot + grow.size]) * width
+            w, row_m = np.concatenate([e_g[mine], e_h[mine]]), np.tile(row[mine], 2)
+            gl, hl = left = np.empty((2, grow.size, n_cells))
+            for f, c0, c1 in binner.segments:
+                hist = np.bincount(key + bins[f].take(row_m), w, minlength=2 * grow.size * width)
+                np.cumsum(hist.reshape(2, grow.size, width)[:, :, : c1 - c0], axis=2, out=left[:, :, c0:c1])
+            gr, hr = np.array([g_tot[grow], h_tot[grow]])[:, :, None] - left
+            ok = feats[owner[grow]][:, binner.cell_feature]
+            ok &= (hl >= params.min_child_weight) & (hr >= params.min_child_weight)
             with np.errstate(divide="ignore", invalid="ignore"):
-                gain = np.where(
-                    ok,
-                    _soft_threshold(gl, params.l1) ** 2 / (hl + params.l2)
-                    + _soft_threshold(gr, params.l1) ** 2 / (hr + params.l2)
-                    - parent,
-                    -np.inf,
-                )
-            flat_best = int(np.argmax(gain))
-            if gain.ravel()[flat_best] > _GAIN_TOL:
-                best = divmod(flat_best, max_bins)
+                gain = _score(gl, hl, params) + _score(gr, hr, params) - parent[grow, None]
+            gain[~ok] = -np.inf
+            best[grow] = np.argmax(gain, axis=1)
+            split[grow] = gain[np.arange(grow.size), best[grow]] > _GAIN_TOL
+        value = np.zeros(size + 1)
+        for k in np.flatnonzero(~split[:-1]):
+            value[k] = params.eta * leaf_optimal_value(loss, e_res[start[k] : end[k]])
+        hit = np.flatnonzero(split)
+        feature, bin_, threshold = np.full(size + 1, -1, np.int32), np.zeros(size + 1, np.int64), np.zeros(size)
+        feature[hit], bin_[hit], threshold[hit] = (
+            a[best[hit]] for a in (binner.cell_feature, binner.cell_bin, binner.cell_threshold))
+        levels.append((owner, split[:-1], feature[:-1], threshold, value[:-1]))
+        # every row moves on, sampled or not
+        np.copyto(leaf_value, value[at], where=(at < size) & ~split[at])
+        right = bins[feature[at], np.arange(n)] > bin_[at]
+        at = np.where(split[at], (2 * np.cumsum(split) - 2)[at] + right, 2 * hit.size)
+        owner = np.repeat(owner[hit], 2)
+    return _preorder(levels, n_trees) + (leaf_value,)
 
-        if best is None:
-            value[node] = params.eta * leaf_optimal_value(loss, residual[node_rows])
-            return node
-        k, b = best
-        f = int(feats[k])
-        go_left = binned[node_rows, f] <= b
-        feature[node] = f
-        threshold[node] = float(thresholds[f][b])
-        left[node] = grow(node_rows[go_left], depth + 1)
-        right[node] = grow(node_rows[~go_left], depth + 1)
-        return node
 
-    grow(rows, 0)
-    return Tree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=float),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        value=np.asarray(value, dtype=float),
-    )
+def _preorder(levels, n_trees):
+    """The trees' node arrays, one tree after another, each numbered
+    depth-first with the left subtree first; and the trees' sizes."""
+    size = [np.ones(level[0].size, dtype=np.int64) for level in levels]
+    for d in range(len(levels) - 2, -1, -1):
+        size[d][levels[d][1]] += size[d + 1].reshape(-1, 2).sum(axis=1)
+    total, offset = int(size[0].sum()), np.cumsum(size[0]) - size[0]
+    out = {a: np.full(total, -1, np.int32) for a in ("feature", "left", "right")}
+    out.update(threshold=np.zeros(total), value=np.zeros(total))
+    pos = np.zeros(n_trees, dtype=np.int64)
+    for d, (owner, split, feature, threshold, value) in enumerate(levels):
+        at = offset[owner] + pos
+        out["feature"][at], out["threshold"][at], out["value"][at] = feature, threshold, value
+        if d + 1 < len(levels):
+            pos = np.repeat(pos[split] + 1, 2)
+            pos[1::2] += size[d + 1][0::2]
+            out["left"][at[split]], out["right"][at[split]] = pos[0::2], pos[1::2]
+    return out, size[0]
 
 
 _NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
@@ -272,74 +293,53 @@ class GbdtModel:
         return out
 
 
-def _fit_single_output(X, binned, thresholds, y, params, loss, rng):
-    base = leaf_optimal_value(loss, y)
-    pred = np.full(y.shape[0], base)
-    n = y.shape[0]
-    n_rows = max(1, int(round(params.subsample * n)))
-    n_feats = max(1, int(round(params.colsample_bytree * X.shape[1])))
-    all_rows = np.arange(n)
-    all_feats = np.arange(X.shape[1])
-    trees = []
-    for _ in range(params.n_iterations):
-        residual = y - pred
-        if np.max(np.abs(residual)) < 1e-15:
-            break
-        g, h = loss_grad_hess(loss, y, pred)
-        rows = all_rows if n_rows == n else np.sort(rng.choice(n, size=n_rows, replace=False))
-        feats = (
-            all_feats
-            if n_feats == X.shape[1]
-            else np.sort(rng.choice(X.shape[1], size=n_feats, replace=False))
-        )
-        tree = _grow_tree(binned, thresholds, rows, feats, g, h, residual, loss, params)
-        pred += tree.apply(X)
-        trees.append(tree)
-    return base, trees, pred
-
-
 def fit_gbdt(data: Dataset, params: GbdtParams, loss: LossSpec, seed: int = 0) -> GbdtModel:
     """Train independent per-output ensembles sharing one parameter set."""
-    min_h = 2.0 if loss.kind == "mse" else 1.0
-    if data.n_rows * min_h < 2 * params.min_child_weight:
-        raise InputError(
-            f"{data.n_rows} rows cannot satisfy min_child_weight {params.min_child_weight}"
-        )
-    X = data.X
-    binner = _Binner(X, params.max_bins)
-    binned = binner.transform(X)
-    thresholds = binner.thresholds
-    base = np.empty(data.n_outputs)
-    ensembles = []
-    train_loss = np.empty(data.n_outputs)
-    train_rmse = np.empty(data.n_outputs)
-    for j in range(data.n_outputs):
-        rng = stream(seed, TAG_LEARNER, j)
-        b, trees, pred = _fit_single_output(
-            X, binned, thresholds, data.Y[:, j], params, loss, rng
-        )
-        base[j] = b
-        ensembles.append(trees)
-        resid = data.Y[:, j] - pred
-        train_loss[j] = float(np.mean(loss_value(loss, data.Y[:, j], pred)))
-        train_rmse[j] = float(np.sqrt(np.mean(resid**2)))
-    diagnostics = {
-        "train_loss_mean": float(train_loss.mean()),
-        "train_rmse_mean": float(train_rmse.mean()),
-        "trees_per_output": [len(t) for t in ensembles],
-    }
-    trees = [t for output in ensembles for t in output]
+    if data.n_rows * (2.0 if loss.kind == "mse" else 1.0) < 2 * params.min_child_weight:
+        raise InputError(f"{data.n_rows} rows cannot satisfy min_child_weight {params.min_child_weight}")
+    (n, n_features), Y = data.X.shape, data.Y.T.copy()
+    binner = _Binner(data.X, params.max_bins)
+    bins = np.ascontiguousarray(binner.transform(data.X).T)
+    base = np.array([leaf_optimal_value(loss, y) for y in Y], dtype=float)
+    pred = np.repeat(base[:, None], n, axis=1)
+    rngs = [stream(seed, TAG_LEARNER, j) for j in range(data.n_outputs)]
+    n_rows = max(1, int(round(params.subsample * n)))
+    n_feats = max(1, int(round(params.colsample_bytree * n_features)))
+    active, rounds = np.arange(data.n_outputs), []
+    for _ in range(params.n_iterations):
+        residual = Y[active] - pred[active]
+        keep = np.max(np.abs(residual), axis=1) >= 1e-15
+        active, residual = active[keep], residual[keep]
+        if not active.size:
+            break
+        g, h = loss_grad_hess(loss, Y[active], pred[active])
+        rows = np.tile(np.arange(n_rows), (active.size, 1))
+        feats = np.ones((active.size, n_features), dtype=bool)
+        for i, rng in enumerate(rngs[j] for j in active):
+            if n_rows < n:
+                rows[i] = np.sort(rng.choice(n, size=n_rows, replace=False))
+            if n_feats < n_features:
+                feats[i] = np.isin(np.arange(n_features), rng.choice(n_features, size=n_feats, replace=False))
+        nodes, sizes, leaf_value = _grow_round(binner, bins, rows, feats, g, h, residual, loss, params)
+        pred[active] += leaf_value
+        rounds.append((active, sizes, nodes))
+    # the trees output by output, each output's in fit order
+    owner, sizes = (np.concatenate([np.zeros(0, np.int64)] + [r[i] for r in rounds]) for i in (0, 1))
+    take = np.argsort(np.repeat(owner, sizes), kind="stable")
+    tree_counts = np.bincount(owner, minlength=data.n_outputs)
     return GbdtModel(
         params=params,
         loss=loss,
         base=base,
-        tree_counts=np.asarray(diagnostics["trees_per_output"], dtype=np.int64),
-        node_counts=np.asarray([t.feature.size for t in trees], dtype=np.int64),
-        **{
-            a: np.concatenate([np.zeros(0, d)] + [getattr(t, a) for t in trees])
-            for a, d in zip(_NODE_ARRAYS, (np.int32, float, np.int32, np.int32, float))
-        },
-        n_features=data.n_features,
+        tree_counts=tree_counts.astype(np.int64),
+        node_counts=sizes[np.argsort(owner, kind="stable")],
+        **{a: np.concatenate([np.zeros(0, d)] + [r[2][a] for r in rounds])[take]
+           for a, d in zip(_NODE_ARRAYS, (np.int32, float, np.int32, np.int32, float))},
+        n_features=n_features,
         seed=seed,
-        diagnostics=diagnostics,
+        diagnostics={
+            "train_loss_mean": float(np.mean([np.mean(loss_value(loss, y, p)) for y, p in zip(Y, pred)])),
+            "train_rmse_mean": float(np.mean([np.sqrt(np.mean((y - p) ** 2)) for y, p in zip(Y, pred)])),
+            "trees_per_output": tree_counts.tolist(),
+        },
     )

@@ -42,11 +42,17 @@ def solve_ridge(X, Y, lam: float, intercept: bool = True) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RidgeModel:
-    """Per-output coefficient rows (intercept first) at the selected lambda."""
+    """Per-output coefficient rows (intercept first) at the selected lambda.
+    A coef that is not a 2-D float array with an intercept column raises
+    ``ValueError``."""
 
     coef: np.ndarray      # (n_outputs, n_features + 1)
     lam: float
     cv_mse: dict          # lambda -> mean CV MSE summed over outputs
+
+    def __post_init__(self):
+        if self.coef.ndim != 2 or self.coef.shape[1] < 1 or self.coef.dtype.kind != "f":
+            raise ValueError(f"coef is a {self.coef.dtype} array of shape {self.coef.shape}")
 
     @property
     def n_features(self) -> int:

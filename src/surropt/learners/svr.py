@@ -123,7 +123,10 @@ def dual_objective(K, y, beta, epsilon) -> float:
 
 @dataclass
 class SvrModel:
-    """Per-output support vectors, dual coefficients, and bias."""
+    """Per-output support vectors, dual coefficients, and bias.  Arrays that
+    do not fit together (float arrays, one support set, coefficient vector
+    and bias per output, each support vector of ``n_features`` entries and
+    one coefficient per support vector) raise ``ValueError``."""
 
     support: list                 # per output: (n_sv, n_features) array
     coef: list                    # per output: (n_sv,) dual coefficients
@@ -133,6 +136,23 @@ class SvrModel:
     C: float
     n_features: int
     cv_mse: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        bias = self.bias
+        if len(self.coef) != len(self.support) or bias.shape != (len(self.support),) or bias.dtype.kind != "f":
+            raise ValueError(
+                f"{len(self.support)} support sets, {len(self.coef)} coefficient vectors "
+                f"and a {bias.dtype} bias of shape {bias.shape}"
+            )
+        for j, (sv, coef) in enumerate(zip(self.support, self.coef)):
+            if (
+                sv.ndim != 2 or sv.shape[1] != self.n_features or coef.shape != sv.shape[:1]
+                or sv.dtype.kind != "f" or coef.dtype.kind != "f"
+            ):
+                raise ValueError(
+                    f"output {j}: {sv.dtype} support vectors {sv.shape} and {coef.dtype} "
+                    f"coefficients {coef.shape} for {self.n_features} features"
+                )
 
     @property
     def n_outputs(self) -> int:

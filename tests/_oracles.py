@@ -5,8 +5,10 @@ package code it checks: basis enumeration instead of simplex pivoting,
 projected gradient instead of SMO, first-principles cost accounting instead
 of the simulator's bookkeeping, plain gradient descent instead of the
 ridge normal equations, the explicit per-age scenario LP instead of the
-hinge form, exhaustive enumeration instead of the LP oracle, and a
-row-by-row, tree-by-tree walk instead of the packed GBDT forest.
+hinge form, exhaustive enumeration instead of the LP oracle, a
+row-by-row, tree-by-tree walk instead of the packed GBDT forest, and
+one-output, one-node-at-a-time recursive tree growth instead of the
+level-wise GBDT grower.
 """
 
 from __future__ import annotations
@@ -16,9 +18,12 @@ from itertools import combinations, product
 import numpy as np
 
 from surropt.errors import InputError
+from surropt.learners.gbdt import _NODE_ARRAYS, GbdtModel, Tree, _Binner
+from surropt.losses import leaf_optimal_value, loss_grad_hess, loss_value
 from surropt.lp import LinearProgram
 from surropt.simulate import DecisionVector
 from surropt.two_stage import evaluate_decision
+from surropt.util import TAG_LEARNER, stream
 
 BRUTE_MAX_HOSPITALS = 2
 BRUTE_MAX_AGE = 2
@@ -196,6 +201,164 @@ def reference_gbdt_predict(model, X):
                     node = tree.left[node] if go_left else tree.right[node]
                 out[r, j] += tree.value[node]
     return out
+
+
+def apply_tree(tree, X):
+    """The leaf value each row of X reaches in one tree, all rows stepped
+    down a level at a time (left when x[feature] <= threshold)."""
+    idx = np.zeros(X.shape[0], dtype=np.int64)
+    rows = np.arange(X.shape[0])
+    while (split := tree.feature[idx] >= 0).any():
+        at = idx[split]
+        go_left = X[rows[split], tree.feature[at]] <= tree.threshold[at]
+        idx[split] = np.where(go_left, tree.left[at], tree.right[at])
+    return tree.value[idx]
+
+
+def _soft_threshold(G, l1):
+    return np.sign(G) * np.maximum(np.abs(G) - l1, 0.0)
+
+
+def _grow_tree(binned, thresholds, rows, feats, g, h, residual, loss, params):
+    """Depth-first growth of one tree on the sampled rows and features."""
+    feature, threshold, left, right, value = [], [], [], [], []
+    max_bins = params.max_bins
+    offsets = (np.arange(feats.size) * max_bins).astype(np.int32)
+    n_cells = feats.size * max_bins
+    # bins beyond a feature's threshold list can never be split positions
+    valid = np.zeros((feats.size, max_bins), dtype=bool)
+    for k, f in enumerate(feats):
+        valid[k, : thresholds[f].size] = True
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        return len(feature) - 1
+
+    def grow(node_rows, depth):
+        node = new_node()
+        sub = binned[node_rows][:, feats] + offsets[None, :]
+        flat = sub.ravel()
+        hg = np.bincount(flat, weights=np.repeat(g[node_rows], feats.size), minlength=n_cells)
+        hh = np.bincount(flat, weights=np.repeat(h[node_rows], feats.size), minlength=n_cells)
+        hg = hg.reshape(feats.size, max_bins)
+        hh = hh.reshape(feats.size, max_bins)
+        g_tot = float(g[node_rows].sum())
+        h_tot = float(h[node_rows].sum())
+
+        best = None
+        if depth < params.max_depth and h_tot >= 2 * params.min_child_weight:
+            gl = np.cumsum(hg, axis=1)
+            hl = np.cumsum(hh, axis=1)
+            gr = g_tot - gl
+            hr = h_tot - hl
+            ok = valid & (hl >= params.min_child_weight) & (hr >= params.min_child_weight)
+            parent = _soft_threshold(g_tot, params.l1) ** 2 / (h_tot + params.l2)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gain = np.where(
+                    ok,
+                    _soft_threshold(gl, params.l1) ** 2 / (hl + params.l2)
+                    + _soft_threshold(gr, params.l1) ** 2 / (hr + params.l2)
+                    - parent,
+                    -np.inf,
+                )
+            flat_best = int(np.argmax(gain))
+            if gain.ravel()[flat_best] > 1e-12:
+                best = divmod(flat_best, max_bins)
+
+        if best is None:
+            value[node] = params.eta * leaf_optimal_value(loss, residual[node_rows])
+            return node
+        k, b = best
+        f = int(feats[k])
+        go_left = binned[node_rows, f] <= b
+        feature[node] = f
+        threshold[node] = float(thresholds[f][b])
+        left[node] = grow(node_rows[go_left], depth + 1)
+        right[node] = grow(node_rows[~go_left], depth + 1)
+        return node
+
+    grow(rows, 0)
+    return Tree(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=float),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        value=np.asarray(value, dtype=float),
+    )
+
+
+def _fit_single_output(X, binned, thresholds, y, params, loss, rng):
+    base = leaf_optimal_value(loss, y)
+    pred = np.full(y.shape[0], base)
+    n = y.shape[0]
+    n_rows = max(1, int(round(params.subsample * n)))
+    n_feats = max(1, int(round(params.colsample_bytree * X.shape[1])))
+    all_rows = np.arange(n)
+    all_feats = np.arange(X.shape[1])
+    trees = []
+    for _ in range(params.n_iterations):
+        residual = y - pred
+        if np.max(np.abs(residual)) < 1e-15:
+            break
+        g, h = loss_grad_hess(loss, y, pred)
+        rows = all_rows if n_rows == n else np.sort(rng.choice(n, size=n_rows, replace=False))
+        feats = (
+            all_feats
+            if n_feats == X.shape[1]
+            else np.sort(rng.choice(X.shape[1], size=n_feats, replace=False))
+        )
+        tree = _grow_tree(binned, thresholds, rows, feats, g, h, residual, loss, params)
+        pred += apply_tree(tree, X)
+        trees.append(tree)
+    return base, trees, pred
+
+
+def reference_fit_gbdt(data, params, loss, seed=0):
+    """fit_gbdt one output at a time, each tree grown by depth-first
+    recursion over its node's rows (nodes numbered in creation order) and
+    each prediction update walked through the numeric thresholds; the
+    per-output tree lists are then concatenated into the packed arrays."""
+    X = data.X
+    binner = _Binner(X, params.max_bins)
+    binned = binner.transform(X)
+    base = np.empty(data.n_outputs)
+    ensembles = []
+    train_loss = np.empty(data.n_outputs)
+    train_rmse = np.empty(data.n_outputs)
+    for j in range(data.n_outputs):
+        rng = stream(seed, TAG_LEARNER, j)
+        b, trees, pred = _fit_single_output(
+            X, binned, binner.thresholds, data.Y[:, j], params, loss, rng
+        )
+        base[j] = b
+        ensembles.append(trees)
+        resid = data.Y[:, j] - pred
+        train_loss[j] = float(np.mean(loss_value(loss, data.Y[:, j], pred)))
+        train_rmse[j] = float(np.sqrt(np.mean(resid**2)))
+    diagnostics = {
+        "train_loss_mean": float(train_loss.mean()),
+        "train_rmse_mean": float(train_rmse.mean()),
+        "trees_per_output": [len(t) for t in ensembles],
+    }
+    trees = [t for output in ensembles for t in output]
+    return GbdtModel(
+        params=params,
+        loss=loss,
+        base=base,
+        tree_counts=np.asarray(diagnostics["trees_per_output"], dtype=np.int64),
+        node_counts=np.asarray([t.feature.size for t in trees], dtype=np.int64),
+        **{
+            a: np.concatenate([np.zeros(0, d)] + [getattr(t, a) for t in trees])
+            for a, d in zip(_NODE_ARRAYS, (np.int32, float, np.int32, np.int32, float))
+        },
+        n_features=data.n_features,
+        seed=seed,
+        diagnostics=diagnostics,
+    )
 
 
 def lane_columns(h: int, m: int):

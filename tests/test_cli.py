@@ -293,6 +293,45 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {model}: malformed model file")
 
+    @staticmethod
+    def fitted_arrays(kind, n_in=44, n_out=136):
+        """The meta and arrays of a well-formed model file for BASE_CONFIG."""
+        rng = np.random.default_rng(3)
+        if kind == "ridge":
+            meta = {"format_version": 1, "kind": "ridge", "lambda": 1.0, "cv_mse": {}}
+            return meta, {"coef": rng.normal(size=(n_out, n_in + 1))}
+        meta = {"format_version": 1, "kind": "svr", "gamma": 0.02, "epsilon": 0.1, "C": 1.0,
+                "n_features": n_in, "cv_mse": {}}
+        arrays = {"bias": rng.normal(size=n_out), "sv_counts": np.full(n_out, 2, dtype=np.int64)}
+        for j in range(n_out):
+            arrays[f"sv_{j:04d}"] = rng.normal(size=(2, n_in))
+            arrays[f"coef_{j:04d}"] = rng.normal(size=2)
+        return meta, arrays
+
+    @pytest.mark.parametrize(
+        "kind, edit",
+        [
+            ("ridge", lambda a: {"coef": a["coef"][0]}),  # 1-D coef
+            ("svr", lambda a: {"coef_0000": np.append(a["coef_0000"], 1.0)}),  # one coef too many
+            ("svr", lambda a: {"sv_0000": a["sv_0000"][:, :40]}),  # 40 of 44 features
+            ("svr", lambda a: {"bias": a["bias"][:-1]}),  # shorter than sv_counts
+        ],
+        ids=["ridge-1d-coef", "svr-long-coef", "svr-narrow-sv", "svr-short-bias"],
+    )
+    def test_malformed_ridge_svr_model_exit_2(self, tmp_path, capsys, kind, edit):
+        meta, arrays = self.fitted_arrays(kind)
+        model = tmp_path / f"model-{kind}.surropt"
+        save_arrays(model, meta, arrays)
+        assert load_model(model).n_outputs == 136
+        save_arrays(model, meta, {**arrays, **edit(arrays)})
+        config = write_config(tmp_path)
+        code = cli.main(
+            ["rollout", "--config", str(config), "--model", str(model), "--out", str(tmp_path / "r")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: malformed model file")
+
 
 class TestSelftest:
     def test_selftest_passes(self):

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,16 +16,24 @@ from surropt.learners import (
     save_model,
     split_train_test,
 )
-from surropt.learners.gbdt import GbdtModel, GbdtParams, Tree
+from surropt.learners.gbdt import PACKED, GbdtModel, GbdtParams, Tree
 from surropt.learners.ridge import solve_ridge
 from surropt.learners.svr import dual_objective, rbf_kernel, smo_solve
 from surropt.losses import LossSpec, loss_value
 
-from _oracles import gradient_descent_ridge, projected_gradient_svr_dual, reference_gbdt_predict
+from _oracles import (
+    apply_tree,
+    gradient_descent_ridge,
+    projected_gradient_svr_dual,
+    reference_fit_gbdt,
+    reference_gbdt_predict,
+)
 
-# A GBDT model file written before the forest was packed in memory; the
-# fitting recipe is format_fixture_model below.
-GBDT_FORMAT_FIXTURE = Path(__file__).parent / "data" / "gbdt-mae-v1.surropt"
+# GBDT model files written by the tree-by-tree grower, before the forest was
+# packed in memory (mae) and before the trees grew level by level (mse,
+# huber); the fitting recipe is format_fixture_model below.
+GBDT_FORMAT_FIXTURES = Path(__file__).parent / "data"
+LOSSES = [LossSpec("mse"), LossSpec("mae"), LossSpec("huber", 1.0)]
 
 
 def make_dataset(rng, n=80, p=5, q=3, fn=None):
@@ -192,7 +201,7 @@ class TestGbdt:
         pred = np.full(80, model.base[0])
         losses = [loss_value(loss, y, pred).mean()]
         for tree in model.ensembles[0]:
-            pred = pred + tree.apply(X)
+            pred = pred + apply_tree(tree, X)
             losses.append(loss_value(loss, y, pred).mean())
         diffs = np.diff(losses)
         assert np.all(diffs <= 1e-12)
@@ -293,12 +302,12 @@ def probe_rows(model, n, rng):
     return X
 
 
-def format_fixture_model():
+def format_fixture_model(loss=LossSpec("mae")):
     rng = np.random.default_rng(60)
     X = rng.normal(size=(60, 4))
     Y = np.column_stack([np.abs(X[:, 0] + X[:, 1]), np.full(60, 1.5), np.abs(np.sin(2 * X[:, 2]))])
     params = GbdtParams(n_iterations=6, max_depth=3, min_child_weight=1, subsample=0.7)
-    return fit_gbdt(Dataset(X, Y, np.arange(60)), params, LossSpec("mae"), seed=4)
+    return fit_gbdt(Dataset(X, Y, np.arange(60)), params, loss, seed=4)
 
 
 class TestGbdtPredict:
@@ -354,6 +363,51 @@ class TestGbdtPredict:
         assert same_bits(out, reference_gbdt_predict(model, X))
         assert np.signbit(out[:, :2]).all() and np.signbit(out[:2, 3]).all()
         assert out[:, 2].tolist() == [2.0, 2.0, 6.0]
+
+
+class TestGbdtGrower:
+    """The level-wise grower builds, bit for bit, the forest of growing each
+    output's trees one at a time, node by node, by depth-first recursion."""
+
+    @staticmethod
+    def data():
+        rng = np.random.default_rng(61)
+        n = 64
+        x0 = np.repeat([0.0, 1.0], n // 2)[rng.permutation(n)]
+        x1, x4 = rng.normal(size=n), rng.normal(size=n)
+        # a constant feature, and x3 equal to x1 so every x1 split ties with x3
+        X = np.column_stack([x0, x1, np.full(n, 0.25), x1, x4])
+        Y = np.column_stack([
+            np.full(n, 1.5),                     # grows no trees
+            x0,                                  # residual reaches zero early
+            np.abs(x1 + np.sin(2 * x4)),
+            x4**2,
+        ])
+        return Dataset(X, Y, np.arange(n))
+
+    def fit_both(self, loss, **params):
+        params = GbdtParams(eta=1.0, n_iterations=5, **params)
+        data = self.data()
+        return fit_gbdt(data, params, loss, seed=7), reference_fit_gbdt(data, params, loss, seed=7)
+
+    @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.kind)
+    def test_stops_like_the_reference(self, loss):
+        model, reference = self.fit_both(loss, max_depth=3, min_child_weight=2, subsample=1.0)
+        assert model.tree_counts[:2].tolist() == [0, 1] and min(model.tree_counts[2:]) == 5
+        assert model.diagnostics == reference.diagnostics
+
+    @pytest.mark.parametrize("max_depth", [1, 3, 6])
+    @pytest.mark.parametrize("subsample, colsample", [(1.0, 1.0), (0.7, 1.0), (1.0, 0.5), (0.7, 0.5)])
+    @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.kind)
+    def test_matches_reference(self, loss, subsample, colsample, max_depth):
+        for mcw, l1, max_bins in itertools.product((0.0, 2.0), (0.0, 0.1), (2, 64)):
+            model, reference = self.fit_both(
+                loss, max_depth=max_depth, min_child_weight=mcw, l1=l1, max_bins=max_bins,
+                subsample=subsample, colsample_bytree=colsample,
+            )
+            for name in PACKED:
+                assert same_bits(getattr(model, name), getattr(reference, name)), (name, mcw, l1, max_bins)
+            assert model.diagnostics == reference.diagnostics
 
 
 class TestSvr:
@@ -488,14 +542,17 @@ class TestSerialization:
         probe = rng.normal(size=(25, data.n_features))
         assert np.array_equal(model.predict(probe), loaded.predict(probe))
 
-    def test_gbdt_file_format_unchanged(self, tmp_path):
-        model = load_model(GBDT_FORMAT_FIXTURE)
+    @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.kind)
+    def test_gbdt_file_format_unchanged(self, tmp_path, loss):
+        fixture = GBDT_FORMAT_FIXTURES / f"gbdt-{loss.kind}-v1.surropt"
+        model = load_model(fixture)
+        assert model.loss == loss
         X = probe_rows(model, 37, np.random.default_rng(42))
         assert same_bits(model.predict(X), reference_gbdt_predict(model, X))
-        for i, source in enumerate((model, format_fixture_model())):
+        for i, source in enumerate((model, format_fixture_model(loss))):
             path = tmp_path / f"again-{i}.surropt"
             save_model(path, source)
-            assert path.read_bytes() == GBDT_FORMAT_FIXTURE.read_bytes()
+            assert path.read_bytes() == fixture.read_bytes()
 
     def test_save_is_deterministic(self, tmp_path):
         rng = np.random.default_rng(41)
