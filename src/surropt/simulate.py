@@ -14,6 +14,12 @@ transshipments) and a demand realization in a fixed event order:
   5. every unit ages one class; units that would exceed age M are discarded
      at the outdate rate and holding is charged on the survivors.
 
+``day_cycle`` runs these steps on integer arrays with any leading batch axes:
+one day (``step``) or a whole scenario set (``two_stage.evaluate_decision``).
+Issuing is closed form: a slot gives what demand leaves after all older stock,
+capped by its own stock.  Each cost part is float(unit count) x rate, one
+rounding, and parts add left to right from 0.0, in scenario or day order.
+
 Everything here is a pure function of its inputs, so horizons can run in
 parallel on independent states without locking.
 """
@@ -50,7 +56,7 @@ class InventoryState:
 
     def __post_init__(self):
         grid = _as_grid(self.units, "units")
-        if np.any(grid < 0):
+        if (grid < 0).any():
             raise InputError("inventory counts must be nonnegative")
         grid.flags.writeable = False
         object.__setattr__(self, "units", grid)
@@ -191,19 +197,6 @@ class CostBreakdown:
                 self.holding + self.transshipment + self.outdate + self.ordering + self.shortage,
             )
 
-    @classmethod
-    def zero(cls):
-        return cls(0.0, 0.0, 0.0, 0.0, 0.0)
-
-    def __add__(self, other):
-        return CostBreakdown(
-            self.holding + other.holding,
-            self.transshipment + other.transshipment,
-            self.outdate + other.outdate,
-            self.ordering + other.ordering,
-            self.shortage + other.shortage,
-        )
-
     def scaled(self, factor: float) -> "CostBreakdown":
         return CostBreakdown(
             self.holding * factor,
@@ -217,6 +210,12 @@ class CostBreakdown:
         return (self.holding, self.transshipment, self.outdate, self.ordering, self.shortage)
 
 
+def sum_breakdowns(parts) -> CostBreakdown:
+    """Sum rows of cost parts (as_tuple order) left to right from 0.0."""
+    rows = np.vstack([np.zeros(5), np.reshape(parts, (-1, 5))])
+    return CostBreakdown(*np.add.accumulate(rows, axis=0)[-1].tolist())
+
+
 @dataclass(frozen=True)
 class ViolationLog:
     """A (hospital, age) slot whose outbound request exceeded on-hand stock."""
@@ -228,13 +227,36 @@ class ViolationLog:
     available: int
 
 
+def _check_applicable(state: InventoryState, decision: DecisionVector):
+    """A decision of another shape is bad input; an infeasible one a caller bug."""
+    if decision.transship.shape[1:] != state.units.shape:
+        raise InputError("decision shape does not match state shape")
+    if (decision.outbound() > state.units).any():
+        raise InternalError("decision is infeasible against the state; repair it first")
+
+
+def as_demand(demand, hospitals: int, batched: bool = False) -> np.ndarray:
+    """Whole-number demand as int64: one (H,) day or (S, H) scenarios, S >= 1."""
+    try:
+        arr = np.asarray(demand, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"demand must be numbers, one per hospital ({hospitals})") from None
+    if arr.ndim != 1 + batched or arr.shape[-1] != hospitals or (batched and not len(arr)):
+        raise InputError(f"demand of shape {arr.shape} does not match {hospitals} hospitals")
+    # NaN fails every comparison and infinity the upper one
+    whole = (arr >= 0) & (arr < 2.0**63) & (arr == np.floor(arr))
+    if not whole.all():
+        raise InputError(f"demand must be whole numbers >= 0, got {arr[~whole][0]}")
+    return arr.astype(np.int64)
+
+
 def check_feasibility(state: InventoryState, decision: DecisionVector, day: int = 0):
     """One record per slot where outbound transshipments exceed stock.
 
     Exactly H*M slots are inspected per call, which fixes the violation-rate
     denominator at days * H * M for a horizon.
     """
-    if decision.n_hospitals != state.n_hospitals or decision.max_age != state.max_age:
+    if decision.transship.shape[1:] != state.units.shape:
         raise InputError("decision shape does not match state shape")
     out = decision.outbound()
     records = []
@@ -286,19 +308,25 @@ def repair(state: InventoryState, decision: DecisionVector) -> DecisionVector:
     return DecisionVector(decision.orders, ship)
 
 
-def _issue(on_hand: np.ndarray, demand: np.ndarray):
-    """Units issued per (hospital, age) slot, oldest first."""
-    h, m = on_hand.shape
-    issued = np.zeros_like(on_hand)
-    for i in range(h):
-        need = int(demand[i])
-        for a in range(m - 1, -1, -1):
-            if need == 0:
-                break
-            take = min(int(on_hand[i, a]), need)
-            issued[i, a] = take
-            need -= take
-    return issued
+def day_cycle(units, orders, ship, demand, costs: CostParams):
+    """Steps 1-5 on int64 units (..., H, M), orders (..., H), ship (..., H, H, M)
+    and demand (..., H) whose batch axes broadcast; returns the next units and
+    the (..., 5) cost parts in as_tuple order.  Callers check the inputs."""
+    on_hand = units - ship.sum(axis=-2)
+    older = on_hand[..., ::-1].cumsum(axis=-1)[..., ::-1] - on_hand
+    issued = np.minimum(np.maximum(demand[..., None] - older, 0), on_hand)
+    end_of_day = on_hand - issued + ship.sum(axis=-3)
+    end_of_day[..., 0] += orders
+    aged = np.zeros_like(end_of_day)
+    aged[..., 1:] = end_of_day[..., :-1]
+    parts = np.empty(end_of_day.shape[:-2] + (5,))
+    parts[..., 0] = aged.sum(axis=(-2, -1))
+    parts[..., 1] = ship.sum(axis=(-3, -2, -1))
+    parts[..., 2] = end_of_day[..., -1].sum(axis=-1)
+    parts[..., 3] = orders.sum(axis=-1)
+    parts[..., 4] = (demand - issued.sum(axis=-1)).sum(axis=-1)
+    parts *= (costs.holding, costs.transship_unit, costs.outdate, costs.ordering, costs.shortage)
+    return aged, parts
 
 
 def step(
@@ -312,51 +340,18 @@ def step(
     The decision must be feasible (run check_feasibility/repair first); an
     infeasible decision is a caller bug and raises InternalError.
     """
-    demand = np.asarray(demand, dtype=np.int64)
-    if demand.shape != (state.n_hospitals,):
-        raise InputError(f"demand must have shape ({state.n_hospitals},), got {demand.shape}")
-    if np.any(demand < 0):
-        raise InputError("demand must be nonnegative")
-
-    outbound = decision.outbound()
-    if np.any(outbound > state.units):
-        raise InternalError("step received an infeasible decision; repair it first")
-
-    ordering_cost = float(decision.orders.sum()) * costs.ordering
-    transship_cost = float(decision.transship.sum()) * costs.transship_unit
-
-    on_hand = state.units - outbound
-    issued = _issue(on_hand, demand)
-    unmet = demand - issued.sum(axis=1)
-    shortage_cost = float(unmet.sum()) * costs.shortage
-
-    end_of_day = on_hand - issued + decision.inbound()
-    end_of_day[:, 0] += decision.orders
-
-    outdated = end_of_day[:, -1]
-    outdate_cost = float(outdated.sum()) * costs.outdate
-    aged = np.zeros_like(end_of_day)
-    aged[:, 1:] = end_of_day[:, :-1]
-    holding_cost = float(aged.sum()) * costs.holding
-
-    breakdown = CostBreakdown(
-        holding=holding_cost,
-        transshipment=transship_cost,
-        outdate=outdate_cost,
-        ordering=ordering_cost,
-        shortage=shortage_cost,
-    )
-    return InventoryState(aged), breakdown
+    demand = as_demand(demand, state.n_hospitals)
+    _check_applicable(state, decision)
+    aged, parts = day_cycle(state.units, decision.orders, decision.transship, demand, costs)
+    return InventoryState(aged), CostBreakdown(*parts.tolist())
 
 
 def receipts_state(state: InventoryState, decision: DecisionVector) -> InventoryState:
     """Inventory after moving transshipments and receiving orders, before any
     demand or aging.  This is the availability the two-stage model plans
     against when it treats a scenario's demand as served post-receipt."""
-    outbound = decision.outbound()
-    if np.any(outbound > state.units):
-        raise InternalError("decision infeasible against state")
-    grid = state.units - outbound + decision.inbound()
+    _check_applicable(state, decision)
+    grid = state.units - decision.outbound() + decision.inbound()
     grid[:, 0] += decision.orders
     return InventoryState(grid)
 
@@ -377,15 +372,10 @@ class HorizonResult:
         return len(self.breakdowns)
 
     def cost_sum(self) -> CostBreakdown:
-        total = CostBreakdown.zero()
-        for b in self.breakdowns:
-            total = total + b
-        return total
+        return sum_breakdowns([b.as_tuple() for b in self.breakdowns])
 
     def cost_mean(self) -> CostBreakdown:
-        if not self.breakdowns:
-            return CostBreakdown.zero()
-        return self.cost_sum().scaled(1.0 / self.days)
+        return self.cost_sum().scaled(1.0 / max(self.days, 1))
 
 
 def run_horizon(initial: InventoryState, policy, demands, costs: CostParams):

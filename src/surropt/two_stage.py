@@ -6,11 +6,11 @@ serve as the benchmark policy.
 The model plans as if a scenario's demand is served after receipts: ordered
 and inbound units count toward that scenario's availability.  A candidate
 decision is therefore evaluated as its ordering-plus-transshipment cost plus
-the scenario average of one simulated day starting from the post-receipt
-inventory.  The LP relaxation prices issuing age-aggregated (strict
-oldest-first issuing is not linear), which makes it a true lower bound on
-that evaluation; first-stage quantities are integerized by rounding and
-re-repaired against the current stock.
+the scenario average of one simulated day from the post-receipt inventory,
+one batched ``simulate.day_cycle`` call.  The LP relaxation prices issuing
+age-aggregated (strict oldest-first issuing is not linear), which makes it a
+true lower bound on that evaluation; first-stage quantities are integerized
+by rounding and re-repaired against the current stock.
 
 The LP encodes each hospital-scenario recourse with three hinge variables
 (unmet demand, leftover stock, and the old-stock excess that outdates).
@@ -33,11 +33,13 @@ from .simulate import (
     CostParams,
     DecisionVector,
     InventoryState,
+    as_demand,
     check_feasibility,
+    day_cycle,
     decision_length,
     receipts_state,
     repair,
-    step,
+    sum_breakdowns,
 )
 from .util import TAG_SAA_SCENARIO, stream
 
@@ -77,21 +79,7 @@ def build_saa(
     """Assemble the scenario LP.  The first ``decision_length(H, M)`` columns
     are the flattened first stage (orders, then lanes); recourse columns
     follow per scenario."""
-    h = state.n_hospitals
-    try:
-        demand = np.asarray(scenarios, dtype=float)
-    except (TypeError, ValueError):
-        raise InputError(f"scenarios must be demand vectors of length {h}") from None
-    if demand.ndim != 2 or demand.shape[1] != h:
-        raise InputError(f"scenarios of shape {demand.shape} do not match {h} hospitals")
-    if demand.shape[0] == 0:
-        raise InputError("at least one demand scenario is required")
-    # NaN fails every comparison and infinity the upper one
-    whole = (demand >= 0) & (demand < 2.0**63) & (demand == np.floor(demand))
-    if not whole.all():
-        bad = float(demand[~whole][0])
-        raise InputError(f"scenario demand must be whole numbers >= 0, got {bad}")
-    return _build_compact(state, demand.astype(np.int64), costs)
+    return _build_compact(state, as_demand(scenarios, state.n_hospitals, batched=True), costs)
 
 
 def _build_compact(state, demand, costs):
@@ -165,26 +153,22 @@ def evaluate_decision(
 ) -> CostBreakdown:
     """Expected cost of a feasible decision over the given scenarios.
 
-    Ordering and transshipment costs are charged once; each scenario then
-    contributes one simulated day starting from the post-receipt inventory
-    (so the scenario demand is served by today's receipts, matching the
-    planning model), and the recourse components are averaged."""
+    Ordering and transshipment costs are charged once.  One batched
+    ``day_cycle`` call then runs every scenario from the post-receipt
+    inventory with no further decision (so the scenario demand is served by
+    today's receipts, matching the planning model), and the recourse
+    components are summed in scenario order and averaged."""
     if check_feasibility(state, decision):
         raise InputError("decision is infeasible against the state")
-    scenarios = list(scenarios)
-    post = receipts_state(state, decision)
+    demand = as_demand(scenarios, state.n_hospitals, batched=True)
     zero = DecisionVector.zeros(state.n_hospitals, state.max_age)
-    acc = CostBreakdown.zero()
-    for dem in scenarios:
-        _, br = step(post, zero, dem, costs)
-        acc = acc + br
-    mean = acc.scaled(1.0 / len(scenarios))
+    post = receipts_state(state, decision).units
+    _, parts = day_cycle(post, zero.orders, zero.transship, demand, costs)
+    mean = sum_breakdowns(parts).scaled(1.0 / len(demand))
     return CostBreakdown(
-        holding=mean.holding,
+        holding=mean.holding, outdate=mean.outdate, shortage=mean.shortage,
         transshipment=float(decision.transship.sum()) * costs.transship_unit,
-        outdate=mean.outdate,
         ordering=float(decision.orders.sum()) * costs.ordering,
-        shortage=mean.shortage,
     )
 
 
@@ -210,7 +194,6 @@ def solve_stage_one(
         scenarios = [model.sample_day(rng) for _ in range(saa.scenario_count)]
 
     lp = build_saa(state, scenarios, costs)
-    scenarios = np.asarray(scenarios, dtype=np.int64)  # build_saa checked them
     sol: LpSolution = solve_lp(lp)
     if sol.status != "optimal":
         raise InternalError(

@@ -6,9 +6,10 @@ projected gradient instead of SMO, first-principles cost accounting instead
 of the simulator's bookkeeping, plain gradient descent instead of the
 ridge normal equations, the explicit per-age scenario LP instead of the
 hinge form, exhaustive enumeration instead of the LP oracle, a
-row-by-row, tree-by-tree walk instead of the packed GBDT forest, and
+row-by-row, tree-by-tree walk instead of the packed GBDT forest,
 one-output, one-node-at-a-time recursive tree growth instead of the
-level-wise GBDT grower.
+level-wise GBDT grower, and one day and one scenario at a time with a
+slot-by-slot issuing loop instead of the batched day-cycle kernel.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from itertools import combinations, product
 
 import numpy as np
 
-from surropt.errors import InputError
+from surropt.errors import InputError, InternalError
 from surropt.learners.gbdt import _NODE_ARRAYS, GbdtModel, Tree, _Binner
 from surropt.losses import leaf_optimal_value, loss_grad_hess, loss_value
 from surropt.lp import LinearProgram
-from surropt.simulate import DecisionVector
+from surropt.simulate import CostBreakdown, DecisionVector, InventoryState
 from surropt.two_stage import evaluate_decision
 from surropt.util import TAG_LEARNER, stream
 
@@ -155,6 +156,82 @@ def audit_total_cost(result, costs) -> float:
             + costs.holding * int(after.sum())
         )
     return total
+
+
+def _issue(on_hand, demand):
+    """Units issued per (hospital, age) slot, oldest first."""
+    h, m = on_hand.shape
+    issued = np.zeros_like(on_hand)
+    for i in range(h):
+        need = int(demand[i])
+        for a in range(m - 1, -1, -1):
+            if need == 0:
+                break
+            take = min(int(on_hand[i, a]), need)
+            issued[i, a] = take
+            need -= take
+    return issued
+
+
+def reference_step(state, decision, demand, costs):
+    """One simulated day, one slot at a time: (next_state, CostBreakdown)."""
+    demand = np.asarray(demand, dtype=np.int64)
+    if demand.shape != (state.n_hospitals,):
+        raise InputError(f"demand must have shape ({state.n_hospitals},), got {demand.shape}")
+    if np.any(demand < 0):
+        raise InputError("demand must be nonnegative")
+
+    outbound = decision.outbound()
+    if np.any(outbound > state.units):
+        raise InternalError("step received an infeasible decision; repair it first")
+
+    ordering_cost = float(decision.orders.sum()) * costs.ordering
+    transship_cost = float(decision.transship.sum()) * costs.transship_unit
+
+    on_hand = state.units - outbound
+    issued = _issue(on_hand, demand)
+    unmet = demand - issued.sum(axis=1)
+    shortage_cost = float(unmet.sum()) * costs.shortage
+
+    end_of_day = on_hand - issued + decision.inbound()
+    end_of_day[:, 0] += decision.orders
+
+    outdated = end_of_day[:, -1]
+    outdate_cost = float(outdated.sum()) * costs.outdate
+    aged = np.zeros_like(end_of_day)
+    aged[:, 1:] = end_of_day[:, :-1]
+    holding_cost = float(aged.sum()) * costs.holding
+
+    breakdown = CostBreakdown(
+        holding=holding_cost,
+        transshipment=transship_cost,
+        outdate=outdate_cost,
+        ordering=ordering_cost,
+        shortage=shortage_cost,
+    )
+    return InventoryState(aged), breakdown
+
+
+def reference_evaluate_decision(state, decision, scenarios, costs):
+    """Expected cost of a feasible decision: one reference_step per scenario
+    from the post-receipt inventory, recourse parts added in scenario order."""
+    scenarios = list(scenarios)
+    grid = state.units - decision.outbound() + decision.inbound()
+    grid[:, 0] += decision.orders
+    post = InventoryState(grid)
+    zero = DecisionVector.zeros(state.n_hospitals, state.max_age)
+    acc = (0.0,) * 5
+    for dem in scenarios:
+        _, br = reference_step(post, zero, dem, costs)
+        acc = tuple(a + b for a, b in zip(acc, br.as_tuple()))
+    mean = CostBreakdown(*acc).scaled(1.0 / len(scenarios))
+    return CostBreakdown(
+        holding=mean.holding,
+        transshipment=float(decision.transship.sum()) * costs.transship_unit,
+        outdate=mean.outdate,
+        ordering=float(decision.orders.sum()) * costs.ordering,
+        shortage=mean.shortage,
+    )
 
 
 def gradient_descent_ridge(X, Y, lam, iters=60_000, intercept=True):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import zipfile
@@ -33,11 +34,17 @@ BASE_CONFIG = {
 }
 
 
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(*args):
+    # the subprocess does not see pytest's pythonpath setting, so put src first
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "surropt.cli", *map(str, args)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

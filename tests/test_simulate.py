@@ -11,14 +11,19 @@ from surropt.simulate import (
     InventoryState,
     check_feasibility,
     decision_length,
+    receipts_state,
     repair,
     run_horizon,
     step,
     trajectory_columns,
     write_trajectory_csv,
 )
+from surropt.two_stage import evaluate_decision
 
-from _oracles import audit_total_cost
+from _oracles import audit_total_cost, reference_evaluate_decision, reference_step
+
+# Non-integer rates: sums of their products round differently in another order.
+RATES = (0.0, 1e-3, 0.1, 0.7, 1.3, 2.9, 35.35, 40.1)
 
 
 def _state(grid):
@@ -206,6 +211,116 @@ class TestStep:
         assert state.total() + int(decision.orders.sum()) == issued_units + outdated_units + nxt.total()
         assert np.all(nxt.units >= 0)
         assert br.total == br.holding + br.transshipment + br.outdate + br.ordering + br.shortage
+
+
+class TestStepInputs:
+    @pytest.mark.parametrize(
+        "orders, ship_shape",
+        [([3], (1, 1, 11)), ([0, 0, 0, 0], (4, 4, 3)), ([0, 0], (2, 2, 11))],
+        ids=["one-hospital", "fewer-ages", "fewer-hospitals"],
+    )
+    def test_decision_of_another_shape_rejected(self, orders, ship_shape):
+        state = InventoryState(np.ones((4, 11), dtype=np.int64))
+        decision = DecisionVector(np.array(orders), np.zeros(ship_shape, dtype=np.int64))
+        with pytest.raises(InputError, match="shape"):
+            step(state, decision, np.zeros(4, int), CostParams())
+        with pytest.raises(InputError, match="shape"):
+            receipts_state(state, decision)
+        with pytest.raises(InputError, match="shape"):
+            check_feasibility(state, decision)
+
+    @pytest.mark.parametrize(
+        "demand",
+        [[1.9, 2], [np.nan, 1], [np.inf, 1], [2**70, 1], [-1, 2], [1, 2, 3], [[1, 2]], ["a", 1]],
+        ids=["fractional", "nan", "inf", "overflow", "negative", "long", "2-d", "text"],
+    )
+    def test_bad_demand_rejected(self, demand):
+        state = InventoryState.zeros(2, 3)
+        with pytest.raises(InputError, match="demand"):
+            step(state, DecisionVector.zeros(2, 3), demand, CostParams())
+
+    def test_whole_float_demand_accepted(self):
+        state = InventoryState(np.array([[0, 0, 3], [1, 0, 0]]))
+        a = step(state, DecisionVector.zeros(2, 3), [2.0, 1.0], CostParams())
+        b = step(state, DecisionVector.zeros(2, 3), [2, 1], CostParams())
+        assert np.array_equal(a[0].units, b[0].units) and a[1] == b[1]
+
+
+def _bits(breakdown):
+    return np.array(breakdown.as_tuple() + (breakdown.total,)).tobytes()
+
+
+def _random_case(rng, h=None, m=None, stock=True):
+    h = h or int(rng.integers(1, 5))
+    m = m or int(rng.integers(1, 12))
+    units = rng.integers(0, 6, size=(h, m)) if stock else np.zeros((h, m), dtype=np.int64)
+    state = _state(units)
+    ship = rng.integers(0, 3, size=(h, h, m))
+    ship[np.eye(h, dtype=bool)] = 0
+    decision = repair(state, DecisionVector(rng.integers(0, 5, size=h), ship))
+    return state, decision, CostParams(*rng.choice(RATES, size=5))
+
+
+def _random_demand(rng, case, state, decision, size):
+    if case == "zero-demand":
+        return np.zeros(size, dtype=np.int64)
+    # every hospital asks for more than the whole network holds after receipts
+    low = state.total() + int(decision.orders.sum()) + 1 if case == "demand-above-stock" else 0
+    return rng.integers(low, low + 9, size=size)
+
+
+# case -> (hospitals, ages, any stock); None draws the size
+EDGE_CASES = {
+    "h1-m1": (1, 1, True),
+    "zero-stock": (None, None, False),
+    "zero-demand": (None, None, True),
+    "demand-above-stock": (None, None, True),
+    "random": (None, None, True),
+}
+
+
+class TestDayCycleMatchesReference:
+    """step and evaluate_decision against the one-slot, one-scenario path,
+    bit for bit: next units and every cost field."""
+
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_step(self, case):
+        rng = np.random.default_rng(list(EDGE_CASES).index(case))
+        for _ in range(60):
+            state, decision, costs = _random_case(rng, *EDGE_CASES[case])
+            demand = _random_demand(rng, case, state, decision, state.n_hospitals)
+            nxt, br = step(state, decision, demand, costs)
+            ref_nxt, ref_br = reference_step(state, decision, demand, costs)
+            assert nxt.units.tobytes() == ref_nxt.units.tobytes()
+            assert _bits(br) == _bits(ref_br)
+
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_evaluate_decision(self, case):
+        rng = np.random.default_rng(100 + list(EDGE_CASES).index(case))
+        for _ in range(25):
+            state, decision, costs = _random_case(rng, *EDGE_CASES[case])
+            count = int(rng.integers(1, 61))
+            scenarios = _random_demand(rng, case, state, decision, (count, state.n_hospitals))
+            got = evaluate_decision(state, decision, scenarios, costs)
+            want = reference_evaluate_decision(state, decision, scenarios, costs)
+            assert _bits(got) == _bits(want)
+
+    def test_horizon_sum_adds_days_in_order(self):
+        rng = np.random.default_rng(7)
+        orders = rng.integers(0, 6, size=(40, 3))
+        demands = rng.integers(0, 9, size=(40, 3))
+        costs = CostParams(holding=0.1, ordering=1.3, transship_unit=0.7, shortage=2.9, outdate=35.35)
+
+        def policy(day, state):
+            return DecisionVector(orders[day], np.zeros((3, 3, 4), dtype=np.int64))
+
+        result = run_horizon(InventoryState.zeros(3, 4), policy, demands, costs)
+        acc = (0.0,) * 5
+        for b in result.breakdowns:
+            acc = tuple(x + y for x, y in zip(acc, b.as_tuple()))
+        assert _bits(result.cost_sum()) == _bits(CostBreakdown(*acc))
+        mean = CostBreakdown(*acc).scaled(1.0 / 40)
+        assert _bits(result.cost_mean()) == _bits(mean)
 
 
 class TestRunHorizon:

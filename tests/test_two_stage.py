@@ -94,13 +94,17 @@ class TestBuildSaa:
             assert a.objective == pytest.approx(b.objective, abs=1e-7)
 
     def test_empty_scenarios_rejected(self):
-        with pytest.raises(InputError):
-            build_saa(InventoryState.zeros(2, 2), [], CostParams())
+        state = InventoryState.zeros(2, 2)
+        for scenarios in ([], np.zeros((0, 2))):
+            with pytest.raises(InputError):
+                build_saa(state, scenarios, CostParams())
+            with pytest.raises(InputError):
+                evaluate_decision(state, DecisionVector.zeros(2, 2), scenarios, CostParams())
 
     @pytest.mark.parametrize(
         "scenarios",
-        [[[-3, 1]], [[2.7, 1.0]], [[np.nan, 1.0]], [[np.inf, 1.0]]],
-        ids=["negative", "fractional", "nan", "inf"],
+        [[[-3, 1]], [[2.7, 1.0]], [[np.nan, 1.0]], [[np.inf, 1.0]], [[2**70, 1]]],
+        ids=["negative", "fractional", "nan", "inf", "overflow"],
     )
     def test_demand_must_be_whole_and_nonnegative(self, scenarios):
         state = InventoryState.zeros(2, 2)
@@ -108,6 +112,8 @@ class TestBuildSaa:
             build_saa(state, scenarios, CostParams())
         with pytest.raises(InputError, match="whole numbers"):
             solve_stage_one(state, CostParams(), SaaConfig(), scenarios=scenarios)
+        with pytest.raises(InputError, match="whole numbers"):
+            evaluate_decision(state, DecisionVector.zeros(2, 2), scenarios, CostParams())
 
     def test_whole_float_demand_builds_the_integer_lp(self):
         state = InventoryState.zeros(2, 2)
