@@ -233,9 +233,11 @@ def cmd_selftest(args) -> int:
         "lp solves a box-bounded maximum",
         lambda: abs(
             solve_lp(
-                LinearProgram(c=[1.0, 2.0], A=[[1.0, 1.0]], b=[3.0], senses=("<=",), maximize=True)
+                LinearProgram(
+                    c=[1.0, 2.0], A=[[1.0, 1.0]], b=[3.0], senses=("<=",), upper=[2.0, 2.0], maximize=True
+                )
             ).objective
-            - 6.0
+            - 5.0
         )
         < 1e-9,
     )

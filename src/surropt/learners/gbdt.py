@@ -1,13 +1,14 @@
 """Gradient-boosted regression trees on histogram splits.
 
 Each boosting round fits one depth-capped tree per output to the current
-loss gradients and hessians.  Split gains use the regularized score
-T(G)^2 / (H + l2) with an L1 soft threshold on the gradient sum; children
-must carry at least ``min_child_weight`` of hessian mass.  Leaf values are
-the exact loss-minimizing constant of the leaf's residuals (mean, median,
-or the Huber minimizer) scaled by the learning rate, and the model boosts
-from the loss-optimal constant of the full target, so training loss never
-increases while subsampling is off.
+loss gradients.  Split gains use the regularized score T(G)^2 / (H + l2)
+with an L1 soft threshold on the gradient sum G; the hessian mass H is the
+loss's hessian ``hess``, one float, times the row count, and children must
+carry at least ``min_child_weight`` of it, ``min_child_weight / hess`` rows.
+Leaf values are the exact loss-minimizing constant of the leaf's residuals
+(mean, median, or the Huber minimizer) scaled by the learning rate, and the
+model boosts from the loss-optimal constant of the full target, so training
+loss never increases while subsampling is off.
 
 Features are pre-binned once per fit on equal-frequency quantiles (64 bins
 by default); numeric thresholds are stored in the nodes, so prediction
@@ -118,10 +119,11 @@ def _score(G, H, params):
     return np.maximum(np.abs(G) - params.l1, 0.0) ** 2 / (H + params.l2)
 
 
-def _grow_round(binner, bins, rows, feats, g, h, residual, loss, params):
+def _grow_round(binner, bins, rows, feats, g, hess, residual, loss, params):
     """Grow one tree per row of ``residual`` (an output's residuals on all
     training rows), level by level, tree i on the sampled rows ``rows[i]``
-    and features ``feats[i]``; ``bins`` is (features, rows).  Returns the
+    and features ``feats[i]``, with gradients ``g`` and hessian ``hess``;
+    ``bins`` is (features, rows).  Returns the
     trees' node arrays and sizes, and the leaf value each (tree, row) reaches."""
     n_trees, n = residual.shape
     n_cells, width = binner.cell_bin.size, int(binner.cell_bin.max(initial=0)) + 2
@@ -135,28 +137,29 @@ def _grow_round(binner, bins, rows, feats, g, h, residual, loss, params):
         end = np.cumsum(count)
         start, order = end - count, sample[np.argsort(at.ravel()[sample], kind="stable")[: end[-1]]]
         node, row = at.ravel()[order], order % n
-        e_g, e_h, e_res = g.ravel()[order], h.ravel()[order], residual.ravel()[order]
+        e_g, e_res = g.ravel()[order], residual.ravel()[order]
         split, best = np.zeros(size + 1, dtype=bool), np.zeros(size, dtype=np.int64)
         if len(levels) < params.max_depth and n_cells:
-            g_tot, h_tot, parent = np.empty(size), np.empty(size), np.empty(size)
-            for k, (s, e) in enumerate(zip(start, end)):
+            # a sum of k copies of hess is exactly hess * k in float64
+            g_tot, h_tot, parent = np.empty(size), hess * count, np.empty(size)
+            for k, (s, e, ht) in enumerate(zip(start, end, h_tot)):
                 g_tot[k] = gt = float(e_g[s:e].sum())
-                h_tot[k] = ht = float(e_h[s:e].sum())
                 # the node's own score: float ** is libm pow, which can round unlike
                 # the array square; ht + l2 is 0 only at an empty node with l2 = 0
                 parent[k] = max(abs(gt) - params.l1, 0.0) ** 2 / (ht + params.l2) if ht + params.l2 else np.nan
             can = h_tot >= 2 * params.min_child_weight
             grow, mine = np.flatnonzero(can), can[node]
-            # one bincount per feature fills the gradient, then the hessian,
-            # histogram of each node that may split, at its rank among them
-            slot = (np.cumsum(can) - 1)[node[mine]]
-            key = np.concatenate([slot, slot + grow.size]) * width
-            w, row_m = np.concatenate([e_g[mine], e_h[mine]]), np.tile(row[mine], 2)
-            gl, hl = left = np.empty((2, grow.size, n_cells))
+            # one bincount per feature fills the gradient histogram, and one
+            # the row counts, of each node that may split, at its rank among them
+            key, row_m, w = (np.cumsum(can) - 1)[node[mine]] * width, row[mine], e_g[mine]
+            gl, hl = np.empty((grow.size, n_cells)), np.empty((grow.size, n_cells))
             for f, c0, c1 in binner.segments:
-                hist = np.bincount(key + bins[f].take(row_m), w, minlength=2 * grow.size * width)
-                np.cumsum(hist.reshape(2, grow.size, width)[:, :, : c1 - c0], axis=2, out=left[:, :, c0:c1])
-            gr, hr = np.array([g_tot[grow], h_tot[grow]])[:, :, None] - left
+                cell = key + bins[f].take(row_m)
+                for hist, out in ((np.bincount(cell, w, minlength=grow.size * width), gl),
+                                  (np.bincount(cell, minlength=grow.size * width), hl)):
+                    np.cumsum(hist.reshape(grow.size, width)[:, : c1 - c0], axis=1, out=out[:, c0:c1])
+            hl *= hess
+            gr, hr = g_tot[grow, None] - gl, h_tot[grow, None] - hl
             ok = feats[owner[grow]][:, binner.cell_feature]
             ok &= (hl >= params.min_child_weight) & (hr >= params.min_child_weight)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -295,7 +298,7 @@ class GbdtModel:
 
 def fit_gbdt(data: Dataset, params: GbdtParams, loss: LossSpec, seed: int = 0) -> GbdtModel:
     """Train independent per-output ensembles sharing one parameter set."""
-    if data.n_rows * (2.0 if loss.kind == "mse" else 1.0) < 2 * params.min_child_weight:
+    if data.n_rows * loss.hessian < 2 * params.min_child_weight:
         raise InputError(f"{data.n_rows} rows cannot satisfy min_child_weight {params.min_child_weight}")
     (n, n_features), Y = data.X.shape, data.Y.T.copy()
     binner = _Binner(data.X, params.max_bins)
@@ -312,7 +315,7 @@ def fit_gbdt(data: Dataset, params: GbdtParams, loss: LossSpec, seed: int = 0) -
         active, residual = active[keep], residual[keep]
         if not active.size:
             break
-        g, h = loss_grad_hess(loss, Y[active], pred[active])
+        g, hess = loss_grad_hess(loss, Y[active], pred[active])
         rows = np.tile(np.arange(n_rows), (active.size, 1))
         feats = np.ones((active.size, n_features), dtype=bool)
         for i, rng in enumerate(rngs[j] for j in active):
@@ -320,7 +323,7 @@ def fit_gbdt(data: Dataset, params: GbdtParams, loss: LossSpec, seed: int = 0) -
                 rows[i] = np.sort(rng.choice(n, size=n_rows, replace=False))
             if n_feats < n_features:
                 feats[i] = np.isin(np.arange(n_features), rng.choice(n_features, size=n_feats, replace=False))
-        nodes, sizes, leaf_value = _grow_round(binner, bins, rows, feats, g, h, residual, loss, params)
+        nodes, sizes, leaf_value = _grow_round(binner, bins, rows, feats, g, hess, residual, loss, params)
         pred[active] += leaf_value
         rounds.append((active, sizes, nodes))
     # the trees output by output, each output's in fit order

@@ -2,10 +2,10 @@
 
 Three losses are supported: squared error, absolute error, and the Huber
 loss that is quadratic within ``delta`` of zero error and linear beyond.
-Gradients and hessians are taken with respect to the prediction and feed
-the boosting learner; losses with zero curvature get a hessian floor of 1
-so that split gains stay finite (leaf values are set from the leaf-optimal
-constant, not from grad/hess, so the floor only scales intermediate math).
+Gradients are taken with respect to the prediction and feed the boosting
+learner.  A loss's hessian is one float for every sample: 2 for mse, else 1,
+also where the true curvature is 0, so that split gains stay finite; it only
+weighs split gains and child sizes; leaf values are leaf-optimal constants.
 
 Conventions, fixed here once:
     error e = yhat - y
@@ -25,9 +25,6 @@ from .errors import ConfigError, InputError
 
 LOSS_KINDS = ("mse", "mae", "huber")
 
-# Curvature floor for losses whose true second derivative vanishes.
-HESSIAN_FLOOR = 1.0
-
 
 @dataclass(frozen=True)
 class LossSpec:
@@ -43,6 +40,11 @@ class LossSpec:
             )
         if self.kind == "huber" and not self.delta > 0:
             raise ConfigError(f"huber delta must be > 0, got {self.delta}")
+
+    @property
+    def hessian(self) -> float:
+        """The second derivative taken for every sample (see the module doc)."""
+        return 2.0 if self.kind == "mse" else 1.0
 
 
 def _check_finite(*arrays):
@@ -67,20 +69,16 @@ def loss_value(spec: LossSpec, y, yhat):
 
 
 def loss_grad_hess(spec: LossSpec, y, yhat):
-    """Gradient and hessian of the per-sample loss w.r.t. the prediction."""
+    """Per-sample gradient w.r.t. the prediction, and the loss's float hessian."""
     y = np.asarray(y, dtype=float)
     yhat = np.asarray(yhat, dtype=float)
     _check_finite(y, yhat)
     e = yhat - y
     if spec.kind == "mse":
-        return 2.0 * e, np.full_like(e, 2.0)
+        return 2.0 * e, spec.hessian
     if spec.kind == "mae":
-        return np.sign(e), np.full_like(e, HESSIAN_FLOOR)
-    d = spec.delta
-    inside = np.abs(e) <= d
-    g = np.where(inside, e, d * np.sign(e))
-    h = np.where(inside, 1.0, HESSIAN_FLOOR)
-    return g, h
+        return np.sign(e), spec.hessian
+    return np.clip(e, -spec.delta, spec.delta), spec.hessian
 
 
 def leaf_optimal_value(spec: LossSpec, residuals) -> float:

@@ -105,18 +105,6 @@ class LpSolution:
     iterations: int = 0
 
 
-def dump_lp(lp: LinearProgram) -> str:
-    """Fixed-layout text rendering of an LP, for bug reports."""
-    lines = [f"{'max' if lp.maximize else 'min'} {lp.n_vars} vars, {lp.n_rows} rows"]
-    lines.append("c: " + " ".join(f"{v:.12g}" for v in lp.c))
-    for i in range(lp.n_rows):
-        row = " ".join(f"{v:.12g}" for v in lp.A[i])
-        lines.append(f"r{i}: {row} {lp.senses[i]} {lp.b[i]:.12g}")
-    lines.append("lb: " + " ".join(f"{v:.12g}" for v in lp.lower))
-    lines.append("ub: " + " ".join(f"{v:.12g}" for v in lp.upper))
-    return "\n".join(lines)
-
-
 class _Standardizer:
     """Rewrites an LP as min c.x, A x = b, x >= 0, b >= 0 and remembers how
     to map a standard-form point back onto the original variables.

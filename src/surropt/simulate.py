@@ -99,18 +99,16 @@ class DecisionVector:
         orders = np.asarray(self.orders)
         ship = np.asarray(self.transship)
         for arr, name in ((orders, "orders"), (ship, "transship")):
-            if not np.issubdtype(arr.dtype, np.integer) and not np.all(arr == np.round(arr)):
+            if arr.dtype.kind not in "iu" and not (arr == np.round(arr)).all():
                 raise InputError(f"{name} must hold integers")
         orders = orders.astype(np.int64)
         ship = ship.astype(np.int64)
-        h = orders.shape[0]
-        if ship.shape[:2] != (h, h) or ship.ndim != 3:
-            raise InputError(
-                f"transship must have shape (H, H, M) matching orders, got {ship.shape}"
-            )
-        if np.any(orders < 0) or np.any(ship < 0):
+        h = orders.size
+        if orders.ndim != 1 or ship.ndim != 3 or ship.shape[:2] != (h, h):
+            raise InputError(f"orders {orders.shape} and transship {ship.shape} are not (H,) and (H, H, M)")
+        if (orders < 0).any() or (ship < 0).any():
             raise InputError("decision quantities must be nonnegative")
-        if np.any(np.einsum("iim->im", ship) != 0):
+        if ship.diagonal().any():
             raise InputError("self-transshipment entries must be zero")
         orders.flags.writeable = False
         ship.flags.writeable = False
@@ -236,15 +234,20 @@ def _check_applicable(state: InventoryState, decision: DecisionVector):
 
 
 def as_demand(demand, hospitals: int, batched: bool = False) -> np.ndarray:
-    """Whole-number demand as int64: one (H,) day or (S, H) scenarios, S >= 1."""
+    """Whole-number demand as int64: one (H,) day or (S, H) scenarios, S >= 1;
+    integer arrays are taken exactly, anything else through float64."""
     try:
-        arr = np.asarray(demand, dtype=float)
+        arr = np.asarray(demand)
+        arr = arr if arr.dtype.kind in "iu" else np.asarray(demand, dtype=float)
     except (TypeError, ValueError):
         raise InputError(f"demand must be numbers, one per hospital ({hospitals})") from None
     if arr.ndim != 1 + batched or arr.shape[-1] != hospitals or (batched and not len(arr)):
         raise InputError(f"demand of shape {arr.shape} does not match {hospitals} hospitals")
-    # NaN fails every comparison and infinity the upper one
-    whole = (arr >= 0) & (arr < 2.0**63) & (arr == np.floor(arr))
+    if arr.dtype.kind == "f":
+        # NaN fails every comparison and infinity the upper one
+        whole = (arr >= 0) & (arr < 2.0**63) & (arr == np.floor(arr))
+    else:  # uint64 values from 2**63 up wrap to negative int64
+        whole = arr.astype(np.int64) >= 0
     if not whole.all():
         raise InputError(f"demand must be whole numbers >= 0, got {arr[~whole][0]}")
     return arr.astype(np.int64)

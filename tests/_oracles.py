@@ -381,7 +381,9 @@ def _fit_single_output(X, binned, thresholds, y, params, loss, rng):
         residual = y - pred
         if np.max(np.abs(residual)) < 1e-15:
             break
-        g, h = loss_grad_hess(loss, y, pred)
+        g, hess = loss_grad_hess(loss, y, pred)
+        # the hessian of each row, summed row by row below
+        h = np.full_like(g, hess)
         rows = all_rows if n_rows == n else np.sort(rng.choice(n, size=n_rows, replace=False))
         feats = (
             all_feats

@@ -388,7 +388,10 @@ class TestGbdtGrower:
     def fit_both(self, loss, **params):
         params = GbdtParams(eta=1.0, n_iterations=5, **params)
         data = self.data()
-        return fit_gbdt(data, params, loss, seed=7), reference_fit_gbdt(data, params, loss, seed=7)
+        # the reference scores an empty node with l2 = 0 as 0 / 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reference = reference_fit_gbdt(data, params, loss, seed=7)
+        return fit_gbdt(data, params, loss, seed=7), reference
 
     @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.kind)
     def test_stops_like_the_reference(self, loss):
@@ -400,13 +403,16 @@ class TestGbdtGrower:
     @pytest.mark.parametrize("subsample, colsample", [(1.0, 1.0), (0.7, 1.0), (1.0, 0.5), (0.7, 0.5)])
     @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.kind)
     def test_matches_reference(self, loss, subsample, colsample, max_depth):
-        for mcw, l1, max_bins in itertools.product((0.0, 2.0), (0.0, 0.1), (2, 64)):
+        # l2 = 0: with min_child_weight 0 empty nodes score 0 / 0, and 2.5 is
+        # a child weight that is not a multiple of the mse hessian
+        regular = itertools.product((0.0, 2.0), (0.0, 0.1), (2, 64), (1.0,))
+        for mcw, l1, max_bins, l2 in itertools.chain(regular, [(0.0, 0.0, 64, 0.0), (2.5, 0.1, 64, 0.0)]):
             model, reference = self.fit_both(
-                loss, max_depth=max_depth, min_child_weight=mcw, l1=l1, max_bins=max_bins,
+                loss, max_depth=max_depth, min_child_weight=mcw, l1=l1, l2=l2, max_bins=max_bins,
                 subsample=subsample, colsample_bytree=colsample,
             )
             for name in PACKED:
-                assert same_bits(getattr(model, name), getattr(reference, name)), (name, mcw, l1, max_bins)
+                assert same_bits(getattr(model, name), getattr(reference, name)), (name, mcw, l1, max_bins, l2)
             assert model.diagnostics == reference.diagnostics
 
 

@@ -57,14 +57,10 @@ def test_huber_gradient_matches_finite_differences_away_from_knee():
 
 
 def test_hessians():
-    _, h = loss_grad_hess(LossSpec("mse"), 1.0, 4.0)
-    assert h == 2.0
-    _, h = loss_grad_hess(LossSpec("mae"), 1.0, 4.0)
-    assert h == 1.0
-    _, h = loss_grad_hess(LossSpec("huber", 1.0), 1.0, 1.2)
-    assert h == 1.0
-    _, h = loss_grad_hess(LossSpec("huber", 1.0), 1.0, 9.0)
-    assert h == 1.0
+    """One float per loss, for every sample: huber's inside and outside the knee."""
+    for spec, want in ((LossSpec("mse"), 2.0), (LossSpec("mae"), 1.0), (LossSpec("huber", 1.0), 1.0)):
+        _, h = loss_grad_hess(spec, [1.0, 1.0], [1.2, 9.0])
+        assert type(h) is float and h == want == spec.hessian
 
 
 def test_nonnegative_and_zero_iff_equal():

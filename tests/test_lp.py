@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from surropt.errors import InputError, ResourceLimitError
-from surropt.lp import FEAS_TOL, LinearProgram, dump_lp, solve_lp
+from surropt.lp import FEAS_TOL, LinearProgram, solve_lp
 from surropt.two_stage import build_saa
 from surropt.util import stream
 
@@ -179,12 +179,6 @@ class TestValidation:
             assert np.all(resid <= FEAS_TOL * max(1.0, np.abs(lp.b).max()))
             assert np.all(sol.x >= lp.lower - FEAS_TOL)
             assert np.all(sol.x <= lp.upper + FEAS_TOL)
-
-    def test_dump_layout(self):
-        lp = LinearProgram(c=[1.0], A=[[2.0]], b=[3.0], senses=("<=",))
-        text = dump_lp(lp)
-        assert "min 1 vars, 1 rows" in text
-        assert "r0: 2 <= 3" in text
 
 
 class TestAgainstHighs:

@@ -9,6 +9,7 @@ from surropt.simulate import (
     CostParams,
     DecisionVector,
     InventoryState,
+    as_demand,
     check_feasibility,
     decision_length,
     receipts_state,
@@ -37,6 +38,13 @@ def _ship_one_slot(h, m, sender, age, quantities):
     return DecisionVector(np.zeros(h, dtype=np.int64), ship)
 
 
+def _lane(value, dtype=np.int64, shape=(2, 2, 3), at=(0, 1, 0)):
+    """A transship array holding ``value`` at ``at`` and zeros elsewhere."""
+    ship = np.zeros(shape, dtype=dtype)
+    ship[at] = value
+    return ship
+
+
 class TestShapes:
     def test_flatten_lengths(self):
         assert decision_length(4, 11) == 136
@@ -54,6 +62,24 @@ class TestShapes:
         ship[1, 1, 0] = 1
         with pytest.raises(InputError):
             DecisionVector(np.zeros(2, dtype=np.int64), ship)
+
+    @pytest.mark.parametrize(
+        "orders, ship",
+        [
+            (np.array([1.5, 0.0]), _lane(0)),
+            ([0, 0], _lane(0.5, float)),
+            ([-1, 0], _lane(0)),
+            ([0, 0], _lane(-1)),
+            ([0, 0], _lane(0, shape=(2, 3, 3))),
+            (np.array(2), _lane(0)),
+        ],
+        ids=["fractional-order", "fractional-shipment", "negative-order", "negative-shipment",
+             "misshaped-transship", "scalar-orders"],
+    )
+    def test_bad_decision_rejected(self, orders, ship):
+        """With test_self_shipment_rejected, every check of the constructor."""
+        with pytest.raises(InputError):
+            DecisionVector(np.asarray(orders), ship)
 
     def test_negative_inventory_rejected(self):
         with pytest.raises(InputError):
@@ -231,13 +257,21 @@ class TestStepInputs:
 
     @pytest.mark.parametrize(
         "demand",
-        [[1.9, 2], [np.nan, 1], [np.inf, 1], [2**70, 1], [-1, 2], [1, 2, 3], [[1, 2]], ["a", 1]],
-        ids=["fractional", "nan", "inf", "overflow", "negative", "long", "2-d", "text"],
+        [[1.9, 2], [np.nan, 1], [np.inf, 1], [2**70, 1], np.array([2**63, 1], dtype=np.uint64),
+         [-1, 2], [1, 2, 3], [[1, 2]], ["a", 1]],
+        ids=["fractional", "nan", "inf", "overflow", "uint64-overflow", "negative", "long", "2-d", "text"],
     )
     def test_bad_demand_rejected(self, demand):
         state = InventoryState.zeros(2, 3)
         with pytest.raises(InputError, match="demand"):
             step(state, DecisionVector.zeros(2, 3), demand, CostParams())
+
+    @pytest.mark.parametrize("value", [2**53 + 1, 2**62 + 1])
+    def test_integer_demand_kept_exact(self, value):
+        """Integer demand skips float64, which would round these values."""
+        for demand in ([value, 0], np.array([value, 0]), np.array([value, 0], dtype=np.uint64)):
+            assert as_demand(demand, 2).tolist() == [value, 0]
+        assert as_demand([[value, 1]], 2, batched=True).tolist() == [[value, 1]]
 
     def test_whole_float_demand_accepted(self):
         state = InventoryState(np.array([[0, 0, 3], [1, 0, 0]]))
