@@ -4,11 +4,12 @@ Each boosting round fits one depth-capped tree per output to the current
 loss gradients.  Split gains use the regularized score T(G)^2 / (H + l2)
 with an L1 soft threshold on the gradient sum G; the hessian mass H is the
 loss's hessian ``hess``, one float, times the row count, and children must
-carry at least ``min_child_weight`` of it, ``min_child_weight / hess`` rows.
-Leaf values are the exact loss-minimizing constant of the leaf's residuals
-(mean, median, or the Huber minimizer) scaled by the learning rate, and the
-model boosts from the loss-optimal constant of the full target, so training
-loss never increases while subsampling is off.
+carry at least ``min_child_weight`` of it, ``min_child_weight / hess`` rows,
+and one row at the least.  Leaf values are the exact loss-minimizing
+constant of the leaf's residuals (mean, median, or the Huber minimizer)
+scaled by the learning rate, and the model boosts from the loss-optimal
+constant of the full target, so training loss never increases while
+subsampling is off.
 
 Features are pre-binned once per fit on equal-frequency quantiles (64 bins
 by default); numeric thresholds are stored in the nodes, so prediction
@@ -145,8 +146,8 @@ def _grow_round(binner, bins, rows, feats, g, hess, residual, loss, params):
             for k, (s, e, ht) in enumerate(zip(start, end, h_tot)):
                 g_tot[k] = gt = float(e_g[s:e].sum())
                 # the node's own score: float ** is libm pow, which can round unlike
-                # the array square; ht + l2 is 0 only at an empty node with l2 = 0
-                parent[k] = max(abs(gt) - params.l1, 0.0) ** 2 / (ht + params.l2) if ht + params.l2 else np.nan
+                # the array square; no node is empty, so ht > 0
+                parent[k] = max(abs(gt) - params.l1, 0.0) ** 2 / (ht + params.l2)
             can = h_tot >= 2 * params.min_child_weight
             grow, mine = np.flatnonzero(can), can[node]
             # one bincount per feature fills the gradient histogram, and one
@@ -161,7 +162,10 @@ def _grow_round(binner, bins, rows, feats, g, hess, residual, loss, params):
             hl *= hess
             gr, hr = g_tot[grow, None] - gl, h_tot[grow, None] - hl
             ok = feats[owner[grow]][:, binner.cell_feature]
-            ok &= (hl >= params.min_child_weight) & (hr >= params.min_child_weight)
+            # hl and hr are hess times a row count, so each side keeps a row:
+            # an empty one scores 0 / 0 when l2 = 0
+            least = max(params.min_child_weight, hess)
+            ok &= (hl >= least) & (hr >= least)
             with np.errstate(divide="ignore", invalid="ignore"):
                 gain = _score(gl, hl, params) + _score(gr, hr, params) - parent[grow, None]
             gain[~ok] = -np.inf

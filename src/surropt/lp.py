@@ -1,10 +1,11 @@
 """Dense linear programming by the primal simplex method.
 
 Problems arrive in inequality form (row senses <=, ==, >= plus variable
-bounds) and are converted to standard equalities with nonnegative variables.
-A crash pass builds the starting basis from slack columns and structural
-singleton columns, so LPs with an obvious feasible point (like the
-scenario programs built by the two-stage solver) skip phase one entirely.
+bounds) and are written, as standard equalities with nonnegative variables,
+straight into the one dense tableau a solve pivots on.  A crash pass builds
+the starting basis from slack columns and structural singleton columns, so
+LPs with an obvious feasible point (like the scenario programs built by the
+two-stage solver) skip phase one entirely.
 
 Pivoting is deterministic.  The default rule prices by the most negative
 reduced cost and falls back permanently to Bland's smallest-index rule after
@@ -105,82 +106,92 @@ class LpSolution:
     iterations: int = 0
 
 
-class _Standardizer:
-    """Rewrites an LP as min c.x, A x = b, x >= 0, b >= 0 and remembers how
-    to map a standard-form point back onto the original variables.
+def _tableau(lp: LinearProgram):
+    """Write the LP's standard form, min c.x, A x = b, x >= 0, b >= 0, into a
+    fresh simplex tableau that starts from a crash basis.
 
     A variable with a finite lower bound becomes ``x - lower`` (plus a row
     ``x - lower <= upper - lower`` when the upper bound is finite too), one
     with only an upper bound ``upper - x``, and a free one the difference of
     two columns.  Standard column k stands for ``col_sign[k]`` times original
-    variable ``source[k]``, less its ``offset``."""
+    variable ``source[k]``, less its ``offset``.  Slack and surplus columns
+    follow the structural ones, and rows with a negative rhs are negated.
 
-    def __init__(self, lp: LinearProgram):
-        n, m0 = lp.n_vars, lp.n_rows
-        sign = -1.0 if lp.maximize else 1.0
-        has_lower = np.isfinite(lp.lower)
-        upper_only = ~has_lower & np.isfinite(lp.upper)
-        free = ~has_lower & ~upper_only
-        boxed = has_lower & np.isfinite(lp.upper)
-        width = np.where(free, 2, 1)
-        self.source = np.repeat(np.arange(n), width)
-        first = np.cumsum(width) - width  # each variable's first standard column
-        self.col_sign = np.ones(self.source.size)
-        self.col_sign[first[upper_only]] = -1.0
-        self.col_sign[first[free] + 1] = -1.0
-        # -0.0 adds exactly nothing, so a free variable restores to the bits
-        # of x_plus - x_minus
-        self.offset = np.where(has_lower, lp.lower, np.where(upper_only, lp.upper, -0.0))
+    The crash basis gives each row the first column whose only nonzero is a
+    positive entry in that row, and divides the row by that entry.  Rows left
+    uncovered get artificial columns, after the slack columns.
 
-        # b - A[:, j] * offset[j], one shifted variable after the other
-        terms = np.vstack([lp.b, lp.A.T[~free]])
-        terms[1:] *= self.offset[~free, None]
-        rhs = np.concatenate([np.subtract.reduce(terms, axis=0), (lp.upper - lp.lower)[boxed]])
-        senses = np.array(lp.senses + ("<=",) * int(boxed.sum()), dtype="U2")
-        # +1: slack column, -1: surplus column, 0: none
-        slack = (senses == "<=").astype(float) - (senses == ">=")
+    Returns the tableau with an empty cost row, the basis, the phase-2 cost
+    of the standard columns and the map ``(source, col_sign, offset)``."""
+    n0, m0 = lp.n_vars, lp.n_rows
+    has_lower = np.isfinite(lp.lower)
+    upper_only = ~has_lower & np.isfinite(lp.upper)
+    free = ~has_lower & ~upper_only
+    boxed = has_lower & np.isfinite(lp.upper)
+    width = np.where(free, 2, 1)
+    source = np.repeat(np.arange(n0), width)
+    first = np.cumsum(width) - width  # each variable's first standard column
+    col_sign = np.ones(source.size)
+    col_sign[first[upper_only]] = -1.0
+    col_sign[first[free] + 1] = -1.0
+    # -0.0 adds exactly nothing, so a free variable restores to the bits
+    # of x_plus - x_minus
+    offset = np.where(has_lower, lp.lower, np.where(upper_only, lp.upper, -0.0))
 
-        # negate the rows with a negative rhs (bound rows never have one)
-        row_sign = np.where(rhs < 0, -1.0, 1.0)
-        rhs *= row_sign
-        slack *= row_sign
+    # b - A[:, j] * offset[j], one shifted variable after the other
+    shifted = offset != 0.0
+    rhs = np.subtract.reduce(np.vstack([lp.b, lp.A[:, shifted].T * offset[shifted, None]]), axis=0)
+    # a zero offset shifts nothing, but b - (-0.0) turns a -0.0 rhs into +0.0
+    zero, neg = ~free & ~shifted, np.signbit(rhs) & (rhs == 0.0)
+    neg[neg] = (np.signbit(lp.A[neg][:, zero]) != np.signbit(offset[zero])).any(axis=1)
+    rhs[neg] = 0.0
+    rhs = np.concatenate([rhs, (lp.upper - lp.lower)[boxed]])
+    senses = np.array(lp.senses + ("<=",) * int(boxed.sum()), dtype="U2")
+    # +1: slack column, -1: surplus column, 0: none
+    slack = (senses == "<=").astype(float) - (senses == ">=")
+    # negate the rows with a negative rhs (bound rows never have one)
+    row_sign = np.where(rhs < 0, -1.0, 1.0)
+    m, n_struct = rhs.size, source.size
+    slack_rows = np.flatnonzero(slack)
+    n = n_struct + slack_rows.size
 
-        m, n_struct = rhs.size, self.source.size
-        slack_rows = np.flatnonzero(slack)
-        self.A = np.zeros((m, n_struct + slack_rows.size))
-        self.A[:m0, :n_struct] = lp.A[:, self.source] * self.col_sign * row_sign[:m0, None]
-        self.A[np.arange(m0, m), first[boxed]] = 1.0
-        self.A[slack_rows, n_struct + np.arange(slack_rows.size)] = slack[slack_rows]
-        self.b = rhs
-        self.c = np.zeros(self.A.shape[1])
-        self.c[:n_struct] = sign * lp.c[self.source] * self.col_sign
-
-    def restore(self, x_std: np.ndarray) -> np.ndarray:
-        x = self.offset.copy()
-        np.add.at(x, self.source, self.col_sign * x_std[: self.source.size])
-        return x
-
-
-def _crash_basis(A, b):
-    """Choose a starting basis: for each row, the first column whose support
-    is that row alone, with a positive entry (the row is rescaled to make it a
-    unit column).  Rows left uncovered (-1) get artificials."""
-    m, n = A.shape
+    # each column's crash row, or -1: the row of its only nonzero, if that is
+    # positive; a boxed variable's first column also holds its bound row's 1
+    bound_row = np.full(n_struct, -1)
+    bound_row[first[boxed]] = np.arange(m0, m)
+    support = lp.A != 0.0
+    nonzeros = support.sum(axis=0)[source]
+    # argmax has no answer over zero rows
+    top = (support.argmax(axis=0) if m0 else np.zeros(n0, np.int64))[source]
+    crash_row = np.where(nonzeros == 0, bound_row, -1)
+    alone = np.flatnonzero((nonzeros == 1) & (bound_row < 0))
+    row = top[alone]
+    positive = lp.A[row, source[alone]] * col_sign[alone] * row_sign[row] > PIVOT_TOL
+    crash_row[alone[positive]] = row[positive]
+    crash_row = np.append(crash_row, np.where(slack[slack_rows] * row_sign[slack_rows] > 0, slack_rows, -1))
+    cols = np.flatnonzero(crash_row >= 0)
+    rows, firsts = np.unique(crash_row[cols], return_index=True)
     basis = np.full(m, -1, dtype=np.int64)
-    if m == 0:
-        return basis
-    support = A != 0.0
-    row = np.argmax(support, axis=0)
-    singleton = (support.sum(axis=0) == 1) & (A[row, np.arange(n)] > PIVOT_TOL)
-    cols = np.flatnonzero(singleton)
-    rows, firsts = np.unique(row[cols], return_index=True)
-    cols = cols[firsts]
-    scale = np.ones(m)  # x / 1.0 is exactly x
-    scale[rows] = A[rows, cols]
-    A /= scale[:, None]
-    b /= scale
-    basis[rows] = cols
-    return basis
+    basis[rows] = cols[firsts]
+    art_rows = np.flatnonzero(basis < 0)
+    basis[art_rows] = n + np.arange(art_rows.size)
+
+    T = np.zeros((m + 1, n + art_rows.size + 1))
+    # a free variable's second column repeats its first
+    T[:m0, :n_struct] = lp.A if n_struct == n0 else lp.A[:, source]
+    T[:m0, np.flatnonzero(col_sign < 0)] *= -1.0
+    T[np.arange(m0, m), first[boxed]] = 1.0
+    T[slack_rows, n_struct + np.arange(slack_rows.size)] = slack[slack_rows]
+    T[:m, -1] = rhs
+    # negate and crash-scale each row in one pass: x / -s is exactly -(x / s),
+    # and x / 1.0 is x
+    divisor = row_sign.copy()
+    divisor[rows] = T[rows, basis[rows]]
+    T[:m] /= divisor[:, None]
+    T[art_rows, basis[art_rows]] = 1.0
+    c = np.zeros(n)
+    c[:n_struct] = (-1.0 if lp.maximize else 1.0) * lp.c[source] * col_sign
+    return T, basis, c, (source, col_sign, offset)
 
 
 def _simplex_loop(T, basis, allowed, pivot_rule, max_pivots, start_iter):
@@ -273,33 +284,22 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 1_000_000, pivot_rule: str = "
     """
     if pivot_rule not in ("auto", "bland"):
         raise InputError(f"pivot_rule must be 'auto' or 'bland', got {pivot_rule!r}")
-    std = _Standardizer(lp)
-    A, b, c = std.A, std.b, std.c
-    m, n = A.shape
-
-    basis = _crash_basis(A, b)
-    art_rows = np.flatnonzero(basis < 0)
-    n_art = art_rows.size
-    total_cols = n + n_art
-    T = np.zeros((m + 1, total_cols + 1))
-    T[:m, :n] = A
-    T[:m, -1] = b
-    T[art_rows, n + np.arange(n_art)] = 1.0
-    basis[art_rows] = n + np.arange(n_art)
+    T, basis, c, (source, col_sign, offset) = _tableau(lp)
+    m, n, total_cols = basis.size, c.size, T.shape[1] - 1
     allowed = np.ones(total_cols, dtype=bool)
     iterations = 0
 
-    if n_art:
-        # phase 1: minimize the artificial sum
-        phase_cost = np.zeros(total_cols)
-        phase_cost[n:] = 1.0
-        T[-1, :-1] = phase_cost
-        T[-1, -1] = 0.0
+    if total_cols > n:
+        # phase 1: minimize the artificial sum; infeasibility is measured
+        # against the largest rhs of the crash-scaled standard form
+        infeasible = FEAS_TOL * max(1.0, np.abs(T[:m, -1]).max())
+        art_rows = np.flatnonzero(basis >= n)
+        T[-1, n:-1] = 1.0
         T[-1] = np.subtract.reduce(np.vstack([T[-1:], T[art_rows]]), axis=0)
         status, iterations = _simplex_loop(T, basis, allowed, pivot_rule, max_pivots, iterations)
         if status != "optimal":
             raise InternalError("phase 1 cannot be unbounded")
-        if -T[-1, -1] > FEAS_TOL * max(1.0, np.abs(b).max()):
+        if -T[-1, -1] > infeasible:
             return LpSolution(status="infeasible", iterations=iterations)
         # drive remaining artificials out of the basis
         drop_rows = []
@@ -331,14 +331,13 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 1_000_000, pivot_rule: str = "
     status, iterations = _simplex_loop(T, basis, allowed, pivot_rule, max_pivots, iterations)
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=iterations)
-    iterations = _lexicographic_min(
-        T, basis, allowed, std.source.size, pivot_rule, max_pivots, iterations
-    )
+    iterations = _lexicographic_min(T, basis, allowed, source.size, pivot_rule, max_pivots, iterations)
 
     x_std = np.zeros(n)
     structural = basis < n
     x_std[basis[structural]] = T[:m, -1][structural]
-    x = std.restore(x_std)
+    x = offset.copy()
+    np.add.at(x, source, col_sign * x_std[: source.size])
     objective = float(lp.c @ x)
     _verify(lp, x)
     return LpSolution(status="optimal", x=x, objective=objective, iterations=iterations)

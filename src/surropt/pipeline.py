@@ -280,49 +280,24 @@ class ComparisonResult:
     reports: list          # RolloutReport per policy, oracle last
     days: int
 
+    # one row per policy: its mean cost per day by part, and its violations;
+    # the text table leaves out the last column
+    COLUMNS = ("policy", "holding", "transshipment", "outdate", "ordering", "shortage", "total",
+               "violations", "violation_rate")
+
     def rows(self):
-        out = []
-        for r in self.reports:
-            m = r.cost_mean
-            out.append(
-                {
-                    "policy": r.label,
-                    "holding": m.holding,
-                    "transshipment": m.transshipment,
-                    "outdate": m.outdate,
-                    "ordering": m.ordering,
-                    "shortage": m.shortage,
-                    "total": m.total,
-                    "violations": r.violations,
-                    "violation_rate": r.violation_rate,
-                }
-            )
-        return out
+        return [
+            dict(zip(self.COLUMNS, (r.label, *r.cost_mean.as_tuple(), r.cost_mean.total,
+                                    r.violations, r.violation_rate)))
+            for r in self.reports
+        ]
 
     def table(self) -> str:
         """Aligned text table of average per-day costs, one policy per row."""
-        headers = [
-            "Policy",
-            "Holding",
-            "Transshipment",
-            "Outdate",
-            "Ordering",
-            "Shortage",
-            "Total",
-            "Violations",
-        ]
+        headers = [name.capitalize() for name in self.COLUMNS[:-1]]
         rows = [
-            [
-                r["policy"],
-                f"{r['holding']:.2f}",
-                f"{r['transshipment']:.2f}",
-                f"{r['outdate']:.2f}",
-                f"{r['ordering']:.2f}",
-                f"{r['shortage']:.2f}",
-                f"{r['total']:.2f}",
-                str(r["violations"]),
-            ]
-            for r in self.rows()
+            [row["policy"], *(f"{row[name]:.2f}" for name in self.COLUMNS[1:-2]), str(row["violations"])]
+            for row in self.rows()
         ]
         widths = [max(len(h), *(len(row[k]) for row in rows)) for k, h in enumerate(headers)]
         lines = ["  ".join(h.ljust(widths[k]) for k, h in enumerate(headers))]
@@ -335,7 +310,6 @@ def compare_models(
     config: ExperimentConfig,
     models: dict,
     days: int = None,
-    include_oracle: bool = True,
 ) -> ComparisonResult:
     """Roll every model and the oracle on one shared demand stream.
 
@@ -344,8 +318,6 @@ def compare_models(
     """
     demands = rollout_demands(config, days)
     reports = [rollout(config, model, demands, label=name) for name, model in models.items()]
-    if include_oracle:
-        policy = OraclePolicy(config, ROLLOUT_PHASE)
-        result = run_horizon(config.initial_state, policy, demands, config.costs)
-        reports.append(report_from_run("oracle", result))
+    result = run_horizon(config.initial_state, OraclePolicy(config, ROLLOUT_PHASE), demands, config.costs)
+    reports.append(report_from_run("oracle", result))
     return ComparisonResult(reports=reports, days=len(demands))

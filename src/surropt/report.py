@@ -53,33 +53,9 @@ def read_dataset_csv(path, hospitals: int = 4, max_age: int = 11) -> Dataset:
 def write_comparison_csv(path, comparison: ComparisonResult) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "policy",
-                "holding",
-                "transshipment",
-                "outdate",
-                "ordering",
-                "shortage",
-                "total",
-                "violations",
-                "violation_rate",
-            ]
-        )
+        writer.writerow(comparison.COLUMNS)
         for row in comparison.rows():
-            writer.writerow(
-                [
-                    row["policy"],
-                    repr(row["holding"]),
-                    repr(row["transshipment"]),
-                    repr(row["outdate"]),
-                    repr(row["ordering"]),
-                    repr(row["shortage"]),
-                    repr(row["total"]),
-                    row["violations"],
-                    repr(row["violation_rate"]),
-                ]
-            )
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row.values()])
 
 
 def write_comparison_text(path, comparison: ComparisonResult) -> None:

@@ -99,7 +99,12 @@ class DecisionVector:
         orders = np.asarray(self.orders)
         ship = np.asarray(self.transship)
         for arr, name in ((orders, "orders"), (ship, "transship")):
-            if arr.dtype.kind not in "iu" and not (arr == np.round(arr)).all():
+            # NaN fails every comparison and infinity the bound; strings,
+            # objects and complex numbers are not counts
+            whole = arr.dtype.kind in "biu" or (
+                arr.dtype.kind == "f" and ((np.abs(arr) < 2.0**63) & (arr == np.round(arr))).all()
+            )
+            if not whole:
                 raise InputError(f"{name} must hold integers")
         orders = orders.astype(np.int64)
         ship = ship.astype(np.int64)

@@ -332,7 +332,8 @@ def _grow_tree(binned, thresholds, rows, feats, g, h, residual, loss, params):
             hl = np.cumsum(hh, axis=1)
             gr = g_tot - gl
             hr = h_tot - hl
-            ok = valid & (hl >= params.min_child_weight) & (hr >= params.min_child_weight)
+            side = np.minimum(hl, hr)
+            ok = valid & (side >= params.min_child_weight) & (side > 0)
             parent = _soft_threshold(g_tot, params.l1) ** 2 / (h_tot + params.l2)
             with np.errstate(divide="ignore", invalid="ignore"):
                 gain = np.where(

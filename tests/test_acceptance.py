@@ -7,6 +7,7 @@ in a module fixture and shared; the determinism criterion rebuilds them from
 scratch and compares bytes.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -315,6 +316,15 @@ def test_criterion_8_loss_effect_on_outliers():
             wins += 1
     assert wins >= 3
     report(8, time.time() - t0, 300.0, f"mae-loss model won {wins}/5 seeds")
+
+
+# the labels of the 500-day generate; a change to them must be declared
+DATASET_SHA256 = "e75d8b57a1d5e9c907195ea28df129698714f08afc86edc40b49614c4e5ade2b"
+
+
+def test_dataset_labels_pinned(artifacts):
+    digest = hashlib.sha256((artifacts["out"] / "dataset.csv").read_bytes()).hexdigest()
+    assert digest == DATASET_SHA256
 
 
 def test_criterion_9_determinism(artifacts, tmp_path_factory):

@@ -169,6 +169,17 @@ class TestGbdt:
         rmse = np.sqrt(np.mean((model.predict(X) - Y) ** 2))
         assert rmse < 0.01
 
+    def test_no_split_leaves_a_side_empty(self):
+        # with l2 = 0 and min_child_weight = 0 a cell with an empty side scores
+        # 0 / 0; the root's right child must still split 10s from 20s
+        X = np.arange(8.0)[:, None]
+        Y = np.array([[0.0], [0.0], [0.0], [0.0], [10.0], [10.0], [20.0], [20.0]])
+        params = GbdtParams(
+            n_iterations=1, max_depth=2, min_child_weight=0, subsample=1.0, eta=1.0, l1=0.0, l2=0.0
+        )
+        model = fit_gbdt(Dataset(X, Y, np.arange(8)), params, LossSpec("mse"))
+        assert model.predict(X).tolist() == Y.tolist()
+
     def test_outlier_robustness_of_mae_loss(self):
         rng = np.random.default_rng(11)
         X = rng.uniform(0, 1, size=(300, 1))
@@ -388,9 +399,7 @@ class TestGbdtGrower:
     def fit_both(self, loss, **params):
         params = GbdtParams(eta=1.0, n_iterations=5, **params)
         data = self.data()
-        # the reference scores an empty node with l2 = 0 as 0 / 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            reference = reference_fit_gbdt(data, params, loss, seed=7)
+        reference = reference_fit_gbdt(data, params, loss, seed=7)
         return fit_gbdt(data, params, loss, seed=7), reference
 
     @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.kind)

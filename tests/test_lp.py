@@ -68,6 +68,30 @@ class TestTrivial:
         lp = LinearProgram(c=[-1.0], A=[[1.0]], b=[-5.0], senses=(">=",))
         assert solve_lp(lp).status == "unbounded"
 
+    @pytest.mark.parametrize(
+        "bounds, maximize, status, x",
+        [
+            (dict(upper=[2.0]), True, "optimal", [2.0]),
+            (dict(lower=[-1.0], upper=[3.0]), False, "optimal", [-1.0]),
+            (dict(lower=[-np.inf]), False, "unbounded", None),
+            ({}, False, "optimal", [0.0]),
+        ],
+        ids=["boxed-max", "shifted-min", "free", "nonnegative"],
+    )
+    def test_no_rows_only_bounds(self, bounds, maximize, status, x):
+        lp = LinearProgram(c=[1.0], A=np.zeros((0, 1)), b=[], senses=(), maximize=maximize, **bounds)
+        sol = solve_lp(lp)
+        assert sol.status == status
+        assert sol.x is None if x is None else sol.x.tolist() == x
+
+    @pytest.mark.parametrize("rule", ["auto", "bland"])
+    def test_zero_offsets_keep_the_sign_of_zero(self, rule):
+        # b - A x_lower with x_lower = -0.0 turns b = -0.0 into +0.0 (2 * -0.0
+        # is -0.0), and the zero it leaves in x is +0.0 as well
+        lp = LinearProgram(c=[0.0], A=[[2.0]], b=[-0.0], senses=(">=",), lower=[-0.0])
+        sol = solve_lp(lp, pivot_rule=rule)
+        assert sol.x.tolist() == [0.0] and not np.signbit(sol.x[0])
+
 
 class TestAgainstEnumeration:
     @pytest.mark.parametrize("rule", ["auto", "bland"])

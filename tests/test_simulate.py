@@ -72,12 +72,23 @@ class TestShapes:
             ([0, 0], _lane(-1)),
             ([0, 0], _lane(0, shape=(2, 3, 3))),
             (np.array(2), _lane(0)),
+            (np.array([1, 2], dtype=object), _lane(0)),
+            (np.array(["1", "2"]), _lane(0)),
+            (np.array([np.inf, 0.0]), _lane(0)),
+            (np.array([np.nan, 0.0]), _lane(0)),
+            (np.array([1 + 0j, 0]), _lane(0)),
+            ([0, 0], _lane(np.inf, float)),
+            ([0, 0], _lane(1 + 0j, complex)),
         ],
         ids=["fractional-order", "fractional-shipment", "negative-order", "negative-shipment",
-             "misshaped-transship", "scalar-orders"],
+             "misshaped-transship", "scalar-orders", "object-orders", "string-orders",
+             "infinite-order", "nan-order", "complex-order", "infinite-shipment",
+             "complex-shipment"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_bad_decision_rejected(self, orders, ship):
-        """With test_self_shipment_rejected, every check of the constructor."""
+        """With test_self_shipment_rejected, every check of the constructor;
+        none may warn on the way, as a cast of infinity or of a complex does."""
         with pytest.raises(InputError):
             DecisionVector(np.asarray(orders), ship)
 
