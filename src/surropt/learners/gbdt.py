@@ -22,10 +22,12 @@ bit for bit, those of growing each output's tree alone, node by node.
 Each output draws its rows, then its features, from its own stream; a
 histogram cell adds its rows in ascending order, as do the pairwise sums
 that give node totals; the best split is the first maximum over (feature,
-bin); each leaf takes ``eta * leaf_optimal_value`` of its own residuals;
-every row, sampled or not, goes left when its bin is at most the split's,
-which is ``x <= threshold`` since a bin counts the thresholds below x;
-and each tree's nodes are numbered depth-first, left subtree first.
+bin); one ``leaf_optimal_value`` call per level values all its leaves,
+each ``eta`` times the constant of its own residuals alone, so a leaf's
+value does not depend on which leaves share its level; every row, sampled
+or not, goes left when its bin is at most the split's, which is
+``x <= threshold`` since a bin counts the thresholds below x; and each
+tree's nodes are numbered depth-first, left subtree first.
 
 A fitted forest is packed into the flat arrays of the model file.
 Prediction walks every (row, tree) pair one level per array step, then adds
@@ -171,9 +173,9 @@ def _grow_round(binner, bins, rows, feats, g, hess, residual, loss, params):
             gain[~ok] = -np.inf
             best[grow] = np.argmax(gain, axis=1)
             split[grow] = gain[np.arange(grow.size), best[grow]] > _GAIN_TOL
-        value = np.zeros(size + 1)
-        for k in np.flatnonzero(~split[:-1]):
-            value[k] = params.eta * leaf_optimal_value(loss, e_res[start[k] : end[k]])
+        # one call values every leaf of the level, each from its own rows
+        leaf, value = np.flatnonzero(~split[:-1]), np.zeros(size + 1)
+        value[leaf] = params.eta * leaf_optimal_value(loss, e_res[~split[node]], count[leaf])
         hit = np.flatnonzero(split)
         feature, bin_, threshold = np.full(size + 1, -1, np.int32), np.zeros(size + 1, np.int64), np.zeros(size)
         feature[hit], bin_[hit], threshold[hit] = (
@@ -302,7 +304,7 @@ class GbdtModel:
 
 def fit_gbdt(data: Dataset, params: GbdtParams, loss: LossSpec, seed: int = 0) -> GbdtModel:
     """Train independent per-output ensembles sharing one parameter set."""
-    if data.n_rows * loss.hessian < 2 * params.min_child_weight:
+    if not data.n_rows or data.n_rows * loss.hessian < 2 * params.min_child_weight:
         raise InputError(f"{data.n_rows} rows cannot satisfy min_child_weight {params.min_child_weight}")
     (n, n_features), Y = data.X.shape, data.Y.T.copy()
     binner = _Binner(data.X, params.max_bins)

@@ -7,6 +7,16 @@ learner.  A loss's hessian is one float for every sample: 2 for mse, else 1,
 also where the true curvature is 0, so that split gains stay finite; it only
 weighs split gains and child sizes; leaf values are leaf-optimal constants.
 
+A leaf value is exact.  mse takes the mean, mae the median from the sorted
+residuals.  The Huber constant is the root of the nonincreasing, piecewise
+linear F(c) = sum clip(r - c, -delta, delta), whose breakpoints are the
+r +- delta (Huber 1964, "Robust estimation of a location parameter"): a
+search over the sorted breakpoints finds the piece that holds the root, and
+the root is solved on that piece.  Where F is zero on a whole stretch (no
+residual within delta of it, as many below as above), the value is the
+stretch's left end.  Many leaves are valued in one call, each from its own
+residuals alone.
+
 Conventions, fixed here once:
     error e = yhat - y
     mse value (y - yhat)^2, gradient 2e, hessian 2
@@ -81,33 +91,58 @@ def loss_grad_hess(spec: LossSpec, y, yhat):
     return np.clip(e, -spec.delta, spec.delta), spec.hessian
 
 
-def leaf_optimal_value(spec: LossSpec, residuals) -> float:
+def leaf_optimal_value(spec: LossSpec, residuals, counts=None):
     """Constant c minimizing the summed loss of predicting c on ``residuals``.
 
-    residuals are y - current_prediction, so the returned constant is the
-    optimal additive correction for a tree leaf.  mse: mean; mae: median;
-    huber: root of the monotone derivative, bracketed by the residual range
-    and found by bisection (deterministic, 64 halvings).
+    residuals are y - current_prediction, so c is the optimal additive
+    correction for a tree leaf: a float, 0.0 for no residuals.  With
+    ``counts``, ``residuals`` holds consecutive nonempty segments of
+    ``counts[k]`` values, and the result is the array of their constants,
+    each with the bits of a call on its segment alone.
+    mse: ``np.mean`` of the segment as given; mae: ``np.median``'s bits, the
+    mean of the two middle sorted values; huber: the exact root of the
+    module doc, the left end of a flat stretch of roots.
     """
     r = np.asarray(residuals, dtype=float)
-    if r.size == 0:
-        return 0.0
+    if counts is None:
+        return float(leaf_optimal_value(spec, r, [r.size])[0]) if r.size else 0.0
+    counts = np.asarray(counts, dtype=np.int64)
+    start = np.cumsum(counts) - counts
     if spec.kind == "mse":
-        return float(np.mean(r))
+        return np.array([np.mean(r[s : s + c]) for s, c in zip(start.tolist(), counts.tolist())], dtype=float)
+    seg = np.repeat(np.arange(counts.size), counts)
+    s = r[np.lexsort((r, seg))]
     if spec.kind == "mae":
-        return float(np.median(r))
-    d = spec.delta
-    lo = float(np.min(r))
-    hi = float(np.max(r))
-    if lo == hi:
-        return lo
-    # derivative of sum huber(r - c) w.r.t. c is -sum clip(r - c, -d, d),
-    # nondecreasing in c; bisect for its zero crossing.
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        slope = -np.clip(r - mid, -d, d).sum()
-        if slope < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        return 0.5 * (s[start + (counts - 1) // 2] + s[start + counts // 2])
+    return _huber_roots(s, seg, start, counts, spec.delta)
+
+
+def _huber_roots(s, seg, start, counts, d):
+    """Each segment's root of F(c) = sum clip(s - c, -d, d); ``s`` is sorted
+    within the segments, which ``seg`` numbers."""
+    n = counts.size
+    # each segment's 2 * count breakpoints, sorted, from 2 * start on
+    bp = np.concatenate([s - d, s + d])
+    bp = bp[np.lexsort((bp, np.concatenate([seg, seg])))]
+    # bisect breakpoint ranks, keeping F(bp[lo]) > 0 >= F(bp[hi]); F is
+    # count * d at the first breakpoint and -count * d at the last.
+    # bincount adds each segment's terms in order, apart from the others.
+    lo, hi = 2 * start, 2 * (start + counts) - 1
+    while (hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        above = np.bincount(seg, np.clip(s - bp[mid][seg], -d, d), minlength=n) > 0
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    a, b = bp[lo], bp[hi]
+    # on (a, b) the residuals within d of c are fixed, so F is linear there
+    below, over = s + d <= a[seg], s - d >= b[seg]
+    n_below, n_over = np.bincount(seg[below], minlength=n), np.bincount(seg[over], minlength=n)
+    # centred on the first residual inside, so equal residuals give themselves
+    ref = s[start + np.minimum(n_below, counts - 1)]
+    dev = np.bincount(seg, np.where(below | over, 0.0, s - ref[seg]), minlength=n)
+    inside = np.maximum(counts - n_below - n_over, 1)
+    root = np.clip(ref + (d * (n_over - n_below) + dev) / inside, a, b)
+    # a flat stretch: the two middle residuals of an even count lie more
+    # than 2d apart, so no residual is within d of it and half lie each side
+    half = start + counts // 2
+    left, right = s[half - 1] + d, s[half] - d
+    return np.where((counts % 2 == 0) & (left < right), left, root)

@@ -8,7 +8,8 @@ ridge normal equations, the explicit per-age scenario LP instead of the
 hinge form, exhaustive enumeration instead of the LP oracle, a
 row-by-row, tree-by-tree walk instead of the packed GBDT forest,
 one-output, one-node-at-a-time recursive tree growth instead of the
-level-wise GBDT grower, and one day and one scenario at a time with a
+level-wise GBDT grower, bisection of the Huber leaf constant instead of
+the exact breakpoint search, and one day and one scenario at a time with a
 slot-by-slot issuing loop instead of the batched day-cycle kernel.
 """
 
@@ -261,6 +262,25 @@ def gradient_descent_ridge(X, Y, lam, iters=60_000, intercept=True):
 
 def central_difference(fn, x, eps=1e-6):
     return (fn(x + eps) - fn(x - eps)) / (2.0 * eps)
+
+
+def reference_huber_leaf(residuals, delta):
+    """The Huber leaf constant by bisection, 64 halvings of the residual
+    range: the derivative of sum huber(r - c) in c is -sum clip(r - c,
+    -delta, delta), nondecreasing; bisect for its zero crossing."""
+    r = np.asarray(residuals, dtype=float)
+    lo = float(np.min(r))
+    hi = float(np.max(r))
+    if lo == hi:
+        return lo
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        slope = -np.clip(r - mid, -delta, delta).sum()
+        if slope < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def reference_gbdt_predict(model, X):

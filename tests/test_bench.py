@@ -16,3 +16,23 @@ def test_trace_wrappers_name_existing_attributes(monkeypatch):
     assert len(wrappers) == 24
     missing = [(owner.__name__, attr) for owner, attr, _ in wrappers if not hasattr(owner, attr)]
     assert missing == []
+
+
+def test_traced_leaf_values_reach_the_patched_name(monkeypatch):
+    """The traced ``losses.leaf_value_s`` wraps ``gbdt.leaf_optimal_value``:
+    the grower must look leaf values up through that module global."""
+    import numpy as np
+
+    from surropt.learners import Dataset, fit_gbdt, gbdt
+    from surropt.learners.gbdt import GbdtParams
+    from surropt.losses import LossSpec
+
+    calls = []
+    real = gbdt.leaf_optimal_value
+    monkeypatch.setattr(gbdt, "leaf_optimal_value", lambda *a: calls.append(a) or real(*a))
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(40, 3))
+    params = GbdtParams(n_iterations=3, max_depth=2, min_child_weight=1, subsample=1.0)
+    fit_gbdt(Dataset(X, np.abs(X[:, :2]), np.arange(40)), params, LossSpec("huber", 1.0))
+    # the base, then at least one level of leaves per round
+    assert len(calls) >= 1 + params.n_iterations

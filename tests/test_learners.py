@@ -30,8 +30,10 @@ from _oracles import (
 )
 
 # GBDT model files written by the tree-by-tree grower, before the forest was
-# packed in memory (mae) and before the trees grew level by level (mse,
-# huber); the fitting recipe is format_fixture_model below.
+# packed in memory (mae) and before the trees grew level by level (mse); the
+# huber file was written once the Huber leaf value became the exact root
+# (bisection moved it in the last bits).  The fitting recipe is
+# format_fixture_model below.
 GBDT_FORMAT_FIXTURES = Path(__file__).parent / "data"
 LOSSES = [LossSpec("mse"), LossSpec("mae"), LossSpec("huber", 1.0)]
 
@@ -280,6 +282,12 @@ class TestGbdt:
         data = make_dataset(rng, n=4)
         with pytest.raises(InputError):
             fit_gbdt(data, GbdtParams(min_child_weight=5.0), LossSpec("mse"))
+
+    @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.kind)
+    def test_zero_rows_rejected(self, loss):
+        data = Dataset(np.zeros((0, 2)), np.zeros((0, 1)), np.arange(0))
+        with pytest.raises(InputError):
+            fit_gbdt(data, GbdtParams(min_child_weight=0), loss)
 
 
 def same_bits(a, b):

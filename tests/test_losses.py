@@ -4,7 +4,7 @@ import pytest
 from surropt.errors import ConfigError, InputError
 from surropt.losses import LossSpec, leaf_optimal_value, loss_grad_hess, loss_value
 
-from _oracles import central_difference
+from _oracles import central_difference, reference_huber_leaf
 
 
 def test_huber_quadratic_branch():
@@ -129,3 +129,89 @@ def test_input_validation():
         LossSpec("quantile")
     with pytest.raises(ConfigError):
         LossSpec("huber", 0.0)
+
+
+def huber_sets(rng, count):
+    """(residuals, delta) of sizes 1-300: normal at three scales, rounded to
+    0.1 and to whole numbers (ties, and roots on breakpoints), and Cauchy."""
+    for i in range(count):
+        r = rng.normal(size=int(rng.integers(1, 301))) * rng.choice([0.1, 1.0, 10.0])
+        r = (r, np.round(r, 1), np.round(r), rng.standard_cauchy(r.size))[i % 4]
+        yield r, (0.3, 1.0, 5.0)[i % 3]
+
+
+def flat_stretch(r, delta):
+    """The stretch [a, b] where the Huber derivative is zero, or None: the
+    two middle residuals of an even count more than 2 delta apart."""
+    s, h = np.sort(r), r.size // 2
+    if r.size % 2 == 0 and s[h] - s[h - 1] > 2 * delta:
+        return s[h - 1] + delta, s[h] - delta
+    return None
+
+
+def test_huber_leaf_matches_bisection():
+    """The exact root agrees with 64 halvings to 1e-12 max(1, |c|).  On a
+    flat stretch the exact value is the left end; the bisection tends there
+    as well, exactly so when delta is a whole number, but with delta = 0.3
+    its sum of +-delta terms can round above zero and end anywhere on the
+    stretch, so there it is only held to the stretch."""
+    rng = np.random.default_rng(10)
+    flats = 0
+    for r, delta in huber_sets(rng, 800):
+        c = leaf_optimal_value(LossSpec("huber", delta), r)
+        ref = reference_huber_leaf(r, delta)
+        tol = 1e-12 * max(1.0, abs(ref))
+        stretch = flat_stretch(r, delta)
+        if stretch is None or delta != 0.3:
+            assert abs(c - ref) <= tol, (r.size, delta, c, ref)
+        if stretch is not None:
+            flats += 1
+            assert c == stretch[0]
+            assert stretch[0] - tol <= ref <= stretch[1] + tol
+    assert flats >= 5
+
+
+def test_huber_leaf_edge_cases():
+    spec = LossSpec("huber", 1.0)
+    # one residual, and equal residuals, give themselves exactly
+    assert leaf_optimal_value(spec, [0.7]) == 0.7 == reference_huber_leaf([0.7], 1.0)
+    for r in ([0.1] * 3, [-2.5] * 8, [1e9] * 5):
+        assert leaf_optimal_value(spec, r) == r[0] == reference_huber_leaf(r, 1.0)
+    # two residuals more than 2 delta apart: every c in [1, 4] is a root, and
+    # both routines return the left end
+    for delta in (0.3, 1.0, 5.0):
+        r = [0.0, 2 * delta + 3.0]
+        c = leaf_optimal_value(LossSpec("huber", delta), r)
+        assert c == 0.0 + delta
+        assert abs(reference_huber_leaf(r, delta) - c) <= 1e-12 * max(1.0, c)
+    # the root is the breakpoint 2 - delta: F(1) = -1 + 0 + 1
+    assert leaf_optimal_value(spec, [-1.0, 1.0, 2.0]) == 1.0
+    assert abs(reference_huber_leaf([-1.0, 1.0, 2.0], 1.0) - 1.0) <= 1e-12
+    # amid tied residuals the root is the breakpoint 3 - delta: F(2) = -1 + 0 + 0 + 1
+    assert leaf_optimal_value(spec, [0.0, 2.0, 2.0, 3.0]) == 2.0
+    assert abs(reference_huber_leaf([0.0, 2.0, 2.0, 3.0], 1.0) - 2.0) <= 1e-12
+
+
+def test_mae_leaf_has_median_bits():
+    rng = np.random.default_rng(11)
+    for i in range(500):
+        r = rng.normal(size=int(rng.integers(1, 200))) * 3
+        r = np.round(r, 1) if i % 2 else r
+        assert leaf_optimal_value(LossSpec("mae"), r) == np.median(r)
+
+
+@pytest.mark.parametrize("spec", [LossSpec("mse"), LossSpec("mae"), LossSpec("huber", 0.7)],
+                         ids=lambda spec: spec.kind)
+def test_segments_valued_alone(spec):
+    """Many segments in one call get, bit for bit, the values of one call
+    each, whatever their order and neighbours."""
+    rng = np.random.default_rng(12)
+    segments = [rng.normal(size=int(rng.integers(1, 80))) * rng.choice([0.1, 3.0]) for _ in range(150)]
+    segments += [np.round(x, 1) for x in segments[:50]] + [np.full(4, 2.5), np.array([-3.0, 3.0])]
+    alone = np.array([leaf_optimal_value(spec, x) for x in segments])
+    for seed in range(3):
+        order = np.random.default_rng(seed).permutation(len(segments))
+        together = leaf_optimal_value(
+            spec, np.concatenate([segments[k] for k in order]), [segments[k].size for k in order]
+        )
+        assert together.dtype == float and together.tobytes() == alone[order].tobytes()
