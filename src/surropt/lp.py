@@ -295,7 +295,8 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 1_000_000, pivot_rule: str = "
         infeasible = FEAS_TOL * max(1.0, np.abs(T[:m, -1]).max())
         art_rows = np.flatnonzero(basis >= n)
         T[-1, n:-1] = 1.0
-        T[-1] = np.subtract.reduce(np.vstack([T[-1:], T[art_rows]]), axis=0)
+        for r in art_rows:
+            T[-1] -= T[r]
         status, iterations = _simplex_loop(T, basis, allowed, pivot_rule, max_pivots, iterations)
         if status != "optimal":
             raise InternalError("phase 1 cannot be unbounded")
@@ -324,10 +325,8 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 1_000_000, pivot_rule: str = "
     T[-1, :] = 0.0
     T[-1, :n] = c
     c_basic = np.append(c, 0.0)[np.minimum(basis, n)]
-    priced = np.flatnonzero(c_basic)
-    terms = np.vstack([T[-1:], T[priced]])
-    terms[1:] *= c_basic[priced, None]
-    T[-1] = np.subtract.reduce(terms, axis=0)
+    for r in np.flatnonzero(c_basic):
+        T[-1] -= c_basic[r] * T[r]
     status, iterations = _simplex_loop(T, basis, allowed, pivot_rule, max_pivots, iterations)
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=iterations)

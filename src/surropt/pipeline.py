@@ -144,21 +144,6 @@ class SurrogatePolicy:
         return postprocess_prediction(raw, self.hospitals, self.max_age)
 
 
-class LabelReplayPolicy:
-    """Replays stored oracle labels by day index; used for equivalence checks."""
-
-    def __init__(self, dataset: Dataset, hospitals: int, max_age: int):
-        self.dataset = dataset
-        self.hospitals = hospitals
-        self.max_age = max_age
-
-    def __call__(self, day: int, state: InventoryState) -> DecisionVector:
-        row = self.dataset.Y[day]
-        return DecisionVector.from_flat(
-            np.rint(row).astype(np.int64), self.hospitals, self.max_age
-        )
-
-
 def postprocess_prediction(raw, hospitals: int, max_age: int) -> DecisionVector:
     """Clamp negatives, round half to even, and reshape into a decision."""
     raw = np.asarray(raw, dtype=float)
@@ -265,14 +250,6 @@ def rollout(config: ExperimentConfig, model, demands, label: str = "model") -> R
     policy = SurrogatePolicy(model, config.n_hospitals, config.max_age)
     result = run_horizon(config.initial_state, policy, demands, config.costs)
     return report_from_run(label, result)
-
-
-def replay_rollout(config: ExperimentConfig, data: Dataset) -> RolloutReport:
-    """Replay stored labels against the generation demand stream."""
-    demands = generation_demands(config, data.n_rows)
-    policy = LabelReplayPolicy(data, config.n_hospitals, config.max_age)
-    result = run_horizon(config.initial_state, policy, demands, config.costs)
-    return report_from_run("replay", result)
 
 
 @dataclass

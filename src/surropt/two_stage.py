@@ -7,18 +7,30 @@ The model plans as if a scenario's demand is served after receipts: ordered
 and inbound units count toward that scenario's availability.  A candidate
 decision is therefore evaluated as its ordering-plus-transshipment cost plus
 the scenario average of one simulated day from the post-receipt inventory,
-one batched ``simulate.day_cycle`` call.  The LP relaxation prices issuing
-age-aggregated (strict oldest-first issuing is not linear), which makes it a
-true lower bound on that evaluation; first-stage quantities are integerized
-by rounding and re-repaired against the current stock.
+one batched ``simulate.day_cycle`` call.  First-stage quantities are
+integerized by rounding and re-repaired against the current stock.
 
-The LP encodes each hospital-scenario recourse with three hinge variables
-(unmet demand, leftover stock, and the old-stock excess that outdates).
-Its optimal value equals that of the explicit formulation with per-age
+The LP encodes a hospital's recourse with three hinge variables (unmet
+demand, leftover stock, and the old-stock excess that outdates).  Its
+optimal value equals that of the explicit formulation with per-age
 issued/leftover variables, at a fraction of the row count; the tests keep
-that formulation as a cross-check.
+that formulation as a cross-check.  A hospital's recourse depends on a
+scenario only through that hospital's demand, so the LP holds one row group
+per distinct (hospital, demand value) pair, its costs weighted by the share
+of scenarios with that value: 50 scenarios over four hospitals give about
+50 groups instead of 200.  The tests keep the one-group-per-scenario form
+as a cross-check too.
 
-The oracle is a function of the state and the scenarios.  ``solve_lp``
+When outdating costs at least as much as holding (the default costs), the
+hinges price an integral first stage exactly as the evaluation does:
+oldest-first issuing outdates exactly ``max(oldest - d, 0)`` units.  The LP
+optimum is then the cost of the LP's decision whenever the LP point is
+integral, and a lower bound on every decision's cost otherwise.  When
+holding costs more, the hinges let young units be issued first, and the LP
+optimum is only a lower bound.
+
+The oracle is a function of the state and the scenario multiset (their
+order does not change a byte of the LP).  ``solve_lp``
 returns the lexicographically smallest optimal point, and the first stage
 comes first in the LP's columns, so among first stages of equal LP cost
 the lexicographically smallest flattened decision wins: older units are shipped
@@ -68,7 +80,8 @@ class StageOneSolution:
 
     decision: DecisionVector
     objective: float           # expected cost of the decision over the scenarios
-    lp_objective: float        # LP relaxation optimum (lower bound)
+    lp_objective: float        # LP optimum; equals `objective` at an integral
+                               # LP point when outdate >= holding
     breakdown: CostBreakdown   # component split of `objective`
     lp_integral: bool          # whether the LP optimum was already integral
     scenarios: tuple
@@ -85,19 +98,21 @@ def build_saa(
 ) -> LinearProgram:
     """Assemble the scenario LP.  The first ``decision_length(H, M)`` columns
     are the flattened first stage (orders, then lanes); recourse columns
-    follow per scenario."""
+    follow per (hospital, distinct demand value)."""
     return _build_compact(state, as_demand(scenarios, state.n_hospitals, batched=True), costs)
 
 
 def _build_compact(state, demand, costs):
     """Rows: the stock caps of the lanes out of each (hospital, age) slot
-    (only when lanes exist), then per scenario and hospital the unmet-demand
-    row ``total + u >= d``, the leftover row ``total - v <= d`` and, when the
+    (only when lanes exist), then one row group per distinct (hospital,
+    demand value) pair, in hospital then value order: the unmet-demand row
+    ``total + u >= d``, the leftover row ``total - v <= d`` and, when the
     hinge has a cost, the outdate row ``oldest - w <= d`` (or, when holding
     costs more than outdating, ``(total - oldest) - w <= d``).  ``total`` and
     ``oldest`` are the post-receipt stock of a hospital and of its age-M slot
     as linear maps of the first stage; orders land in the age-M slot only
-    when M == 1.  Recourse column k belongs to recourse row k."""
+    when M == 1.  Recourse column k belongs to recourse row k; its cost is
+    its rate times the share of the scenarios that hold the group's demand."""
     h, m = state.n_hospitals, state.max_age
     d = decision_length(h, m)
     # lane columns in DecisionVector.flatten order: (sender, receiver, age)
@@ -121,34 +136,37 @@ def _build_compact(state, demand, costs):
 
     old_regime = costs.outdate >= costs.holding
     hinge_cost = costs.outdate - costs.holding if old_regime else costs.holding - costs.outdate
-    weight = 1.0 / demand.shape[0]
     # Per hospital, one entry per recourse row: first-stage coefficients,
-    # stock netted out of the rhs, sign and cost of the recourse column.
+    # stock netted out of the rhs, sign and rate of the recourse column.
     coeffs, stock = [total, total], [on_hand, on_hand]
     signs = [1.0, -1.0]
-    rec_costs = [weight * costs.shortage, weight * (costs.holding if old_regime else costs.outdate)]
+    rates = [costs.shortage, costs.holding if old_regime else costs.outdate]
     if hinge_cost > 0.0:
         coeffs.append(oldest if old_regime else total - oldest)
         stock.append(on_hand_oldest if old_regime else on_hand - on_hand_oldest)
         signs.append(-1.0)
-        rec_costs.append(weight * hinge_cost)
+        rates.append(hinge_cost)
     per_pair = len(coeffs)
-    pairs = demand.size
-    block = np.stack(coeffs, axis=1).reshape(h * per_pair, d)
-    rhs = demand.astype(float)[:, :, None] - np.stack(stock, axis=1)
+    hospital = np.broadcast_to(np.arange(h), demand.shape)
+    pairs, counts = np.unique(
+        np.stack([hospital, demand], axis=-1).reshape(-1, 2), axis=0, return_counts=True
+    )
+    hospital, value = pairs.T
+    n_pairs = counts.size
+    rhs = value.astype(float)[:, None] - np.stack(stock, axis=1)[hospital]
 
     n_cap = h * m if h > 1 else 0
-    n_rec = per_pair * pairs
+    n_rec = per_pair * n_pairs
     A = np.zeros((n_cap + n_rec, d + n_rec))
     A[sender * m + age, lane_cols] = 1.0
-    A[n_cap:, :d] = np.tile(block, (demand.shape[0], 1))
-    A[n_cap + np.arange(n_rec), d + np.arange(n_rec)] = np.tile(signs, pairs)
+    A[n_cap:, :d] = np.stack(coeffs, axis=1)[hospital].reshape(n_rec, d)
+    A[n_cap + np.arange(n_rec), d + np.arange(n_rec)] = np.tile(signs, n_pairs)
     b = np.concatenate([state.units.reshape(-1)[:n_cap].astype(float), rhs.reshape(-1)])
     c = np.concatenate([
         np.repeat([costs.ordering, costs.transship_unit], [h, d - h]),
-        np.tile(rec_costs, pairs),
+        ((counts / demand.shape[0])[:, None] * rates).reshape(-1),
     ])
-    senses = ("<=",) * n_cap + (">=", "<=", "<=")[:per_pair] * pairs
+    senses = ("<=",) * n_cap + (">=", "<=", "<=")[:per_pair] * n_pairs
     return LinearProgram(c=c, A=A, b=b, senses=senses)
 
 

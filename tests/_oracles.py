@@ -5,12 +5,15 @@ package code it checks: basis enumeration instead of simplex pivoting,
 projected gradient instead of SMO, first-principles cost accounting instead
 of the simulator's bookkeeping, plain gradient descent instead of the
 ridge normal equations, the explicit per-age scenario LP instead of the
-hinge form, exhaustive enumeration instead of the LP oracle, a
+hinge form, one hinge row group per scenario instead of one per distinct
+(hospital, demand) pair, exhaustive enumeration instead of the LP oracle, a
 row-by-row, tree-by-tree walk instead of the packed GBDT forest,
 one-output, one-node-at-a-time recursive tree growth instead of the
 level-wise GBDT grower, bisection of the Huber leaf constant instead of
 the exact breakpoint search, and one day and one scenario at a time with a
-slot-by-slot issuing loop instead of the batched day-cycle kernel.
+slot-by-slot issuing loop instead of the batched day-cycle kernel.  The
+label replay rolls stored labels through the simulator so a test can check
+that they reproduce the oracle run's costs.
 """
 
 from __future__ import annotations
@@ -23,7 +26,15 @@ from surropt.errors import InputError, InternalError
 from surropt.learners.gbdt import _NODE_ARRAYS, GbdtModel, Tree, _Binner
 from surropt.losses import leaf_optimal_value, loss_grad_hess, loss_value
 from surropt.lp import LinearProgram
-from surropt.simulate import CostBreakdown, DecisionVector, InventoryState
+from surropt.pipeline import generation_demands, report_from_run
+from surropt.simulate import (
+    CostBreakdown,
+    DecisionVector,
+    InventoryState,
+    as_demand,
+    decision_length,
+    run_horizon,
+)
 from surropt.two_stage import evaluate_decision
 from surropt.util import TAG_LEARNER, stream
 
@@ -544,6 +555,64 @@ def build_age_lp(state, scenarios, costs):
     return LinearProgram(c=obj, A=A, b=b, senses=senses)
 
 
+def build_per_scenario_lp(state, scenarios, costs):
+    """The compact hinge LP with one recourse row group per (scenario,
+    hospital), each weighted ``1 / S``, in scenario then hospital order.
+    ``two_stage.build_saa`` merges the groups of equal (hospital, demand)
+    pairs; this form keeps every scenario, with the same first-stage columns
+    and cap rows, and must reach the same optimal value and first stage."""
+    h, m = state.n_hospitals, state.max_age
+    demand = as_demand(scenarios, h, batched=True)
+    d = decision_length(h, m)
+    sender, receiver = np.nonzero(~np.eye(h, dtype=bool))
+    age = np.tile(np.arange(m), sender.size)
+    sender, receiver = np.repeat(sender, m), np.repeat(receiver, m)
+    lane_cols = h + np.arange(sender.size)
+    on_hand = state.units.sum(axis=1).astype(float)
+    on_hand_oldest = state.units[:, -1].astype(float)
+
+    total = np.zeros((h, d))
+    total[np.arange(h), np.arange(h)] = 1.0
+    total[sender, lane_cols] = -1.0
+    total[receiver, lane_cols] = 1.0
+    oldest = np.zeros((h, d))
+    if m == 1:
+        oldest[np.arange(h), np.arange(h)] = 1.0
+    last = age == m - 1
+    oldest[sender[last], lane_cols[last]] = -1.0
+    oldest[receiver[last], lane_cols[last]] = 1.0
+
+    old_regime = costs.outdate >= costs.holding
+    hinge_cost = costs.outdate - costs.holding if old_regime else costs.holding - costs.outdate
+    weight = 1.0 / demand.shape[0]
+    coeffs, stock = [total, total], [on_hand, on_hand]
+    signs = [1.0, -1.0]
+    rec_costs = [weight * costs.shortage, weight * (costs.holding if old_regime else costs.outdate)]
+    if hinge_cost > 0.0:
+        coeffs.append(oldest if old_regime else total - oldest)
+        stock.append(on_hand_oldest if old_regime else on_hand - on_hand_oldest)
+        signs.append(-1.0)
+        rec_costs.append(weight * hinge_cost)
+    per_pair = len(coeffs)
+    pairs = demand.size
+    block = np.stack(coeffs, axis=1).reshape(h * per_pair, d)
+    rhs = demand.astype(float)[:, :, None] - np.stack(stock, axis=1)
+
+    n_cap = h * m if h > 1 else 0
+    n_rec = per_pair * pairs
+    A = np.zeros((n_cap + n_rec, d + n_rec))
+    A[sender * m + age, lane_cols] = 1.0
+    A[n_cap:, :d] = np.tile(block, (demand.shape[0], 1))
+    A[n_cap + np.arange(n_rec), d + np.arange(n_rec)] = np.tile(signs, pairs)
+    b = np.concatenate([state.units.reshape(-1)[:n_cap].astype(float), rhs.reshape(-1)])
+    c = np.concatenate([
+        np.repeat([costs.ordering, costs.transship_unit], [h, d - h]),
+        np.tile(rec_costs, pairs),
+    ])
+    senses = ("<=",) * n_cap + (">=", "<=", "<=")[:per_pair] * pairs
+    return LinearProgram(c=c, A=A, b=b, senses=senses)
+
+
 def brute_force_oracle(state, costs, scenarios, cap: int):
     """Exhaustive minimizer over integer decisions on tiny instances.
 
@@ -576,3 +645,27 @@ def brute_force_oracle(state, costs, scenarios, cap: int):
             best_cost = cost
             best = decision
     return best, float(best_cost)
+
+
+class LabelReplayPolicy:
+    """Replays stored oracle labels by day index."""
+
+    def __init__(self, dataset, hospitals: int, max_age: int):
+        self.dataset = dataset
+        self.hospitals = hospitals
+        self.max_age = max_age
+
+    def __call__(self, day: int, state: InventoryState) -> DecisionVector:
+        row = self.dataset.Y[day]
+        return DecisionVector.from_flat(
+            np.rint(row).astype(np.int64), self.hospitals, self.max_age
+        )
+
+
+def replay_rollout(config, data):
+    """Replay stored labels against the generation demand stream: the
+    rollout the oracle's own run must reproduce cost for cost."""
+    demands = generation_demands(config, data.n_rows)
+    policy = LabelReplayPolicy(data, config.n_hospitals, config.max_age)
+    result = run_horizon(config.initial_state, policy, demands, config.costs)
+    return report_from_run("replay", result)

@@ -24,7 +24,6 @@ from surropt.pipeline import (
     LearnerSpec,
     compare_models,
     oracle_generation_run,
-    replay_rollout,
     train_surrogate,
 )
 from surropt.report import (
@@ -47,6 +46,7 @@ from _oracles import (
     enumerate_lp_optimum,
     gradient_descent_ridge,
     projected_gradient_svr_dual,
+    replay_rollout,
 )
 from test_lp import make_random_lp
 from test_two_stage import NEWSVENDOR_COSTS, NEWSVENDOR_SCENARIOS, random_tiny_instance

@@ -13,13 +13,14 @@ from surropt.pipeline import (
     generation_demands,
     oracle_generation_run,
     postprocess_prediction,
-    replay_rollout,
     rollout,
     rollout_demands,
     train_surrogate,
 )
 from surropt.simulate import CostParams, DecisionVector, InventoryState, check_feasibility, step
 from surropt.two_stage import SaaConfig
+
+from _oracles import replay_rollout
 
 
 def tiny_config(**kwargs):

@@ -5,10 +5,16 @@ import pytest
 
 from surropt.errors import InputError
 from surropt.lp import solve_lp
-from surropt.simulate import CostParams, DecisionVector, InventoryState, check_feasibility
+from surropt.simulate import (
+    CostParams,
+    DecisionVector,
+    InventoryState,
+    check_feasibility,
+    decision_length,
+)
 from surropt.two_stage import SaaConfig, build_saa, evaluate_decision, solve_stage_one
 
-from _oracles import brute_force_oracle, build_age_lp, first_stage
+from _oracles import brute_force_oracle, build_age_lp, build_per_scenario_lp, first_stage
 
 NEWSVENDOR_COSTS = CostParams(
     holding=0.1, ordering=1.0, transship_unit=0.0, shortage=10.0, outdate=0.0
@@ -28,6 +34,29 @@ def random_tiny_instance(rng, h=2, m=2):
     n_scen = int(rng.integers(1, 4))
     scenarios = [rng.integers(0, 4, size=h) for _ in range(n_scen)]
     return state, costs, scenarios
+
+
+# outdate rate against holding 1.5: the hinge on the oldest stock, the hinge
+# on the younger stock, and no hinge column at all
+REGIME_OUTDATE = {"outdate>holding": 4.0, "holding>outdate": 0.5, "equal": 1.5}
+
+# edge shapes for the scenario-aggregation checks, as (state, scenarios) maps
+EDGE_SHAPES = {
+    "random": lambda state, scenarios: (state, scenarios),
+    "zero-stock": lambda state, scenarios: (InventoryState.zeros(*state.units.shape), scenarios),
+    "zero-demand": lambda state, scenarios: (state, np.zeros_like(scenarios)),
+    "equal-scenarios": lambda state, scenarios: (state, np.repeat(scenarios[:1], len(scenarios), 0)),
+}
+
+
+def repeated_demand_instance(rng, h, m, regime):
+    """A random tiny instance in the given cost regime whose 1-30 scenarios
+    are drawn from three demand rows, so most (hospital, demand) pairs
+    repeat."""
+    state, costs, _ = random_tiny_instance(rng, h, m)
+    costs = replace(costs, holding=1.5, outdate=REGIME_OUTDATE[regime])
+    pool = rng.integers(0, 6, size=(3, h))
+    return state, costs, pool[rng.integers(0, 3, size=int(rng.integers(1, 31)))]
 
 
 class TestBuildSaa:
@@ -63,12 +92,13 @@ class TestBuildSaa:
         rng = np.random.default_rng(22)
         for _ in range(6):
             state, costs, scenarios = random_tiny_instance(rng, h, m)
-            outdate = {"outdate>holding": 4.0, "holding>outdate": 0.5, "equal": 1.5}[regime]
-            costs = replace(costs, holding=1.5, outdate=outdate)
+            costs = replace(costs, holding=1.5, outdate=REGIME_OUTDATE[regime])
             lp = build_saa(state, scenarios, costs)
             _, c_fs, caps, rhs = first_stage(state, costs)
             n_cap = caps.shape[0] if h > 1 else 0
-            n_rec = (2 if regime == "equal" else 3) * len(scenarios) * h
+            # one row group per distinct (hospital, demand) pair
+            n_pairs = len({(i, int(s[i])) for s in scenarios for i in range(h)})
+            n_rec = (2 if regime == "equal" else 3) * n_pairs
             assert lp.A.shape == (n_cap + n_rec, c_fs.size + n_rec)
             assert np.array_equal(lp.c[: c_fs.size], c_fs)
             assert np.array_equal(lp.A[:n_cap, : c_fs.size], caps[:n_cap])
@@ -77,6 +107,37 @@ class TestBuildSaa:
             b = solve_lp(build_age_lp(state, scenarios, costs))
             assert a.status == b.status == "optimal"
             assert a.objective == pytest.approx(b.objective, abs=1e-7)
+
+    @pytest.mark.parametrize("pivot_rule", ["auto", "bland"])
+    @pytest.mark.parametrize("regime", list(REGIME_OUTDATE))
+    def test_merged_groups_match_per_scenario_form(self, regime, pivot_rule):
+        rng = np.random.default_rng(24)
+        for h, m in [(1, 1), (1, 3), (3, 1), (2, 2), (4, 3)]:
+            d = decision_length(h, m)
+            for edge, shape in list(EDGE_SHAPES.items()) * 5:
+                state, costs, scenarios = repeated_demand_instance(rng, h, m, regime)
+                state, scenarios = shape(state, scenarios)
+                lp = build_saa(state, scenarios, costs)
+                if edge == "equal-scenarios":
+                    per_pair = 2 if regime == "equal" else 3
+                    assert lp.n_rows == (h * m if h > 1 else 0) + per_pair * h
+                a = solve_lp(lp, pivot_rule=pivot_rule)
+                b = solve_lp(build_per_scenario_lp(state, scenarios, costs), pivot_rule=pivot_rule)
+                assert a.status == b.status == "optimal"
+                assert a.objective == pytest.approx(b.objective, rel=1e-9, abs=1e-12)
+                assert np.allclose(a.x[:d], b.x[:d], rtol=0.0, atol=1e-9), (h, m, edge)
+
+    def test_scenario_order_does_not_change_the_lp(self):
+        rng = np.random.default_rng(25)
+        for regime in REGIME_OUTDATE:
+            for h, m in [(1, 2), (3, 2), (4, 3)]:
+                state, costs, scenarios = repeated_demand_instance(rng, h, m, regime)
+                a = build_saa(state, scenarios, costs)
+                b = build_saa(state, list(scenarios[rng.permutation(len(scenarios))]), costs)
+                assert a.A.tobytes() == b.A.tobytes()
+                assert a.b.tobytes() == b.b.tobytes()
+                assert a.c.tobytes() == b.c.tobytes()
+                assert a.senses == b.senses
 
     def test_forms_agree_when_holding_exceeds_outdate(self):
         rng = np.random.default_rng(23)
