@@ -229,15 +229,16 @@ def cmd_selftest(args) -> int:
         return abs(g - fd) < 1e-6
 
     check("huber gradient matches finite differences", grad_check)
+    # max x0 + 2 x1 over x0 + x1 <= 3, x <= 2 is 5: min -c with the bounds as rows
     check(
         "lp solves a box-bounded maximum",
         lambda: abs(
             solve_lp(
                 LinearProgram(
-                    c=[1.0, 2.0], A=[[1.0, 1.0]], b=[3.0], senses=("<=",), upper=[2.0, 2.0], maximize=True
+                    c=[-1.0, -2.0], A=[[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], b=[3.0, 2.0, 2.0], senses=("<=",) * 3
                 )
             ).objective
-            - 5.0
+            + 5.0
         )
         < 1e-9,
     )

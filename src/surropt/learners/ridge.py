@@ -18,21 +18,20 @@ from .data import Dataset, kfold_split
 DEFAULT_LAMBDAS = tuple(np.logspace(-3, 3, 13))
 
 
-def solve_ridge(X, Y, lam: float, intercept: bool = True) -> np.ndarray:
-    """Minimize ||Z b - y||^2 + lam ||b_noint||^2 per output column.
+def solve_ridge(X, Y, lam: float) -> np.ndarray:
+    """Minimize ||Z b - y||^2 + lam ||b_noint||^2 per output column, where
+    Z is X behind a leading column of ones.
 
-    Returns coefficients with shape (n_outputs, p) where p includes the
-    leading intercept column when ``intercept`` is set.  Raises
-    numpy.linalg.LinAlgError when the normal matrix is singular.
+    Returns coefficients with shape (n_outputs, p + 1), intercept first.
+    Raises numpy.linalg.LinAlgError when the normal matrix is singular.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
-    Z = np.column_stack([np.ones(X.shape[0]), X]) if intercept else X
+    Z = np.column_stack([np.ones(X.shape[0]), X])
     penalty = np.eye(Z.shape[1]) * lam
-    if intercept:
-        penalty[0, 0] = 0.0
+    penalty[0, 0] = 0.0
     gram = Z.T @ Z + penalty
     coef = np.linalg.solve(gram, Z.T @ Y)
     if not np.all(np.isfinite(coef)):

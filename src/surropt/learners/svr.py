@@ -113,14 +113,6 @@ def smo_solve(K, y, C, epsilon, tol=DEFAULT_TOL, max_iter=None):
     return beta, b, it, converged
 
 
-def dual_objective(K, y, beta, epsilon) -> float:
-    """0.5 b'Kb + eps*sum|b| - y.b, the quantity smo_solve minimizes."""
-    beta = np.asarray(beta, dtype=float)
-    return float(
-        0.5 * beta @ K @ beta + epsilon * np.abs(beta).sum() - y @ beta
-    )
-
-
 @dataclass
 class SvrModel:
     """Per-output support vectors, dual coefficients, and bias.  Arrays that

@@ -1,11 +1,11 @@
 """Dense linear programming by the primal simplex method.
 
-Problems arrive in inequality form (row senses <=, ==, >= plus variable
-bounds) and are written, as standard equalities with nonnegative variables,
-straight into the one dense tableau a solve pivots on.  A crash pass builds
-the starting basis from slack columns and structural singleton columns, so
-LPs with an obvious feasible point (like the scenario programs built by the
-two-stage solver) skip phase one entirely.
+Problems arrive as ``min c.x`` over nonnegative variables, each row of
+``A x`` held ``<=``, ``==`` or ``>=`` its ``b`` entry, and are written, as
+standard equalities, straight into the one dense tableau a solve pivots on.
+A crash pass builds the starting basis from slack columns and structural
+singleton columns, so LPs with an obvious feasible point (like the scenario
+programs built by the two-stage solver) skip phase one entirely.
 
 Pivoting is deterministic.  The default rule prices by the most negative
 reduced cost and falls back permanently to Bland's smallest-index rule after
@@ -15,8 +15,7 @@ inputs always produce the identical pivot sequence.
 
 Equal-cost optima are broken by a fixed rule: the returned point is the
 lexicographically smallest point of the optimal face (within ``COST_TOL``),
-taken over the standard-form structural columns in order.  For nonnegative
-variables that is the variables' own order.  The point therefore does not
+taken over ``x`` in its own index order.  The point therefore does not
 depend on ``pivot_rule`` or on the path the pivots took.
 
 Tolerances: primal feasibility 1e-7, reduced-cost optimality 1e-9.
@@ -24,7 +23,7 @@ Tolerances: primal feasibility 1e-7, reduced-cost optimality 1e-9.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,15 +52,12 @@ def _pivot_kernel(T, r, j):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min (or max) c.x subject to row senses on A x vs b and bounds on x."""
+    """min c.x subject to row senses on A x vs b and x >= 0."""
 
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
     senses: tuple
-    lower: np.ndarray = None
-    upper: np.ndarray = None
-    maximize: bool = False
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -74,17 +70,9 @@ class LinearProgram:
         senses = tuple(self.senses)
         if len(senses) != m or any(s not in SENSES for s in senses):
             raise InputError(f"senses must be one of {SENSES} per row")
-        lower = np.zeros(n) if self.lower is None else np.asarray(self.lower, dtype=float)
-        upper = np.full(n, np.inf) if self.upper is None else np.asarray(self.upper, dtype=float)
-        if lower.shape != (n,) or upper.shape != (n,):
-            raise InputError("bounds must match the variable count")
-        if np.any(lower > upper):
-            raise InputError("lower bounds must not exceed upper bounds")
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise InputError("c, A, b must be finite")
-        if np.any(np.isposinf(lower)) or np.any(np.isneginf(upper)):
-            raise InputError("bounds may not be infinite in the wrong direction")
-        for name, arr in (("c", c), ("A", A), ("b", b), ("lower", lower), ("upper", upper)):
+        for name, arr in (("c", c), ("A", A), ("b", b)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "senses", senses)
@@ -96,6 +84,12 @@ class LinearProgram:
     @property
     def n_rows(self) -> int:
         return self.b.size
+
+    # the fixed form in general-LP terms, for solvers that take bounds and a
+    # sense: every variable in [0, inf), minimised
+    lower = property(lambda self: np.zeros(self.n_vars))
+    upper = property(lambda self: np.full(self.n_vars, np.inf))
+    maximize = property(lambda self: False)
 
 
 @dataclass(frozen=True)
@@ -110,63 +104,32 @@ def _tableau(lp: LinearProgram):
     """Write the LP's standard form, min c.x, A x = b, x >= 0, b >= 0, into a
     fresh simplex tableau that starts from a crash basis.
 
-    A variable with a finite lower bound becomes ``x - lower`` (plus a row
-    ``x - lower <= upper - lower`` when the upper bound is finite too), one
-    with only an upper bound ``upper - x``, and a free one the difference of
-    two columns.  Standard column k stands for ``col_sign[k]`` times original
-    variable ``source[k]``, less its ``offset``.  Slack and surplus columns
-    follow the structural ones, and rows with a negative rhs are negated.
+    Structural column k is variable k.  Slack and surplus columns follow the
+    structural ones, and rows with a negative rhs are negated.
 
     The crash basis gives each row the first column whose only nonzero is a
     positive entry in that row, and divides the row by that entry.  Rows left
     uncovered get artificial columns, after the slack columns.
 
-    Returns the tableau with an empty cost row, the basis, the phase-2 cost
-    of the standard columns and the map ``(source, col_sign, offset)``."""
-    n0, m0 = lp.n_vars, lp.n_rows
-    has_lower = np.isfinite(lp.lower)
-    upper_only = ~has_lower & np.isfinite(lp.upper)
-    free = ~has_lower & ~upper_only
-    boxed = has_lower & np.isfinite(lp.upper)
-    width = np.where(free, 2, 1)
-    source = np.repeat(np.arange(n0), width)
-    first = np.cumsum(width) - width  # each variable's first standard column
-    col_sign = np.ones(source.size)
-    col_sign[first[upper_only]] = -1.0
-    col_sign[first[free] + 1] = -1.0
-    # -0.0 adds exactly nothing, so a free variable restores to the bits
-    # of x_plus - x_minus
-    offset = np.where(has_lower, lp.lower, np.where(upper_only, lp.upper, -0.0))
-
-    # b - A[:, j] * offset[j], one shifted variable after the other
-    shifted = offset != 0.0
-    rhs = np.subtract.reduce(np.vstack([lp.b, lp.A[:, shifted].T * offset[shifted, None]]), axis=0)
-    # a zero offset shifts nothing, but b - (-0.0) turns a -0.0 rhs into +0.0
-    zero, neg = ~free & ~shifted, np.signbit(rhs) & (rhs == 0.0)
-    neg[neg] = (np.signbit(lp.A[neg][:, zero]) != np.signbit(offset[zero])).any(axis=1)
-    rhs[neg] = 0.0
-    rhs = np.concatenate([rhs, (lp.upper - lp.lower)[boxed]])
-    senses = np.array(lp.senses + ("<=",) * int(boxed.sum()), dtype="U2")
+    Returns the tableau with an empty cost row, the basis and the phase-2
+    cost of the standard columns."""
+    m, n_struct = lp.n_rows, lp.n_vars
+    senses = np.asarray(lp.senses, dtype="U2")
     # +1: slack column, -1: surplus column, 0: none
     slack = (senses == "<=").astype(float) - (senses == ">=")
-    # negate the rows with a negative rhs (bound rows never have one)
-    row_sign = np.where(rhs < 0, -1.0, 1.0)
-    m, n_struct = rhs.size, source.size
+    row_sign = np.where(lp.b < 0, -1.0, 1.0)
     slack_rows = np.flatnonzero(slack)
     n = n_struct + slack_rows.size
 
     # each column's crash row, or -1: the row of its only nonzero, if that is
-    # positive; a boxed variable's first column also holds its bound row's 1
-    bound_row = np.full(n_struct, -1)
-    bound_row[first[boxed]] = np.arange(m0, m)
+    # positive
     support = lp.A != 0.0
-    nonzeros = support.sum(axis=0)[source]
     # argmax has no answer over zero rows
-    top = (support.argmax(axis=0) if m0 else np.zeros(n0, np.int64))[source]
-    crash_row = np.where(nonzeros == 0, bound_row, -1)
-    alone = np.flatnonzero((nonzeros == 1) & (bound_row < 0))
+    top = support.argmax(axis=0) if m else np.zeros(n_struct, np.int64)
+    crash_row = np.full(n_struct, -1)
+    alone = np.flatnonzero(support.sum(axis=0) == 1)
     row = top[alone]
-    positive = lp.A[row, source[alone]] * col_sign[alone] * row_sign[row] > PIVOT_TOL
+    positive = lp.A[row, alone] * row_sign[row] > PIVOT_TOL
     crash_row[alone[positive]] = row[positive]
     crash_row = np.append(crash_row, np.where(slack[slack_rows] * row_sign[slack_rows] > 0, slack_rows, -1))
     cols = np.flatnonzero(crash_row >= 0)
@@ -177,12 +140,9 @@ def _tableau(lp: LinearProgram):
     basis[art_rows] = n + np.arange(art_rows.size)
 
     T = np.zeros((m + 1, n + art_rows.size + 1))
-    # a free variable's second column repeats its first
-    T[:m0, :n_struct] = lp.A if n_struct == n0 else lp.A[:, source]
-    T[:m0, np.flatnonzero(col_sign < 0)] *= -1.0
-    T[np.arange(m0, m), first[boxed]] = 1.0
+    T[:m, :n_struct] = lp.A
     T[slack_rows, n_struct + np.arange(slack_rows.size)] = slack[slack_rows]
-    T[:m, -1] = rhs
+    T[:m, -1] = lp.b
     # negate and crash-scale each row in one pass: x / -s is exactly -(x / s),
     # and x / 1.0 is x
     divisor = row_sign.copy()
@@ -190,8 +150,8 @@ def _tableau(lp: LinearProgram):
     T[:m] /= divisor[:, None]
     T[art_rows, basis[art_rows]] = 1.0
     c = np.zeros(n)
-    c[:n_struct] = (-1.0 if lp.maximize else 1.0) * lp.c[source] * col_sign
-    return T, basis, c, (source, col_sign, offset)
+    c[:n_struct] = lp.c
+    return T, basis, c
 
 
 def _simplex_loop(T, basis, allowed, pivot_rule, max_pivots, start_iter):
@@ -272,19 +232,19 @@ def _lexicographic_min(T, basis, allowed, n_struct, pivot_rule, max_pivots, star
 
 
 def solve_lp(lp: LinearProgram, max_pivots: int = 1_000_000, pivot_rule: str = "auto") -> LpSolution:
-    """Solve to optimality, or report infeasible/unbounded.
+    """Solve min c.x over nonnegative x to optimality, or report
+    infeasible/unbounded.
 
     An optimal solve returns the lexicographically smallest optimal point
-    (within ``COST_TOL``) over the standard-form structural columns, which
-    for nonnegative variables is ``x`` itself in index order, so equal-cost
-    optima are broken the same way under either ``pivot_rule``.
+    (within ``COST_TOL``) over ``x`` in index order, so equal-cost optima
+    are broken the same way under either ``pivot_rule``.
 
     Raises ResourceLimitError if the pivot cap is exhausted and InputError
     for malformed problems.
     """
     if pivot_rule not in ("auto", "bland"):
         raise InputError(f"pivot_rule must be 'auto' or 'bland', got {pivot_rule!r}")
-    T, basis, c, (source, col_sign, offset) = _tableau(lp)
+    T, basis, c = _tableau(lp)
     m, n, total_cols = basis.size, c.size, T.shape[1] - 1
     allowed = np.ones(total_cols, dtype=bool)
     iterations = 0
@@ -330,13 +290,13 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 1_000_000, pivot_rule: str = "
     status, iterations = _simplex_loop(T, basis, allowed, pivot_rule, max_pivots, iterations)
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=iterations)
-    iterations = _lexicographic_min(T, basis, allowed, source.size, pivot_rule, max_pivots, iterations)
+    iterations = _lexicographic_min(T, basis, allowed, lp.n_vars, pivot_rule, max_pivots, iterations)
 
     x_std = np.zeros(n)
     structural = basis < n
     x_std[basis[structural]] = T[:m, -1][structural]
-    x = offset.copy()
-    np.add.at(x, source, col_sign * x_std[: source.size])
+    # 0.0 + turns a -0.0 into +0.0
+    x = 0.0 + x_std[: lp.n_vars]
     objective = float(lp.c @ x)
     _verify(lp, x)
     return LpSolution(status="optimal", x=x, objective=objective, iterations=iterations)
@@ -353,5 +313,5 @@ def _verify(lp: LinearProgram, x: np.ndarray) -> None:
     bad = np.flatnonzero(~ok)
     if bad.size:
         raise InternalError(f"optimal point violates row {bad[0]} by {resid[bad[0]]:.3e}")
-    if np.any(x < lp.lower - FEAS_TOL * scale) or np.any(x > lp.upper + FEAS_TOL * scale):
-        raise InternalError("optimal point violates variable bounds")
+    if np.any(x < -FEAS_TOL * scale):
+        raise InternalError("optimal point has a negative variable")

@@ -112,7 +112,11 @@ def _build_compact(state, demand, costs):
     ``oldest`` are the post-receipt stock of a hospital and of its age-M slot
     as linear maps of the first stage; orders land in the age-M slot only
     when M == 1.  Recourse column k belongs to recourse row k; its cost is
-    its rate times the share of the scenarios that hold the group's demand."""
+    its rate times the share of the scenarios that hold the group's demand.
+
+    The solver's crash basis covers every row, so phase 1 never runs on this
+    LP: after the rows with a negative rhs are negated, every row has a slack
+    column or a recourse singleton of the right sign."""
     h, m = state.n_hospitals, state.max_age
     d = decision_length(h, m)
     # lane columns in DecisionVector.flatten order: (sender, receiver, age)

@@ -13,7 +13,8 @@ level-wise GBDT grower, bisection of the Huber leaf constant instead of
 the exact breakpoint search, and one day and one scenario at a time with a
 slot-by-slot issuing loop instead of the batched day-cycle kernel.  The
 label replay rolls stored labels through the simulator so a test can check
-that they reproduce the oracle run's costs.
+that they reproduce the oracle run's costs, and ``nonnegative_form`` writes
+an LP with variable bounds and a sense in the solver's nonnegative-min form.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ BRUTE_MAX_CAP = 5
 BRUTE_MAX_ENUM = 200_000
 
 
-def enumerate_lp_optimum(c, A, b, upper=None, maximize=False):
-    """Optimal objective of min/max c.x s.t. A x <= b, 0 <= x <= upper by
+def enumerate_lp_optimum(c, A, b, upper=None):
+    """Optimal objective of min c.x s.t. A x <= b, 0 <= x <= upper by
     enumerating basic solutions of the slack-extended equality system.
 
     Only <= rows and nonnegative variables are supported; that is the shape
@@ -74,7 +75,6 @@ def enumerate_lp_optimum(c, A, b, upper=None, maximize=False):
     total = n + m
     best = None
     best_x = None
-    sign = -1.0 if maximize else 1.0
     for basis in combinations(range(total), m):
         B = tableau[:, basis]
         try:
@@ -85,13 +85,56 @@ def enumerate_lp_optimum(c, A, b, upper=None, maximize=False):
             continue
         x = np.zeros(total)
         x[list(basis)] = z
-        val = sign * float(c @ x[:n])
+        val = float(c @ x[:n])
         if best is None or val < best - 1e-12:
             best = val
             best_x = x[:n].copy()
     if best is None:
         return None
-    return (best if not maximize else -best), best_x
+    return best, best_x
+
+
+def nonnegative_form(c, A, b, senses, lower=None, upper=None, maximize=False):
+    """The LP min (or max) c.x subject to ``A x {senses} b`` and
+    ``lower <= x <= upper``, rewritten as the equivalent nonnegative-min
+    ``LinearProgram``; returns it with the map from its point back to x.
+
+    A finite lower bound becomes a shift, ``x = lower + x'``; an upper-only
+    bound ``x = upper - x'``; a free variable a column pair,
+    ``x = x+ - x-``.  The upper bound of a lower-bounded variable becomes a
+    row ``x' <= upper - lower``, and maximisation becomes ``min -c``.
+    Missing bounds mean ``x >= 0``."""
+    c = np.asarray(c, dtype=float)
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.asarray(b, dtype=float)
+    n = c.size
+    lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
+    upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
+    has_lower = np.isfinite(lower)
+    upper_only = ~has_lower & np.isfinite(upper)
+    free = ~has_lower & ~upper_only
+    # x = offset + M x', one column of M per column of the new LP
+    offset = np.where(has_lower, lower, np.where(upper_only, upper, 0.0))
+    source = np.repeat(np.arange(n), np.where(free, 2, 1))
+    M = np.zeros((n, source.size))
+    M[source, np.arange(source.size)] = 1.0
+    second = np.flatnonzero(np.diff(source, prepend=-1) == 0)  # x- of a free pair
+    M[source[second], second] = -1.0
+    M[upper_only] *= -1.0
+    boxed = has_lower & np.isfinite(upper)
+    lp = LinearProgram(
+        c=(-1.0 if maximize else 1.0) * (c @ M),
+        A=np.vstack([A @ M, M[boxed]]),
+        b=np.concatenate([b - A @ offset, (upper - lower)[boxed]]),
+        senses=tuple(senses) + ("<=",) * int(boxed.sum()),
+    )
+    return lp, lambda x: offset + M @ x
+
+
+def dual_objective(K, y, beta, epsilon) -> float:
+    """0.5 b'Kb + eps*sum|b| - y.b, the quantity ``svr.smo_solve`` minimizes."""
+    beta = np.asarray(beta, dtype=float)
+    return float(0.5 * beta @ K @ beta + epsilon * np.abs(beta).sum() - y @ beta)
 
 
 def projected_gradient_svr_dual(K, y, C, epsilon, iters=40_000):
@@ -246,16 +289,16 @@ def reference_evaluate_decision(state, decision, scenarios, costs):
     )
 
 
-def gradient_descent_ridge(X, Y, lam, iters=60_000, intercept=True):
-    """Plain gradient descent on ||Z b - y||^2 + lam ||b_noint||^2."""
+def gradient_descent_ridge(X, Y, lam, iters=60_000):
+    """Plain gradient descent on ||Z b - y||^2 + lam ||b_noint||^2, Z being X
+    behind a column of ones."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
-    Z = np.column_stack([np.ones(X.shape[0]), X]) if intercept else X
+    Z = np.column_stack([np.ones(X.shape[0]), X])
     mask = np.ones(Z.shape[1])
-    if intercept:
-        mask[0] = 0.0
+    mask[0] = 0.0
     gram = Z.T @ Z
     lip = 2.0 * (float(np.linalg.eigvalsh(gram).max()) + lam)
     step = 1.0 / lip

@@ -16,7 +16,7 @@ import pytest
 from surropt.learners import Dataset, fit_gbdt, fit_ridge, fit_svr, save_model
 from surropt.learners.gbdt import GbdtParams
 from surropt.learners.ridge import solve_ridge
-from surropt.learners.svr import dual_objective, rbf_kernel, smo_solve
+from surropt.learners.svr import rbf_kernel, smo_solve
 from surropt.losses import LossSpec, loss_grad_hess, loss_value
 from surropt.lp import LinearProgram, solve_lp
 from surropt.pipeline import (
@@ -43,6 +43,7 @@ from surropt.util import stream
 
 from _oracles import (
     brute_force_oracle,
+    dual_objective,
     enumerate_lp_optimum,
     gradient_descent_ridge,
     projected_gradient_svr_dual,

@@ -18,6 +18,25 @@ def test_trace_wrappers_name_existing_attributes(monkeypatch):
     assert missing == []
 
 
+def test_lp_check_reads_the_fixed_form(monkeypatch):
+    """``checks.highs_objective`` hands an LP to HiGHS through its
+    ``lower``, ``upper`` and ``maximize`` attributes: a scenario LP and its
+    simplex optimum must pass ``checks.check_lp``."""
+    import numpy as np
+    import pytest
+
+    pytest.importorskip("scipy")
+    from surropt.lp import solve_lp
+    from surropt.simulate import CostParams, InventoryState
+    from surropt.two_stage import build_saa
+
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    checks = importlib.import_module("checks")
+    state = InventoryState(np.array([[1, 0, 2], [0, 3, 0]]))
+    lp = build_saa(state, [np.array([2, 1]), np.array([0, 4]), np.array([3, 3])], CostParams())
+    assert checks.check_lp(lp, solve_lp(lp)) == ""
+
+
 def test_traced_leaf_values_reach_the_patched_name(monkeypatch):
     """The traced ``losses.leaf_value_s`` wraps ``gbdt.leaf_optimal_value``:
     the grower must look leaf values up through that module global."""

@@ -18,11 +18,12 @@ from surropt.learners import (
 )
 from surropt.learners.gbdt import PACKED, GbdtModel, GbdtParams, Tree
 from surropt.learners.ridge import solve_ridge
-from surropt.learners.svr import dual_objective, rbf_kernel, smo_solve
+from surropt.learners.svr import rbf_kernel, smo_solve
 from surropt.losses import LossSpec, loss_value
 
 from _oracles import (
     apply_tree,
+    dual_objective,
     gradient_descent_ridge,
     projected_gradient_svr_dual,
     reference_fit_gbdt,
@@ -84,13 +85,21 @@ class TestRidge:
         assert np.allclose(coef.T, expected, atol=1e-8)
 
     def test_orthonormal_column_formula(self):
+        # a centred unit column is orthogonal to the intercept's ones: the
+        # intercept is mean(y) and the slope x'y / (1 + lam)
         rng = np.random.default_rng(1)
         x = rng.normal(size=(40, 1))
+        x -= x.mean()
         x /= np.linalg.norm(x)
         y = rng.normal(size=(40, 1))
         lam = 3.7
-        coef = solve_ridge(x, y, lam, intercept=False)
-        assert np.allclose(coef, (x.T @ y).T / (1.0 + lam), atol=1e-12)
+        coef = solve_ridge(x, y, lam)
+        assert np.allclose(coef, [[y.mean(), (x[:, 0] @ y[:, 0]) / (1.0 + lam)]], atol=1e-12)
+        # and a least-squares solve of [Z; sqrt(lam) [0 I]] agrees
+        Z = np.column_stack([np.ones(40), x])
+        augmented = np.vstack([Z, [[0.0, np.sqrt(lam)]]])
+        expected = np.linalg.lstsq(augmented, np.vstack([y, [[0.0]]]), rcond=None)[0].T
+        assert np.allclose(coef, expected, atol=1e-12)
 
     def test_huge_penalty_kills_coefficients(self):
         rng = np.random.default_rng(2)

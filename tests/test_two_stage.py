@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from surropt.errors import InputError
-from surropt.lp import solve_lp
+from surropt.lp import _tableau, solve_lp
 from surropt.simulate import (
     CostParams,
     DecisionVector,
@@ -126,6 +126,20 @@ class TestBuildSaa:
                 assert a.status == b.status == "optimal"
                 assert a.objective == pytest.approx(b.objective, rel=1e-9, abs=1e-12)
                 assert np.allclose(a.x[:d], b.x[:d], rtol=0.0, atol=1e-9), (h, m, edge)
+
+    @pytest.mark.parametrize("regime", list(REGIME_OUTDATE))
+    def test_crash_basis_covers_every_row(self, regime):
+        # every scenario LP starts from a basis of slack and recourse
+        # columns, so phase 1 never runs on the oracle path
+        rng = np.random.default_rng(26)
+        shapes = dict(EDGE_SHAPES)
+        shapes["stock-above-demand"] = lambda state, scenarios: (InventoryState(state.units + 6), scenarios)
+        for h, m in [(1, 1), (1, 3), (3, 1), (2, 2), (4, 3)]:
+            for edge, shape in list(shapes.items()) * 5:
+                state, costs, scenarios = repeated_demand_instance(rng, h, m, regime)
+                state, scenarios = shape(state, scenarios)
+                T, basis, c = _tableau(build_saa(state, scenarios, costs))
+                assert T.shape[1] - 1 == c.size and np.all(basis < c.size), (h, m, edge)
 
     def test_scenario_order_does_not_change_the_lp(self):
         rng = np.random.default_rng(25)
