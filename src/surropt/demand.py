@@ -4,9 +4,11 @@ Each hospital's demand mixes a point mass at zero (probability ``pi``) with
 a negative binomial count.  The negative binomial here counts failures
 before the r-th success, so its mean is r(1-p)/p; the zero-inflated mean is
 (1-pi) r (1-p)/p.  Sampling inverts the mixture CDF over the integer
-support with a single uniform draw per hospital, using a table truncated at
-cumulative probability 1 - 1e-12.  This keeps draws exactly reproducible:
-the same seed yields the same integers on any platform.
+support, using a table truncated at cumulative probability 1 - 1e-12, with
+one uniform block per call: day-major, one uniform per hospital and day, so
+``days`` days at once read the same stream as ``days`` one-day draws.  This
+keeps draws exactly reproducible: the same seed yields the same integers on
+any platform.
 """
 
 from __future__ import annotations
@@ -130,10 +132,10 @@ class DemandModel:
     def n_hospitals(self) -> int:
         return len(self.configs)
 
-    def sample_day(self, rng: np.random.Generator) -> np.ndarray:
-        """One independent draw per hospital -> int64 vector of length H."""
-        return np.array([s.sample(rng) for s in self._samplers], dtype=np.int64)
-
-    def sample_days(self, rng: np.random.Generator, days: int) -> np.ndarray:
-        """Stack of ``days`` daily draws, shape (days, H)."""
-        return np.stack([self.sample_day(rng) for _ in range(days)])
+    def sample_day(self, rng: np.random.Generator, days: int = None) -> np.ndarray:
+        """One draw per hospital: an int64 (H,) day, or a (days, H) block of days."""
+        u = rng.random((1 if days is None else days, self.n_hospitals))
+        out = np.empty(u.shape, dtype=np.int64)
+        for i, s in enumerate(self._samplers):
+            out[:, i] = np.searchsorted(s._cdf, u[:, i], side="right")
+        return out[0] if days is None else out

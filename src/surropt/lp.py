@@ -45,7 +45,7 @@ def _pivot_kernel(T, r, j):
     rows = np.flatnonzero(T[:, j])
     rows = rows[rows != r]
     cols = np.flatnonzero(T[r])
-    T[np.ix_(rows, cols)] -= np.outer(T[rows, j], T[r, cols])
+    T[rows[:, None], cols] -= T[rows, j][:, None] * T[r, cols]
     T[:, j] = 0.0
     T[r, j] = 1.0
 
@@ -173,14 +173,13 @@ def _simplex_loop(T, basis, allowed, pivot_rule, max_pivots, start_iter):
             j = int(np.argmin(masked))
             if masked[j] >= -COST_TOL:
                 return "optimal", iters
+        # ratio test over the column's positive entries only: the same pivots
         col = T[:m, j]
-        rhs = T[:m, -1]
-        eligible = col > PIVOT_TOL
-        if not np.any(eligible):
+        eligible = np.flatnonzero(col > PIVOT_TOL)
+        if eligible.size == 0:
             return "unbounded", iters
-        ratios = np.where(eligible, np.maximum(rhs, 0.0) / np.where(eligible, col, 1.0), np.inf)
-        rmin = ratios.min()
-        ties = np.flatnonzero(ratios <= rmin + 1e-12)
+        ratios = np.maximum(T[eligible, -1], 0.0) / col[eligible]
+        ties = eligible[ratios <= ratios.min() + 1e-12]
         r = int(ties[np.argmin(basis[ties])])
         _pivot_kernel(T, r, j)
         basis[r] = j

@@ -123,11 +123,12 @@ class OraclePolicy:
     def __init__(self, config: ExperimentConfig, phase: int):
         self.config = config
         self.phase = phase
+        self.demand = config.demand_model()
 
     def __call__(self, day: int, state: InventoryState) -> DecisionVector:
         cfg = self.config
         rng = stream(cfg.seed, TAG_SAA_SCENARIO, self.phase, day)
-        sol = solve_stage_one(state, cfg.costs, cfg.saa, rng=rng, demand_configs=cfg.demand_configs)
+        sol = solve_stage_one(state, cfg.costs, cfg.saa, rng=rng, demand=self.demand)
         return sol.decision
 
 
@@ -155,12 +156,12 @@ def postprocess_prediction(raw, hospitals: int, max_age: int) -> DecisionVector:
 
 def generation_demands(config: ExperimentConfig, days: int = None) -> np.ndarray:
     days = config.horizon_days if days is None else days
-    return config.demand_model().sample_days(stream(config.seed, TAG_DATASET_DEMAND), days)
+    return config.demand_model().sample_day(stream(config.seed, TAG_DATASET_DEMAND), days)
 
 
 def rollout_demands(config: ExperimentConfig, days: int = None) -> np.ndarray:
     days = config.rollout_days if days is None else days
-    return config.demand_model().sample_days(stream(config.seed, TAG_ROLLOUT_DEMAND), days)
+    return config.demand_model().sample_day(stream(config.seed, TAG_ROLLOUT_DEMAND), days)
 
 
 def oracle_generation_run(config: ExperimentConfig, days: int = None) -> HorizonResult:

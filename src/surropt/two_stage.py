@@ -91,19 +91,12 @@ class StageOneSolution:
         return self.objective - self.lp_objective
 
 
-def build_saa(
-    state: InventoryState,
-    scenarios,
-    costs: CostParams,
-) -> LinearProgram:
+def build_saa(state: InventoryState, scenarios, costs: CostParams) -> LinearProgram:
     """Assemble the scenario LP.  The first ``decision_length(H, M)`` columns
     are the flattened first stage (orders, then lanes); recourse columns
-    follow per (hospital, distinct demand value)."""
-    return _build_compact(state, as_demand(scenarios, state.n_hospitals, batched=True), costs)
+    follow per (hospital, distinct demand value).
 
-
-def _build_compact(state, demand, costs):
-    """Rows: the stock caps of the lanes out of each (hospital, age) slot
+    Rows: the stock caps of the lanes out of each (hospital, age) slot
     (only when lanes exist), then one row group per distinct (hospital,
     demand value) pair, in hospital then value order: the unmet-demand row
     ``total + u >= d``, the leftover row ``total - v <= d`` and, when the
@@ -117,6 +110,7 @@ def _build_compact(state, demand, costs):
     The solver's crash basis covers every row, so phase 1 never runs on this
     LP: after the rows with a negative rhs are negated, every row has a slack
     column or a recourse singleton of the right sign."""
+    demand = as_demand(scenarios, state.n_hospitals, batched=True)
     h, m = state.n_hospitals, state.max_age
     d = decision_length(h, m)
     # lane columns in DecisionVector.flatten order: (sender, receiver, age)
@@ -151,11 +145,15 @@ def _build_compact(state, demand, costs):
         signs.append(-1.0)
         rates.append(hinge_cost)
     per_pair = len(coeffs)
-    hospital = np.broadcast_to(np.arange(h), demand.shape)
-    pairs, counts = np.unique(
-        np.stack([hospital, demand], axis=-1).reshape(-1, 2), axis=0, return_counts=True
-    )
-    hospital, value = pairs.T
+    # each hospital's sorted demands, hospital by hospital; a group starts at
+    # a hospital's first value and wherever the value changes
+    n_scen = demand.shape[0]
+    ordered = np.sort(demand.T, axis=1)
+    first = np.ones(ordered.shape, dtype=bool)
+    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    starts = np.flatnonzero(first)
+    hospital, value = starts // n_scen, ordered.reshape(-1)[starts]
+    counts = np.diff(starts, append=first.size)
     n_pairs = counts.size
     rhs = value.astype(float)[:, None] - np.stack(stock, axis=1)[hospital]
 
@@ -168,7 +166,7 @@ def _build_compact(state, demand, costs):
     b = np.concatenate([state.units.reshape(-1)[:n_cap].astype(float), rhs.reshape(-1)])
     c = np.concatenate([
         np.repeat([costs.ordering, costs.transship_unit], [h, d - h]),
-        ((counts / demand.shape[0])[:, None] * rates).reshape(-1),
+        ((counts / n_scen)[:, None] * rates).reshape(-1),
     ])
     senses = ("<=",) * n_cap + (">=", "<=", "<=")[:per_pair] * n_pairs
     return LinearProgram(c=c, A=A, b=b, senses=senses)
@@ -206,7 +204,7 @@ def solve_stage_one(
     costs: CostParams,
     saa: SaaConfig,
     rng: np.random.Generator = None,
-    demand_configs=None,
+    demand: DemandModel = None,
     scenarios=None,
 ) -> StageOneSolution:
     """Solve the scenario LP, integerize the first stage, and price the result.
@@ -215,16 +213,16 @@ def solve_stage_one(
     ``DecisionVector.flatten`` order (the LP's tie rule): older units are
     shipped first, and lower-index hospitals get the smaller order.
 
-    Scenarios may be passed explicitly; otherwise ``scenario_count`` draws are
-    taken from ``demand_configs`` using ``rng`` (or a generator derived from
-    the config seed)."""
+    Scenarios may be passed explicitly; otherwise ``scenario_count`` days are
+    drawn from the ``demand`` model in one block, using ``rng`` (or a
+    generator derived from the config seed)."""
     if scenarios is None:
-        if demand_configs is None:
-            raise InputError("either scenarios or demand_configs must be given")
+        if demand is None:
+            raise InputError("either scenarios or a demand model must be given")
         if rng is None:
             rng = stream(saa.seed, TAG_SAA_SCENARIO)
-        model = DemandModel(tuple(demand_configs))
-        scenarios = [model.sample_day(rng) for _ in range(saa.scenario_count)]
+        scenarios = demand.sample_day(rng, saa.scenario_count)
+    scenarios = as_demand(scenarios, state.n_hospitals, batched=True)
 
     lp = build_saa(state, scenarios, costs)
     sol: LpSolution = solve_lp(lp)
@@ -244,5 +242,5 @@ def solve_stage_one(
         lp_objective=sol.objective,
         breakdown=breakdown,
         lp_integral=integral,
-        scenarios=tuple(tuple(int(x) for x in s) for s in scenarios),
+        scenarios=tuple(map(tuple, scenarios.tolist())),
     )

@@ -55,3 +55,22 @@ def test_traced_leaf_values_reach_the_patched_name(monkeypatch):
     fit_gbdt(Dataset(X, np.abs(X[:, :2]), np.arange(40)), params, LossSpec("huber", 1.0))
     # the base, then at least one level of leaves per round
     assert len(calls) >= 1 + params.n_iterations
+
+
+def test_traced_sampling_reaches_the_patched_name(monkeypatch):
+    """The traced ``demand.sample_s`` wraps ``DemandModel.sample_day``: the
+    oracle must draw each day's scenarios through that name, once per day."""
+    from surropt.demand import DemandModel
+    from surropt.pipeline import GENERATION_PHASE, ExperimentConfig, OraclePolicy
+    from surropt.two_stage import SaaConfig
+
+    calls = []
+    real = DemandModel.sample_day
+    monkeypatch.setattr(
+        DemandModel, "sample_day", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    config = ExperimentConfig(seed=3, saa=SaaConfig(scenario_count=5))
+    policy = OraclePolicy(config, GENERATION_PHASE)
+    for day in range(2):
+        policy(day, config.initial_state)
+    assert len(calls) == 2

@@ -90,10 +90,29 @@ def test_sample_day_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_sample_days_shape():
-    model = DemandModel(tuple(default_demand_configs()))
-    days = model.sample_days(stream(11, 50), 7)
-    assert days.shape == (7, 4)
+def test_sample_day_block_is_the_one_day_stream():
+    # a block of days reads the generator exactly as one-day draws do, and
+    # those as one scalar draw per hospital, day after day
+    models = {
+        "paper": default_demand_configs(),
+        "pi=1": [HospitalDemandConfig(i + 1, ZinbParams(1.0, 2, 0.5)) for i in range(3)],
+        "pi=0": [HospitalDemandConfig(i + 1, ZinbParams(0.0, 15, 0.48)) for i in range(3)],
+        "r=1": [HospitalDemandConfig(i + 1, ZinbParams(0.3, 1, 0.4)) for i in range(2)],
+    }
+    for name, configs in models.items():
+        model = DemandModel(tuple(configs))
+        samplers = [ZinbSampler(c.params) for c in configs]
+        for days in (1, 7, 50):
+            block_rng, day_rng, scalar_rng = (stream(11, 50, days) for _ in range(3))
+            block = model.sample_day(block_rng, days)
+            one_day = np.stack([model.sample_day(day_rng) for _ in range(days)])
+            scalar = [[s.sample(scalar_rng) for s in samplers] for _ in range(days)]
+            assert block.shape == (days, len(configs)) and block.dtype == np.int64, name
+            assert np.array_equal(block, one_day) and block.tolist() == scalar, (name, days)
+            # and leaves the generator at the same place
+            assert block_rng.random() == day_rng.random() == scalar_rng.random()
+        empty = model.sample_day(stream(11, 50), 0)
+        assert empty.shape == (0, len(configs)) and empty.dtype == np.int64
 
 
 def test_parameter_validation():

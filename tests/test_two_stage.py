@@ -1,8 +1,12 @@
+import hashlib
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from surropt import two_stage
+from surropt.demand import DemandModel, default_demand_configs
 from surropt.errors import InputError
 from surropt.lp import _tableau, solve_lp
 from surropt.simulate import (
@@ -12,6 +16,7 @@ from surropt.simulate import (
     check_feasibility,
     decision_length,
 )
+from surropt.pipeline import ExperimentConfig, oracle_generation_run
 from surropt.two_stage import SaaConfig, build_saa, evaluate_decision, solve_stage_one
 
 from _oracles import brute_force_oracle, build_age_lp, build_per_scenario_lp, first_stage
@@ -40,6 +45,10 @@ def random_tiny_instance(rng, h=2, m=2):
 # on the younger stock, and no hinge column at all
 REGIME_OUTDATE = {"outdate>holding": 4.0, "holding>outdate": 0.5, "equal": 1.5}
 
+# sha256 of the oracle's LP solves over the first 30 acceptance generation
+# days (``TestSolveStageOne.test_oracle_pivot_path_pinned``)
+PIVOT_PATH_SHA256 = "b082870641f858dfd62110c9558574482483dabf00685a0a51a20e3159dacc5e"
+
 # edge shapes for the scenario-aggregation checks, as (state, scenarios) maps
 EDGE_SHAPES = {
     "random": lambda state, scenarios: (state, scenarios),
@@ -57,6 +66,29 @@ def repeated_demand_instance(rng, h, m, regime):
     costs = replace(costs, holding=1.5, outdate=REGIME_OUTDATE[regime])
     pool = rng.integers(0, 6, size=(3, h))
     return state, costs, pool[rng.integers(0, 3, size=int(rng.integers(1, 31)))]
+
+
+def assert_groups_in_order(state, scenarios, costs):
+    """One row group per (hospital, demand) pair, counted and ordered by
+    Python ints, and the optimum of the one-group-per-scenario form."""
+    h, m = state.n_hospitals, state.max_age
+    d, n_cap = decision_length(h, m), (h * m if h > 1 else 0)
+    per_pair = 2 if costs.outdate == costs.holding else 3
+    groups = sorted(Counter((i, int(s[i])) for s in scenarios for i in range(h)).items())
+    on_hand = state.units.sum(axis=1)
+    lp = build_saa(state, scenarios, costs)
+    assert lp.n_rows == n_cap + per_pair * len(groups)
+    unmet = slice(n_cap, None, per_pair)
+    # a hospital's order column enters only its own unmet-demand rows
+    assert np.argmax(lp.A[unmet, :h], axis=1).tolist() == [i for (i, _), _ in groups]
+    assert lp.b[unmet].tolist() == [float(v) - float(on_hand[i]) for (i, v), _ in groups]
+    shares = [n / len(scenarios) * costs.shortage for _, n in groups]
+    assert lp.c[d::per_pair].tolist() == shares
+    a = solve_lp(lp)
+    b = solve_lp(build_per_scenario_lp(state, scenarios, costs))
+    assert a.status == b.status == "optimal"
+    assert a.objective == pytest.approx(b.objective, rel=1e-12)
+    assert np.allclose(a.x[:d], b.x[:d], rtol=1e-12, atol=1e-9)
 
 
 class TestBuildSaa:
@@ -196,6 +228,28 @@ class TestBuildSaa:
         b = build_saa(state, [[2, 1]], CostParams())
         assert a.b.tobytes() == b.b.tobytes() and a.A.tobytes() == b.A.tobytes()
 
+    @pytest.mark.parametrize("regime", list(REGIME_OUTDATE))
+    def test_demand_near_int64_limit(self, regime):
+        # a key like hospital * (max + 1) + value would overflow int64 here
+        big = 2**62
+        state = InventoryState(np.array([[1, 0], [0, 2], [3, 1]]))
+        costs = replace(CostParams(), holding=1.5, outdate=REGIME_OUTDATE[regime])
+        scenarios = np.array(
+            [[big, 5, big + 1], [big + 1, 5, big], [3, big - 1, big], [big, 0, 2]]
+        )
+        assert_groups_in_order(state, scenarios, costs)
+        assert_groups_in_order(state, scenarios[:, ::-1], costs)
+
+    @pytest.mark.parametrize("regime", list(REGIME_OUTDATE))
+    def test_one_hospital(self, regime):
+        rng = np.random.default_rng(27)
+        for m in (1, 3):
+            for _ in range(5):
+                state = InventoryState(rng.integers(0, 4, size=(1, m)))
+                costs = replace(CostParams(), holding=1.5, outdate=REGIME_OUTDATE[regime])
+                scenarios = rng.integers(0, 6, size=(int(rng.integers(1, 31)), 1))
+                assert_groups_in_order(state, scenarios, costs)
+
 
 class TestSolveStageOne:
     def test_zero_demand_zero_decision(self):
@@ -238,12 +292,11 @@ class TestSolveStageOne:
             assert check_feasibility(state, sol.decision) == []
 
     def test_deterministic_given_seed(self):
-        from surropt.demand import default_demand_configs
-
         state = InventoryState(np.arange(44).reshape(4, 11) % 3)
         saa = SaaConfig(scenario_count=10, seed=77)
-        a = solve_stage_one(state, CostParams(), saa, demand_configs=default_demand_configs())
-        b = solve_stage_one(state, CostParams(), saa, demand_configs=default_demand_configs())
+        model = DemandModel(tuple(default_demand_configs()))
+        a = solve_stage_one(state, CostParams(), saa, demand=model)
+        b = solve_stage_one(state, CostParams(), saa, demand=model)
         assert np.array_equal(a.decision.flatten(), b.decision.flatten())
         assert a.objective == b.objective
         assert a.scenarios == b.scenarios
@@ -270,6 +323,25 @@ class TestSolveStageOne:
         assert np.array_equal(sol.decision.flatten(), old.flatten())
         brute, _ = brute_force_oracle(state, costs, scenarios, cap=2)
         assert np.array_equal(brute.flatten(), old.flatten())
+
+
+    def test_oracle_pivot_path_pinned(self, monkeypatch):
+        # every LP solve of the first 30 acceptance generation days: x, the
+        # objective and the pivot count, bit for bit
+        digest = hashlib.sha256()
+        real = two_stage.solve_lp
+
+        def probe(lp, *args, **kwargs):
+            sol = real(lp, *args, **kwargs)
+            digest.update(sol.x.tobytes())
+            digest.update(np.float64(sol.objective).tobytes())
+            digest.update(np.int64(sol.iterations).tobytes())
+            return sol
+
+        monkeypatch.setattr(two_stage, "solve_lp", probe)
+        config = ExperimentConfig(seed=20240803, saa=SaaConfig(scenario_count=50, seed=20240803))
+        assert len(oracle_generation_run(config, 30).decisions) == 30
+        assert digest.hexdigest() == PIVOT_PATH_SHA256
 
 
 class TestBruteForce:
