@@ -16,18 +16,26 @@ by default); numeric thresholds are stored in the nodes, so prediction
 needs only the raw feature values.
 
 A round grows the trees of all outputs still boosting together, one depth
-level at a time: one bincount per feature fills the histograms of every
-node in the level, and one pass scores all their splits.  The trees are,
-bit for bit, those of growing each output's tree alone, node by node.
-Each output draws its rows, then its features, from its own stream; a
-histogram cell adds its rows in ascending order, as do the pairwise sums
-that give node totals; the best split is the first maximum over (feature,
-bin); one ``leaf_optimal_value`` call per level values all its leaves,
-each ``eta`` times the constant of its own residuals alone, so a leaf's
-value does not depend on which leaves share its level; every row, sampled
-or not, goes left when its bin is at most the split's, which is
-``x <= threshold`` since a bin counts the thresholds below x; and each
-tree's nodes are numbered depth-first, left subtree first.
+level at a time: one bincount fills the histograms of the level's counted
+nodes, and one pass scores all their splits.  Only the roots, and of the
+two children of each split the one with fewer sampled rows (the left one
+on a tie), are counted from their rows; the other child's cumulative cells
+are its parent's less its sibling's, cell by cell, for the gradient sums
+and the row counts (Ke et al., "LightGBM", NeurIPS 2017).  A difference of
+row counts is exact, but one of gradient sums can round unlike a direct
+sum and flip a near-tie split under mse or Huber.  Under mae the gradients
+are -1, 0 or 1, every sum is an exact integer, and the trees are those of
+counting every node.  The trees are, bit for bit, those of growing each
+output's tree alone, node by node, with the same sibling rule.  Each
+output draws its rows, then its features, from its own stream; a histogram
+cell adds its rows in ascending order, as do the pairwise sums that give
+node totals; the best split is the first maximum over (feature, bin); one
+``leaf_optimal_value`` call per level values all its leaves, each ``eta``
+times the constant of its own residuals alone, so a leaf's value does not
+depend on which leaves share its level; every row, sampled or not, goes
+left when its bin is at most the split's, which is ``x <= threshold`` since
+a bin counts the thresholds below x; and each tree's nodes are numbered
+depth-first, left subtree first.
 
 A fitted forest is packed into the flat arrays of the model file.
 Prediction walks every (row, tree) pair one level per array step, then adds
@@ -93,7 +101,8 @@ class Tree:
 
 class _Binner:
     """Equal-frequency candidate thresholds per feature, and the split
-    cells: each (feature, bin) below a threshold, feature-major."""
+    cells: each (feature, bin) below a threshold, feature-major, with its
+    place in the (feature with a threshold, bin) grid of a histogram."""
 
     def __init__(self, X: np.ndarray, max_bins: int):
         self.thresholds = []
@@ -107,8 +116,10 @@ class _Binner:
         self.cell_feature = np.repeat(np.arange(X.shape[1]), sizes)
         self.cell_bin = np.concatenate([np.zeros(0, np.int64)] + [np.arange(k) for k in sizes])
         self.cell_threshold = np.concatenate([np.zeros(0)] + self.thresholds)
-        # (feature, first cell, end cell) of each feature with thresholds
-        self.segments = [(f, e - k, e) for f, (k, e) in enumerate(zip(sizes, np.cumsum(sizes))) if k]
+        self.features = np.flatnonzero(sizes)
+        # k thresholds give bins 0..k
+        self.width = max(sizes, default=0) + 1
+        self.cell_slot = self.width * (np.cumsum(np.array(sizes) > 0) - 1)[self.cell_feature] + self.cell_bin
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         binned = np.empty(X.shape, dtype=np.int32)
@@ -126,10 +137,18 @@ def _grow_round(binner, bins, rows, feats, g, hess, residual, loss, params):
     """Grow one tree per row of ``residual`` (an output's residuals on all
     training rows), level by level, tree i on the sampled rows ``rows[i]``
     and features ``feats[i]``, with gradients ``g`` and hessian ``hess``;
-    ``bins`` is (features, rows).  Returns the
-    trees' node arrays and sizes, and the leaf value each (tree, row) reaches."""
+    ``bins`` is (features, rows).  Returns the trees' node arrays and sizes,
+    and the leaf value each (tree, row) reaches.
+
+    Only the roots and, of each split's two children where either may split,
+    the one with fewer sampled rows (the left on a tie) are counted; the
+    other's cumulative cells are its parent's, kept from the last level,
+    less its sibling's.  Counts and mae's integer gradient sums subtract
+    exactly; mse and Huber sums can round unlike a direct count."""
     n_trees, n = residual.shape
-    n_cells, width = binner.cell_bin.size, int(binner.cell_bin.max(initial=0)) + 2
+    n_cells, n_feats = binner.cell_bin.size, binner.features.size
+    # each (feature with a threshold, row)'s cell in a node's grid
+    grid, cell_of = n_feats * binner.width, bins[binner.features] + binner.width * np.arange(n_feats)[:, None]
     sample = (np.arange(n_trees)[:, None] * n + rows).ravel()
     # each (tree, row)'s node in the level, or the level's size past a leaf
     at = np.repeat(np.arange(n_trees), n).reshape(n_trees, n)
@@ -151,17 +170,35 @@ def _grow_round(binner, bins, rows, feats, g, hess, residual, loss, params):
                 # the array square; no node is empty, so ht > 0
                 parent[k] = max(abs(gt) - params.l1, 0.0) ** 2 / (ht + params.l2)
             can = h_tot >= 2 * params.min_child_weight
-            grow, mine = np.flatnonzero(can), can[node]
-            # one bincount per feature fills the gradient histogram, and one
-            # the row counts, of each node that may split, at its rank among them
-            key, row_m, w = (np.cumsum(can) - 1)[node[mine]] * width, row[mine], e_g[mine]
-            gl, hl = np.empty((grow.size, n_cells)), np.empty((grow.size, n_cells))
-            for f, c0, c1 in binner.segments:
-                cell = key + bins[f].take(row_m)
-                for hist, out in ((np.bincount(cell, w, minlength=grow.size * width), gl),
-                                  (np.bincount(cell, minlength=grow.size * width), hl)):
-                    np.cumsum(hist.reshape(grow.size, width)[:, : c1 - c0], axis=1, out=out[:, c0:c1])
-            hl *= hess
+            grow = np.flatnonzero(can)
+            counted = grow
+            if levels:
+                # nodes 2k and 2k + 1 are the children of the last level's k-th split
+                pair = np.flatnonzero(can.reshape(-1, 2).any(axis=1))
+                counted = 2 * pair + (count[2 * pair + 1] < count[2 * pair])
+            # one bincount fills the gradient sums, and one the row counts, of
+            # every counted node's grid, at its rank among them; the cells are
+            # feature-major, so each adds its rows in ascending order
+            m, is_counted = counted.size, np.zeros(size, dtype=bool)
+            is_counted[counted] = True
+            mine = is_counted[node]
+            cell = cell_of.take(row[mine], axis=1)
+            cell += (np.cumsum(is_counted) - 1)[node[mine]] * grid
+            cell, shape = cell.ravel(), ((2 if levels else 1) * m, n_cells)
+            gl, cnt = np.empty(shape), np.empty(shape, dtype=np.int64)
+            for hist, out in ((np.bincount(cell, np.tile(e_g[mine], n_feats), minlength=m * grid), gl),
+                              (np.bincount(cell, minlength=m * grid), cnt)):
+                hist = np.cumsum(hist.reshape(m, n_feats, binner.width), axis=2)
+                np.take(hist.reshape(m, grid), binner.cell_slot, axis=1, out=out[:m])
+            if levels:
+                # node k ^ 1 is node k's sibling: its parent's cells less node k's
+                np.subtract(kept_gl[pair], gl[:m], out=gl[m:])
+                np.subtract(kept_cnt[pair], cnt[:m], out=cnt[m:])
+                counted = np.concatenate([counted, counted ^ 1])
+            slot = np.empty(size, dtype=np.int64)
+            slot[counted] = np.arange(counted.size)
+            gl, cnt = gl[slot[grow]], cnt[slot[grow]]
+            hl = hess * cnt
             gr, hr = g_tot[grow, None] - gl, h_tot[grow, None] - hl
             ok = feats[owner[grow]][:, binner.cell_feature]
             # hl and hr are hess times a row count, so each side keeps a row:
@@ -173,6 +210,7 @@ def _grow_round(binner, bins, rows, feats, g, hess, residual, loss, params):
             gain[~ok] = -np.inf
             best[grow] = np.argmax(gain, axis=1)
             split[grow] = gain[np.arange(grow.size), best[grow]] > _GAIN_TOL
+            kept_gl, kept_cnt = gl[split[grow]], cnt[split[grow]]
         # one call values every leaf of the level, each from its own rows
         leaf, value = np.flatnonzero(~split[:-1]), np.zeros(size + 1)
         value[leaf] = params.eta * leaf_optimal_value(loss, e_res[~split[node]], count[leaf])

@@ -27,24 +27,27 @@ def read_dataset_csv(path, hospitals: int = 4, max_age: int = 11) -> Dataset:
     expected = trajectory_columns(hospitals, max_age)
     n_in = hospitals * max_age
     n_out = decision_length(hospitals, max_age)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected:
-            raise InputError(
-                f"{path}: header does not match the {hospitals}x{max_age} trajectory schema"
-            )
-        days, xs, ys = [], [], []
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            if len(row) != len(expected):
-                raise InputError(f"{where} has {len(row)} fields, expected {len(expected)}")
-            try:
-                days.append(int(row[0]))
-                xs.append([float(v) for v in row[1 : 1 + n_in]])
-                ys.append([float(v) for v in row[1 + n_in : 1 + n_in + n_out]])
-            except ValueError as exc:
-                raise InputError(f"{where}: {exc}") from None
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != expected:
+                raise InputError(
+                    f"{path}: header does not match the {hospitals}x{max_age} trajectory schema"
+                )
+            days, xs, ys = [], [], []
+            for row in reader:
+                where = f"{path}: line {reader.line_num}"
+                if len(row) != len(expected):
+                    raise InputError(f"{where} has {len(row)} fields, expected {len(expected)}")
+                try:
+                    days.append(int(row[0]))
+                    xs.append([float(v) for v in row[1 : 1 + n_in]])
+                    ys.append([float(v) for v in row[1 + n_in : 1 + n_in + n_out]])
+                except ValueError as exc:
+                    raise InputError(f"{where}: {exc}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text") from None
     if not days:
         raise InputError(f"{path}: no data rows")
     return Dataset(np.asarray(xs), np.asarray(ys), np.asarray(days))

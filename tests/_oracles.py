@@ -370,8 +370,13 @@ def _soft_threshold(G, l1):
     return np.sign(G) * np.maximum(np.abs(G) - l1, 0.0)
 
 
-def _grow_tree(binned, thresholds, rows, feats, g, h, residual, loss, params):
-    """Depth-first growth of one tree on the sampled rows and features."""
+def _grow_tree(binned, thresholds, rows, feats, g, h, residual, loss, params, subtract):
+    """Depth-first growth of one tree on the sampled rows and features.
+
+    With ``subtract``, a split counts the cumulative histograms of its child
+    with fewer rows (the left one on a tie) and gives the other child its
+    own less that child's, cell by cell; without it, every node counts its
+    own rows."""
     feature, threshold, left, right, value = [], [], [], [], []
     max_bins = params.max_bins
     offsets = (np.arange(feats.size) * max_bins).astype(np.int32)
@@ -389,21 +394,22 @@ def _grow_tree(binned, thresholds, rows, feats, g, h, residual, loss, params):
         value.append(0.0)
         return len(feature) - 1
 
-    def grow(node_rows, depth):
-        node = new_node()
-        sub = binned[node_rows][:, feats] + offsets[None, :]
-        flat = sub.ravel()
+    def cumulative(node_rows):
+        """The node's cumulative gradient and hessian sums, counted from its rows."""
+        flat = (binned[node_rows][:, feats] + offsets[None, :]).ravel()
         hg = np.bincount(flat, weights=np.repeat(g[node_rows], feats.size), minlength=n_cells)
         hh = np.bincount(flat, weights=np.repeat(h[node_rows], feats.size), minlength=n_cells)
-        hg = hg.reshape(feats.size, max_bins)
-        hh = hh.reshape(feats.size, max_bins)
+        return (np.cumsum(hg.reshape(feats.size, max_bins), axis=1),
+                np.cumsum(hh.reshape(feats.size, max_bins), axis=1))
+
+    def grow(node_rows, depth, hist=None):
+        node = new_node()
         g_tot = float(g[node_rows].sum())
         h_tot = float(h[node_rows].sum())
 
         best = None
         if depth < params.max_depth and h_tot >= 2 * params.min_child_weight:
-            gl = np.cumsum(hg, axis=1)
-            hl = np.cumsum(hh, axis=1)
+            gl, hl = cumulative(node_rows) if hist is None else hist
             gr = g_tot - gl
             hr = h_tot - hl
             side = np.minimum(hl, hr)
@@ -429,8 +435,14 @@ def _grow_tree(binned, thresholds, rows, feats, g, h, residual, loss, params):
         go_left = binned[node_rows, f] <= b
         feature[node] = f
         threshold[node] = float(thresholds[f][b])
-        left[node] = grow(node_rows[go_left], depth + 1)
-        right[node] = grow(node_rows[~go_left], depth + 1)
+        kids = [node_rows[go_left], node_rows[~go_left]]
+        hists = [None, None]
+        if subtract:
+            small = int(kids[1].size < kids[0].size)
+            hists[small] = cumulative(kids[small])
+            hists[1 - small] = tuple(p - c for p, c in zip((gl, hl), hists[small]))
+        left[node] = grow(kids[0], depth + 1, hists[0])
+        right[node] = grow(kids[1], depth + 1, hists[1])
         return node
 
     grow(rows, 0)
@@ -443,7 +455,7 @@ def _grow_tree(binned, thresholds, rows, feats, g, h, residual, loss, params):
     )
 
 
-def _fit_single_output(X, binned, thresholds, y, params, loss, rng):
+def _fit_single_output(X, binned, thresholds, y, params, loss, rng, subtract):
     base = leaf_optimal_value(loss, y)
     pred = np.full(y.shape[0], base)
     n = y.shape[0]
@@ -465,17 +477,19 @@ def _fit_single_output(X, binned, thresholds, y, params, loss, rng):
             if n_feats == X.shape[1]
             else np.sort(rng.choice(X.shape[1], size=n_feats, replace=False))
         )
-        tree = _grow_tree(binned, thresholds, rows, feats, g, h, residual, loss, params)
+        tree = _grow_tree(binned, thresholds, rows, feats, g, h, residual, loss, params, subtract)
         pred += apply_tree(tree, X)
         trees.append(tree)
     return base, trees, pred
 
 
-def reference_fit_gbdt(data, params, loss, seed=0):
+def reference_fit_gbdt(data, params, loss, seed=0, subtract=True):
     """fit_gbdt one output at a time, each tree grown by depth-first
     recursion over its node's rows (nodes numbered in creation order) and
     each prediction update walked through the numeric thresholds; the
-    per-output tree lists are then concatenated into the packed arrays."""
+    per-output tree lists are then concatenated into the packed arrays.
+    ``subtract=False`` counts every node's histograms from its own rows, the
+    grower before sibling subtraction."""
     X = data.X
     binner = _Binner(X, params.max_bins)
     binned = binner.transform(X)
@@ -486,7 +500,7 @@ def reference_fit_gbdt(data, params, loss, seed=0):
     for j in range(data.n_outputs):
         rng = stream(seed, TAG_LEARNER, j)
         b, trees, pred = _fit_single_output(
-            X, binned, binner.thresholds, data.Y[:, j], params, loss, rng
+            X, binned, binner.thresholds, data.Y[:, j], params, loss, rng, subtract
         )
         base[j] = b
         ensembles.append(trees)

@@ -250,6 +250,28 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{data}: line 3" in err
 
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b"\xff\xfe" + write_config(tmp_path, name="good.json").read_bytes())
+        code = cli.main(["generate", "--config", str(config), "--out", str(tmp_path / "g")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {config}: not UTF-8 text\n"
+
+    @pytest.mark.parametrize("where", ["start", "row"])
+    def test_non_utf8_dataset_exit_2(self, tmp_path, capsys, where):
+        config = write_config(tmp_path)
+        data = self.dataset(tmp_path, lambda good: ",".join(good))
+        text = data.read_bytes()
+        if where == "start":
+            data.write_bytes(b"\xff\xfe" + text)
+        else:
+            data.write_bytes(text + b"\xff" + text.splitlines(keepends=True)[-1])
+        code = cli.main(
+            ["train", "--config", str(config), "--data", str(data), "--out", str(tmp_path / "t")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {data}: not UTF-8 text\n"
+
     @pytest.mark.parametrize(
         "members",
         [

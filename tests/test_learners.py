@@ -413,11 +413,24 @@ class TestGbdtGrower:
         ])
         return Dataset(X, Y, np.arange(n))
 
-    def fit_both(self, loss, **params):
+    def fit_both(self, loss, subtract=True, **params):
         params = GbdtParams(eta=1.0, n_iterations=5, **params)
         data = self.data()
-        reference = reference_fit_gbdt(data, params, loss, seed=7)
+        reference = reference_fit_gbdt(data, params, loss, seed=7, subtract=subtract)
         return fit_gbdt(data, params, loss, seed=7), reference
+
+    def assert_grid_matches(self, loss, subtract, subsample, colsample, max_depth):
+        # l2 = 0: with min_child_weight 0 empty nodes score 0 / 0, and 2.5 is
+        # a child weight that is not a multiple of the mse hessian
+        regular = itertools.product((0.0, 2.0), (0.0, 0.1), (2, 64), (1.0,))
+        for mcw, l1, max_bins, l2 in itertools.chain(regular, [(0.0, 0.0, 64, 0.0), (2.5, 0.1, 64, 0.0)]):
+            model, reference = self.fit_both(
+                loss, subtract, max_depth=max_depth, min_child_weight=mcw, l1=l1, l2=l2, max_bins=max_bins,
+                subsample=subsample, colsample_bytree=colsample,
+            )
+            for name in PACKED:
+                assert same_bits(getattr(model, name), getattr(reference, name)), (name, mcw, l1, max_bins, l2)
+            assert model.diagnostics == reference.diagnostics
 
     @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.kind)
     def test_stops_like_the_reference(self, loss):
@@ -429,17 +442,14 @@ class TestGbdtGrower:
     @pytest.mark.parametrize("subsample, colsample", [(1.0, 1.0), (0.7, 1.0), (1.0, 0.5), (0.7, 0.5)])
     @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.kind)
     def test_matches_reference(self, loss, subsample, colsample, max_depth):
-        # l2 = 0: with min_child_weight 0 empty nodes score 0 / 0, and 2.5 is
-        # a child weight that is not a multiple of the mse hessian
-        regular = itertools.product((0.0, 2.0), (0.0, 0.1), (2, 64), (1.0,))
-        for mcw, l1, max_bins, l2 in itertools.chain(regular, [(0.0, 0.0, 64, 0.0), (2.5, 0.1, 64, 0.0)]):
-            model, reference = self.fit_both(
-                loss, max_depth=max_depth, min_child_weight=mcw, l1=l1, l2=l2, max_bins=max_bins,
-                subsample=subsample, colsample_bytree=colsample,
-            )
-            for name in PACKED:
-                assert same_bits(getattr(model, name), getattr(reference, name)), (name, mcw, l1, max_bins, l2)
-            assert model.diagnostics == reference.diagnostics
+        self.assert_grid_matches(loss, True, subsample, colsample, max_depth)
+
+    @pytest.mark.parametrize("max_depth", [1, 3, 6])
+    @pytest.mark.parametrize("subsample, colsample", [(1.0, 1.0), (0.7, 1.0), (1.0, 0.5), (0.7, 0.5)])
+    def test_mae_keeps_the_direct_count_bits(self, subsample, colsample, max_depth):
+        # mae gradients are -1, 0 or 1, so a parent less its sibling is the
+        # exact integer a direct count gives, and the headline model keeps its bits
+        self.assert_grid_matches(LossSpec("mae"), False, subsample, colsample, max_depth)
 
 
 class TestSvr:

@@ -173,6 +173,30 @@ class TestBuildSaa:
                 T, basis, c = _tableau(build_saa(state, scenarios, costs))
                 assert T.shape[1] - 1 == c.size and np.all(basis < c.size), (h, m, edge)
 
+    @pytest.mark.parametrize("regime", ["outdate>holding", "holding>outdate"])
+    def test_lp_first_stage_is_integral(self, regime):
+        # 150 random instances per cost regime: H 1-4, M 1-5, 1-7 scenarios,
+        # stock 0-5, demand 0-11, 30 of each shape
+        rng = np.random.default_rng(27)
+        for edge in ["random", "one-hospital", "one-age", "zero-stock", "zero-demand"] * 30:
+            h = 1 if edge == "one-hospital" else int(rng.integers(1, 5))
+            m = 1 if edge == "one-age" else int(rng.integers(1, 6))
+            units = rng.integers(0, 6, size=(h, m)) * (edge != "zero-stock")
+            scenarios = rng.integers(0, 12, size=(int(rng.integers(1, 8)), h)) * (edge != "zero-demand")
+            holding = float(rng.uniform(0.1, 2.0))
+            ratio = rng.uniform(1.2, 10.0) if regime == "outdate>holding" else rng.uniform(0.05, 0.8)
+            costs = CostParams(
+                holding=holding,
+                ordering=float(rng.uniform(1.0, 8.0)),
+                transship_unit=float(rng.uniform(0.5, 5.0)),
+                shortage=float(rng.uniform(10.0, 50.0)),
+                outdate=float(holding * ratio),
+            )
+            sol = solve_lp(build_saa(InventoryState(units), scenarios, costs))
+            assert sol.status == "optimal"
+            first = sol.x[: decision_length(h, m)]
+            assert np.max(np.abs(first - np.rint(first)), initial=0.0) <= 1e-9, (edge, units, scenarios, costs)
+
     def test_scenario_order_does_not_change_the_lp(self):
         rng = np.random.default_rng(25)
         for regime in REGIME_OUTDATE:
