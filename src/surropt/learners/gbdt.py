@@ -38,9 +38,14 @@ a bin counts the thresholds below x; and each tree's nodes are numbered
 depth-first, left subtree first.
 
 A fitted forest is packed into the flat arrays of the model file.
-Prediction walks every (row, tree) pair one level per array step, then adds
-each output's leaf values to its base one at a time in fit order, so it
-gives the same bits as adding the trees one by one.
+Prediction walks every (row, tree) pair down exactly as many levels as the
+deepest tree has, one ``take`` per array and level, through a (node, side)
+child table in which both entries of a leaf are the leaf itself, so a row
+that reaches a leaf early stays there.  A row goes right unless
+``x <= threshold``, so NaN goes right.  The walk does no arithmetic and
+reaches the same leaves for every input.  Prediction then adds each
+output's leaf values to its base one at a time in fit order, so it gives
+the same bits as adding the trees one by one.
 """
 
 from __future__ import annotations
@@ -296,9 +301,15 @@ class GbdtModel:
             split &= (child > local) & (child < size)
         if not (leaf | split).all():
             raise ValueError(f"node {np.argmin(leaf | split)} is neither a leaf nor a forward split")
-        # node ids across the forest; a leaf is its own child
-        self._left = np.where(leaf, own, own - local + self.left)
-        self._right = np.where(leaf, own, own - local + self.right)
+        # node 2k + side's child across the forest, the right one at side 1; a
+        # leaf is both its own children and reads feature 0, which any x has
+        self._child = np.where(leaf, own, own - local + np.stack([self.left, self.right])).T.reshape(-1)
+        self._feature = np.where(leaf, 0, self.feature)
+        # the forest's depth: levels until every root's descendants are leaves
+        level, self._depth = self._roots, 0
+        while (inner := level[~leaf[level]]).size:
+            level = np.unique(self._child[np.concatenate([2 * inner, 2 * inner + 1])])
+            self._depth += 1
         # each output with trees sums one row of terms: its base, then its
         # leaf values in fit order; _slot is each tree's place in those rows
         self._grown, self._width = np.flatnonzero(counts), 1 + int(counts.max(initial=0))
@@ -324,11 +335,11 @@ class GbdtModel:
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise InputError(f"expected (N, {self.n_features}) inputs, got {X.shape}")
         n = X.shape[0]
-        rows, node = np.arange(n)[:, None], np.tile(self._roots, (n, 1))
-        # a leaf reads column -1 and goes back to itself either way
-        while ((feature := self.feature[node]) >= 0).any():
-            go_left = X[rows, feature] <= self.threshold[node]
-            node = np.where(go_left, self._left[node], self._right[node])
+        at, node = np.arange(n)[:, None] * self.n_features, np.tile(self._roots, (n, 1))
+        # a row at a leaf stays there; NaN is not <= a threshold, so it goes right
+        for _ in range(self._depth):
+            right = ~(X.take(at + self._feature.take(node)) <= self.threshold.take(node))
+            node = self._child.take(2 * node + right)
         # x + -0.0 is x for every x, so -0.0 pads the rows of fewer trees
         terms = np.full((n, self._grown.size * self._width), -0.0)
         terms[:, self._slot] = self.value[node]

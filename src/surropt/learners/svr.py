@@ -9,6 +9,16 @@ carries the best model found so far.
 
 The penalty C may be a single value or a candidate list cross-validated
 with shared folds; the default bandwidth is 1 / (n_features * Var(X)).
+
+Prediction computes one RBF kernel between the inputs and the distinct
+support rows of all outputs (the outputs share most of them, since every
+support vector is a training row), then takes each output's dot product
+over its own columns of it, output by output.  Where the inputs and the
+support rows are whole numbers, as the pipeline's inventory counts are,
+every squared distance is exact, so each output gets the bits of a kernel
+against its own support vectors alone.  On other float rows a kernel
+entry's matrix product can round differently with the column's place, in
+the last bits.
 """
 
 from __future__ import annotations
@@ -118,7 +128,11 @@ class SvrModel:
     """Per-output support vectors, dual coefficients, and bias.  Arrays that
     do not fit together (float arrays, one support set, coefficient vector
     and bias per output, each support vector of ``n_features`` entries and
-    one coefficient per support vector) raise ``ValueError``."""
+    one coefficient per support vector) raise ``ValueError``.
+
+    Construction also keeps the distinct support rows of all outputs and,
+    per output with support vectors, its columns among them, so that
+    ``predict`` computes one kernel."""
 
     support: list                 # per output: (n_sv, n_features) array
     coef: list                    # per output: (n_sv,) dual coefficients
@@ -145,6 +159,10 @@ class SvrModel:
                     f"output {j}: {sv.dtype} support vectors {sv.shape} and {coef.dtype} "
                     f"coefficients {coef.shape} for {self.n_features} features"
                 )
+        stacked = np.concatenate([np.zeros((0, self.n_features))] + list(self.support))
+        self._rows, inverse = np.unique(stacked, axis=0, return_inverse=True)
+        cols = np.split(inverse.reshape(-1), np.cumsum([sv.shape[0] for sv in self.support])[:-1])
+        self._terms = [(j, c, coef) for j, (c, coef) in enumerate(zip(cols, self.coef)) if c.size]
 
     @property
     def n_outputs(self) -> int:
@@ -155,9 +173,11 @@ class SvrModel:
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise InputError(f"expected (N, {self.n_features}) inputs, got {X.shape}")
         out = np.tile(self.bias, (X.shape[0], 1))
-        for j in range(self.n_outputs):
-            if self.support[j].shape[0]:
-                out[:, j] += rbf_kernel(X, self.support[j], self.gamma) @ self.coef[j]
+        K = rbf_kernel(X, self._rows, self.gamma)
+        for j, cols, coef in self._terms:
+            # take gives a C-ordered block, as a kernel of its own would be, so
+            # the product adds each row's terms in the same order
+            out[:, j] += K.take(cols, axis=1) @ coef
         return out
 
 
@@ -165,19 +185,22 @@ def _fit_all_outputs(X, Y, gamma, C, epsilon, tol, max_iter) -> SvrModel:
     """One SMO solve per output; raises ResourceLimitError, carrying the
     outputs fitted so far, at the first output that does not converge."""
     K = rbf_kernel(X, X, gamma)
-    model = SvrModel([], [], np.zeros(0), gamma=gamma, epsilon=epsilon, C=C, n_features=X.shape[1])
+    support, coefs, bias, converged = [], [], [], True
     for j in range(Y.shape[1]):
         beta, b, _, converged = smo_solve(K, Y[:, j], C, epsilon, tol, max_iter)
         sv = np.abs(beta) > 1e-9
-        model.support.append(X[sv].copy())
-        model.coef.append(beta[sv].copy())
-        model.bias = np.append(model.bias, b)
+        support.append(X[sv].copy())
+        coefs.append(beta[sv].copy())
+        bias.append(b)
         if not converged:
-            raise ResourceLimitError(
-                f"SMO did not reach the KKT tolerance within the iteration cap "
-                f"(output {j}, C={C})",
-                partial=model,
-            )
+            break
+    model = SvrModel(support, coefs, np.array(bias), gamma=gamma, epsilon=epsilon, C=C, n_features=X.shape[1])
+    if not converged:
+        raise ResourceLimitError(
+            f"SMO did not reach the KKT tolerance within the iteration cap "
+            f"(output {j}, C={C})",
+            partial=model,
+        )
     return model
 
 

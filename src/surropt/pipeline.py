@@ -32,7 +32,7 @@ from .simulate import (
     InventoryState,
     run_horizon,
 )
-from .two_stage import SaaConfig, solve_stage_one
+from .two_stage import MAX_COUNT_LIMIT, SaaConfig, solve_stage_one
 from .util import (
     TAG_DATASET_DEMAND,
     TAG_ROLLOUT_DEMAND,
@@ -46,7 +46,8 @@ GENERATION_PHASE = 0
 ROLLOUT_PHASE = 1
 
 # Bounds the H x max_age state grid, so a mistyped age count fails as a
-# config error instead of as an allocation.
+# config error instead of as an allocation; the day counts are held to
+# MAX_COUNT_LIMIT for the same reason.
 MAX_AGE_LIMIT = 1000
 
 
@@ -92,10 +93,9 @@ class ExperimentConfig:
             object.__setattr__(self, "demand_configs", tuple(default_demand_configs()))
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.horizon_days < 1:
-            raise ConfigError("horizon_days must be >= 1")
-        if self.rollout_days < 1:
-            raise ConfigError("rollout_days must be >= 1")
+        for name in ("horizon_days", "rollout_days"):
+            if not 1 <= (days := getattr(self, name)) <= MAX_COUNT_LIMIT:
+                raise ConfigError(f"{name} must be in 1..{MAX_COUNT_LIMIT}, got {days}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must be in (0, 1)")
         if not 1 <= self.max_age <= MAX_AGE_LIMIT:

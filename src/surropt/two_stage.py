@@ -62,6 +62,12 @@ from .simulate import (
 )
 from .util import TAG_SAA_SCENARIO, stream
 
+# Bounds the day and scenario counts, whose demand blocks are (count, H)
+# arrays, so a mistyped count fails as a config error instead of as an
+# allocation.
+MAX_COUNT_LIMIT = 100_000
+
+
 @dataclass(frozen=True)
 class SaaConfig:
     """Controls for the sample-average approximation."""
@@ -70,8 +76,8 @@ class SaaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.scenario_count < 1:
-            raise ConfigError(f"scenario_count must be >= 1, got {self.scenario_count}")
+        if not 1 <= self.scenario_count <= MAX_COUNT_LIMIT:
+            raise ConfigError(f"scenario_count must be in 1..{MAX_COUNT_LIMIT}, got {self.scenario_count}")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ of the simulator's bookkeeping, plain gradient descent instead of the
 ridge normal equations, the explicit per-age scenario LP instead of the
 hinge form, one hinge row group per scenario instead of one per distinct
 (hospital, demand) pair, exhaustive enumeration instead of the LP oracle, a
-row-by-row, tree-by-tree walk instead of the packed GBDT forest,
+row-by-row, tree-by-tree walk instead of the packed GBDT forest, one RBF
+kernel per output instead of one over all outputs' distinct support rows,
 one-output, one-node-at-a-time recursive tree growth instead of the
 level-wise GBDT grower, bisection of the Huber leaf constant instead of
 the exact breakpoint search, and one day and one scenario at a time with a
@@ -25,6 +26,7 @@ import numpy as np
 
 from surropt.errors import InputError, InternalError
 from surropt.learners.gbdt import _NODE_ARRAYS, GbdtModel, Tree, _Binner
+from surropt.learners.svr import rbf_kernel
 from surropt.losses import leaf_optimal_value, loss_grad_hess, loss_value
 from surropt.lp import LinearProgram
 from surropt.pipeline import generation_demands, report_from_run
@@ -351,6 +353,17 @@ def reference_gbdt_predict(model, X):
                     go_left = row[tree.feature[node]] <= tree.threshold[node]
                     node = tree.left[node] if go_left else tree.right[node]
                 out[r, j] += tree.value[node]
+    return out
+
+
+def reference_svr_predict(model, X):
+    """SvrModel.predict one output at a time: each output adds to its bias
+    the product of its own support vectors' kernel and its coefficients."""
+    X = np.asarray(X, dtype=float)
+    out = np.tile(model.bias, (X.shape[0], 1))
+    for j in range(model.n_outputs):
+        if model.support[j].shape[0]:
+            out[:, j] += rbf_kernel(X, model.support[j], model.gamma) @ model.coef[j]
     return out
 
 

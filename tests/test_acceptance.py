@@ -323,6 +323,9 @@ def test_criterion_8_loss_effect_on_outliers():
 DATASET_SHA256 = "e75d8b57a1d5e9c907195ea28df129698714f08afc86edc40b49614c4e5ade2b"
 # the gbdt-mae model fitted on them, whose losses head the benchmark; likewise
 GBDT_MAE_MODEL_SHA256 = "751539a8d5f3c37d1e505218f7b7c2ea26e4b1d542ee084a2441af64b2e5b712"
+# the five surrogates' and the oracle's rollout costs, which every predict
+# path reaches; likewise
+COMPARISON_SHA256 = "f19abbd16eb1fd32fedd4987a03401423ea1a5735727e02dd2aab008e1417693"
 
 
 def test_dataset_labels_pinned(artifacts):
@@ -333,6 +336,11 @@ def test_dataset_labels_pinned(artifacts):
 def test_gbdt_mae_model_pinned(artifacts):
     digest = hashlib.sha256((artifacts["out"] / "model-gbdt-mae.surropt").read_bytes()).hexdigest()
     assert digest == GBDT_MAE_MODEL_SHA256
+
+
+def test_comparison_pinned(artifacts):
+    digest = hashlib.sha256((artifacts["out"] / "comparison.csv").read_bytes()).hexdigest()
+    assert digest == COMPARISON_SHA256
 
 
 def test_criterion_9_determinism(artifacts, tmp_path_factory):

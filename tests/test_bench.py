@@ -74,3 +74,24 @@ def test_traced_sampling_reaches_the_patched_name(monkeypatch):
     for day in range(2):
         policy(day, config.initial_state)
     assert len(calls) == 2
+
+
+def test_traced_kernel_is_one_call_per_svr_predict(monkeypatch):
+    """The traced ``learners.svr.kernel_s`` wraps ``svr.rbf_kernel``: a
+    prediction must compute its one kernel through that module global."""
+    import numpy as np
+
+    from surropt.learners import Dataset, fit_svr, svr
+
+    rng = np.random.default_rng(0)
+    X = rng.integers(0, 5, size=(40, 3)).astype(float)
+    Y = np.column_stack([X[:, 0] + X[:, 1], np.abs(X[:, 1] - X[:, 2]), np.full(40, 1.0)])
+    model = fit_svr(Dataset(X, Y, np.arange(40)), C=1.0)
+    assert sum(sv.shape[0] for sv in model.support) > 0
+    calls = []
+    real = svr.rbf_kernel
+    monkeypatch.setattr(svr, "rbf_kernel", lambda *a: calls.append(a) or real(*a))
+    for n in (1, 7):
+        calls.clear()
+        model.predict(X[:n])
+        assert len(calls) == 1

@@ -113,6 +113,30 @@ class TestGenerate:
         b = (tmp_path / "b" / "dataset.csv").read_bytes()
         assert a == b
 
+    @pytest.mark.parametrize(
+        "command, key",
+        [("generate", "horizon_days"), ("rollout", "rollout_days"), ("generate", "saa.scenario_count")],
+    )
+    def test_huge_count_exit_2(self, tmp_path, capsys, monkeypatch, command, key):
+        # 10**12 days or scenarios would be a 29 TiB demand block: the config
+        # must fail before any demand is drawn or any output written
+        from surropt.demand import DemandModel
+
+        def never(*args, **kwargs):
+            raise AssertionError("a demand block was drawn")
+
+        monkeypatch.setattr(DemandModel, "sample_day", never)
+        config = write_config(tmp_path, overrides={key: 10**12})
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config), "--out", str(out)]
+        if command == "rollout":
+            argv += ["--model", str(tmp_path / "nope.surropt")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert key.split(".")[-1] in err and f"got {10**12}" in err
+        assert not out.exists()
+
     def test_unwritable_out_exit_3(self, tmp_path):
         config = write_config(tmp_path)
         blocker = tmp_path / "blocked"

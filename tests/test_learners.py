@@ -18,7 +18,7 @@ from surropt.learners import (
 )
 from surropt.learners.gbdt import PACKED, GbdtModel, GbdtParams, Tree
 from surropt.learners.ridge import solve_ridge
-from surropt.learners.svr import rbf_kernel, smo_solve
+from surropt.learners.svr import SvrModel, rbf_kernel, smo_solve
 from surropt.losses import LossSpec, loss_value
 
 from _oracles import (
@@ -28,6 +28,7 @@ from _oracles import (
     projected_gradient_svr_dual,
     reference_fit_gbdt,
     reference_gbdt_predict,
+    reference_svr_predict,
 )
 
 # GBDT model files written by the tree-by-tree grower, before the forest was
@@ -393,6 +394,66 @@ class TestGbdtPredict:
         assert out[:, 2].tolist() == [2.0, 2.0, 6.0]
 
 
+def forest_depth(model):
+    """The most splits on any root-to-leaf path of the model's trees."""
+    depth = 0
+    for tree in (t for trees in model.ensembles for t in trees):
+        level = np.zeros(tree.feature.size, dtype=np.int64)
+        # a child comes after its parent
+        for k in np.flatnonzero(tree.feature >= 0):
+            level[tree.left[k]] = level[tree.right[k]] = level[k] + 1
+        depth = max(depth, int(level.max()))
+    return depth
+
+
+class TestGbdtWalk:
+    """The fixed-depth walk reaches the leaves of the node-by-node walk on
+    every input: a value equal to a threshold goes left, NaN goes right,
+    and a row that reaches a leaf early stays there."""
+
+    @staticmethod
+    def rows(model, n, rng):
+        # the first rows sit on thresholds; half the rest of the cells are NaN or +-inf
+        X = probe_rows(model, n, rng)
+        tail = X[n // 2 :]
+        special = rng.random(tail.shape) < 0.5
+        tail[special] = rng.choice([np.nan, np.inf, -np.inf], size=int(special.sum()))
+        return X
+
+    @staticmethod
+    def deep_model():
+        rng = np.random.default_rng(62)
+        X = rng.normal(size=(400, 3))
+        Y = np.column_stack([np.abs(np.sin(3 * X[:, 0]) + X[:, 1] * X[:, 2]), np.full(400, 0.5)])
+        params = GbdtParams(eta=0.5, n_iterations=4, max_depth=15, min_child_weight=0, subsample=0.8)
+        return fit_gbdt(Dataset(X, Y, np.arange(400)), params, LossSpec("mse"), seed=3)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 50])
+    def test_special_values_match_the_reference(self, n):
+        rng = np.random.default_rng(63)
+        for model in [format_fixture_model(loss) for loss in LOSSES] + [self.deep_model()]:
+            X = self.rows(model, n, rng)
+            assert same_bits(model.predict(X), reference_gbdt_predict(model, X))
+
+    def test_depth_15_forest(self):
+        model = self.deep_model()
+        assert forest_depth(model) == 15 and model.tree_counts.tolist() == [4, 0]
+        X = self.rows(model, 200, np.random.default_rng(64))
+        assert np.isnan(X).any() and np.isinf(X).any()
+        assert same_bits(model.predict(X), reference_gbdt_predict(model, X))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_forest_without_trees_is_constant(self, n):
+        model = GbdtModel(
+            params=GbdtParams(), loss=LossSpec("mae"), base=np.array([2.25, -0.0, 7.0]),
+            **packed_forest([[], [], []]), n_features=2, seed=0,
+        )
+        X = np.full((n, 2), np.nan)
+        out = model.predict(X)
+        assert same_bits(out, reference_gbdt_predict(model, X))
+        assert same_bits(out, np.tile(model.base, (n, 1)))
+
+
 class TestGbdtGrower:
     """The level-wise grower builds, bit for bit, the forest of growing each
     output's trees one at a time, node by node, by depth-first recursion."""
@@ -543,6 +604,80 @@ class TestSvr:
         data = make_dataset(rng, n=20, p=2, q=1)
         with pytest.raises(InputError, match="gamma"):
             fit_svr(data, C=1.0, gamma=gamma)
+
+
+class TestSvrPredict:
+    """One kernel over the distinct support rows of all outputs gives the
+    bits of one kernel per output wherever the rows are whole numbers, and
+    agrees to rounding on other rows."""
+
+    @staticmethod
+    def whole_dataset(rng, n=60, p=4):
+        # inventory-like counts, many rows repeated; the constant output has
+        # no support vectors
+        X = rng.integers(0, 4, size=(n, p)).astype(float)
+        Y = np.column_stack([np.full(n, 2.0), X[:, 0] + X[:, 1], np.abs(X[:, 2] - X[:, 3]), X[:, 3]])
+        return Dataset(X, Y, np.arange(n))
+
+    @staticmethod
+    def built(picks, p=3):
+        """Output j's support vectors are the rows ``picks[j]`` of one
+        whole-number pool."""
+        rng = np.random.default_rng(71)
+        pool = rng.integers(-3, 4, size=(6, p)).astype(float)
+        return SvrModel(
+            support=[pool[list(k)].reshape(-1, p) for k in picks],
+            coef=[rng.normal(size=len(k)) for k in picks],
+            bias=rng.normal(size=len(picks)),
+            gamma=0.3, epsilon=0.1, C=1.0, n_features=p,
+        )
+
+    def models(self):
+        fitted = fit_svr(self.whole_dataset(np.random.default_rng(70)), C=2.0, epsilon=0.1)
+        sizes = [sv.shape[0] for sv in fitted.support]
+        distinct = np.unique(np.concatenate(fitted.support), axis=0).shape[0]
+        assert sizes[0] == 0 and min(sizes[1:]) > 0 and distinct < sum(sizes)
+        return [
+            fitted,
+            # shared rows, an output without support vectors, a row twice in one output
+            self.built([(0, 1, 2), (), (2, 3, 0, 0), (5,)]),
+            self.built([(), ()]),
+            self.built([]),
+        ]
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 50])
+    def test_whole_number_rows_match_the_reference_bits(self, n):
+        rng = np.random.default_rng(72)
+        for model in self.models():
+            X = rng.integers(-2, 6, size=(n, model.n_features)).astype(float)
+            assert same_bits(model.predict(X), reference_svr_predict(model, X))
+
+    def test_float_rows_match_the_reference_closely(self):
+        rng = np.random.default_rng(73)
+        floats = fit_svr(make_dataset(rng, n=60, p=3, q=3), C=2.0, epsilon=0.05)
+        for model in self.models() + [floats]:
+            X = rng.normal(scale=2.0, size=(50, model.n_features))
+            np.testing.assert_allclose(model.predict(X), reference_svr_predict(model, X), rtol=1e-12)
+
+    def test_reloaded_model_keeps_the_bits(self, tmp_path):
+        rng = np.random.default_rng(74)
+        for k, model in enumerate(self.models()):
+            save_model(tmp_path / f"{k}.surropt", model)
+            loaded = load_model(tmp_path / f"{k}.surropt")
+            for X in (rng.integers(-2, 6, size=(7, model.n_features)).astype(float),
+                      rng.normal(size=(7, model.n_features))):
+                assert same_bits(loaded.predict(X), model.predict(X))
+
+    def test_partial_model_is_validated(self):
+        rng = np.random.default_rng(75)
+        with pytest.raises(ResourceLimitError) as err:
+            fit_svr(self.whole_dataset(rng), C=100.0, epsilon=0.001, max_iter=3)
+        partial = err.value.partial
+        # the constant output converged, the next did not
+        assert partial.support[0].shape[0] == 0 and partial.n_outputs == 2
+        replace(partial)  # runs the constructor's checks again
+        X = rng.integers(-2, 6, size=(7, 4)).astype(float)
+        assert same_bits(partial.predict(X), reference_svr_predict(partial, X))
 
 
 class TestPredictApi:
