@@ -10,7 +10,7 @@ and shortage costs it induces.
 
 __version__ = "0.1.0"
 
-from .demand import DemandModel, HospitalDemandConfig, ZinbParams, default_demand_configs
+from .demand import DemandModel, ZinbParams, default_demand_configs
 from .errors import ConfigError, InputError, InternalError, ResourceLimitError, SurroptError
 from .learners import Dataset, fit_gbdt, fit_ridge, fit_svr, load_model, save_model
 from .learners.gbdt import GbdtParams

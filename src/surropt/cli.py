@@ -188,7 +188,7 @@ def cmd_rollout(args) -> int:
 
 def cmd_selftest(args) -> int:
     """A handful of fast end-to-end sanity checks."""
-    from .demand import ZinbParams, ZinbSampler
+    from .demand import DemandModel, ZinbParams
     from .losses import LossSpec, loss_grad_hess, loss_value
     from .lp import LinearProgram, solve_lp
     from .pipeline import ExperimentConfig, generate_dataset
@@ -207,8 +207,7 @@ def cmd_selftest(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
 
     def zinb_mean():
-        sampler = ZinbSampler(ZinbParams(0.6, 4, 0.6))
-        draws = sampler.sample(stream(1, 99), 100_000)
+        draws = DemandModel((ZinbParams(0.6, 4, 0.6),)).sample_day(stream(1, 99), 100_000)
         return abs(draws.mean() - 4 * 0.4 * 0.4 / 0.6) < 0.05
 
     check("zinb sample mean near analytic mean", zinb_mean)

@@ -5,9 +5,11 @@ The schema is the dataclass fields.  Each JSON section is read by
 checks every value against its field's declared type, so a typo in a
 hyperparameter name or a value of the wrong type fails loudly instead of
 silently using a default.  Only the few places where the JSON layout and the
-dataclasses differ are mapped by hand: ``hospitals``, ``learner.loss`` and
+dataclasses differ are mapped by hand: ``learner.loss`` and
 ``learner.delta``, ``learner.svr``, the top-level ``seed`` that also seeds
-the SAA scenarios, and ``initial_inventory``.  Every error is a
+the SAA scenarios, and ``initial_inventory``.  ``hospitals`` is a list of
+``ZinbParams`` objects; a hospital may also give an ``id``, which must equal
+its 1-based position and is not written back.  Every error is a
 ``ConfigError`` (or an ``InputError`` from a constructor) naming the
 offending field.
 """
@@ -20,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .demand import HospitalDemandConfig, ZinbParams
+from .demand import ZinbParams
 from .errors import ConfigError, InputError
 from .learners.gbdt import GbdtParams
 from .losses import LossSpec
@@ -99,10 +101,13 @@ def _build(cls, obj, where: str, **given):
     return _construct(cls, where, **given, **_fields(cls, obj, where, given))
 
 
-def _hospital(entry, k: int, where: str) -> HospitalDemandConfig:
+def _hospital(entry, k: int, where: str) -> ZinbParams:
+    """Hospital ``k + 1``'s demand; an optional ``id`` must be that number."""
     entry = _object(entry, where)
     hospital_id = _coerce(entry.pop("id", k + 1), "int", f"{where}.id")
-    return HospitalDemandConfig(hospital_id, _build(ZinbParams, entry, where))
+    if hospital_id != k + 1:
+        raise ConfigError(f"{where}.id: must equal the hospital's position {k + 1}, got {hospital_id}")
+    return _build(ZinbParams, entry, where)
 
 
 def _learner(obj, where: str) -> LearnerSpec:
@@ -140,7 +145,7 @@ def parse_config(obj, where: str = "config") -> ExperimentConfig:
     hospitals = obj.pop("hospitals")
     if not isinstance(hospitals, list) or not hospitals:
         raise ConfigError(f"{where}.hospitals: must be a nonempty list")
-    demand_configs = tuple(
+    hospitals = tuple(
         _hospital(entry, k, f"{where}.hospitals[{k}]") for k, entry in enumerate(hospitals)
     )
     costs = _build(CostParams, obj.pop("costs", {}), f"{where}.costs")
@@ -152,7 +157,7 @@ def parse_config(obj, where: str = "config") -> ExperimentConfig:
         ExperimentConfig,
         obj,
         where,
-        demand_configs=demand_configs,
+        hospitals=hospitals,
         costs=costs,
         saa=saa,
         learner=learner,
@@ -188,12 +193,10 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     learner.update(loss=loss["kind"], delta=loss["delta"], svr=svr)
     del out["saa"]["seed"]
     del out["initial_state"]
-    hospitals = [{"id": c["hospital_id"], **c["params"]} for c in out.pop("demand_configs")]
     state = config.initial_state
     return {
         "version": CONFIG_VERSION,
         **out,
-        "hospitals": hospitals,
         "learner": learner,
         "initial_inventory": "empty" if state.total() == 0 else state.units.tolist(),
     }

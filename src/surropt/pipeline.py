@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .demand import DemandModel, HospitalDemandConfig, default_demand_configs
+from .demand import DemandModel, ZinbParams, default_demand_configs
 from .errors import ConfigError, InputError
 from .learners import Dataset, fit_gbdt, fit_ridge, fit_svr, split_train_test
 from .learners.gbdt import GbdtParams
@@ -81,7 +81,7 @@ class ExperimentConfig:
     horizon_days: int = 500
     rollout_days: int = 200
     train_fraction: float = 0.9
-    demand_configs: tuple = None
+    hospitals: tuple[ZinbParams, ...] = None  # demand of hospitals 1..H; None: the paper's four
     costs: CostParams = CostParams()
     saa: SaaConfig = SaaConfig()
     learner: LearnerSpec = LearnerSpec()
@@ -89,8 +89,8 @@ class ExperimentConfig:
     initial_state: InventoryState = None
 
     def __post_init__(self):
-        if self.demand_configs is None:
-            object.__setattr__(self, "demand_configs", tuple(default_demand_configs()))
+        if self.hospitals is None:
+            object.__setattr__(self, "hospitals", default_demand_configs())
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("horizon_days", "rollout_days"):
@@ -100,7 +100,7 @@ class ExperimentConfig:
             raise ConfigError("train_fraction must be in (0, 1)")
         if not 1 <= self.max_age <= MAX_AGE_LIMIT:
             raise ConfigError(f"max_age must be in 1..{MAX_AGE_LIMIT}, got {self.max_age}")
-        h = len(self.demand_configs)
+        h = len(self.hospitals)
         if self.initial_state is None:
             object.__setattr__(self, "initial_state", InventoryState.zeros(h, self.max_age))
         st = self.initial_state
@@ -111,10 +111,10 @@ class ExperimentConfig:
 
     @property
     def n_hospitals(self) -> int:
-        return len(self.demand_configs)
+        return len(self.hospitals)
 
     def demand_model(self) -> DemandModel:
-        return DemandModel(tuple(self.demand_configs))
+        return DemandModel(self.hospitals)
 
 
 class OraclePolicy:

@@ -22,7 +22,7 @@ from .util import config_digest
 ARTIFACT_NAME = "surropt"
 
 
-def read_dataset_csv(path, hospitals: int = 4, max_age: int = 11) -> Dataset:
+def read_dataset_csv(path, hospitals: int, max_age: int) -> Dataset:
     """Load the inventory and decision columns of a trajectory CSV."""
     expected = trajectory_columns(hospitals, max_age)
     n_in = hospitals * max_age

@@ -33,9 +33,6 @@ import numpy as np
 
 from .errors import InputError, InternalError
 
-N_HOSPITALS = 4
-MAX_AGE = 11
-
 
 def _as_grid(a, name):
     arr = np.asarray(a)
@@ -62,11 +59,11 @@ class InventoryState:
         object.__setattr__(self, "units", grid)
 
     @classmethod
-    def zeros(cls, hospitals=N_HOSPITALS, max_age=MAX_AGE):
+    def zeros(cls, hospitals: int, max_age: int):
         return cls(np.zeros((hospitals, max_age), dtype=np.int64))
 
     @classmethod
-    def from_flat(cls, flat, hospitals=N_HOSPITALS, max_age=MAX_AGE):
+    def from_flat(cls, flat, hospitals: int, max_age: int):
         flat = np.asarray(flat)
         if flat.size != hospitals * max_age:
             raise InputError(f"expected {hospitals * max_age} entries, got {flat.size}")
@@ -121,7 +118,7 @@ class DecisionVector:
         object.__setattr__(self, "transship", ship)
 
     @classmethod
-    def zeros(cls, hospitals=N_HOSPITALS, max_age=MAX_AGE):
+    def zeros(cls, hospitals: int, max_age: int):
         return cls(
             np.zeros(hospitals, dtype=np.int64),
             np.zeros((hospitals, hospitals, max_age), dtype=np.int64),
@@ -143,7 +140,7 @@ class DecisionVector:
         return np.concatenate([self.orders, lanes.reshape(-1)])
 
     @classmethod
-    def from_flat(cls, flat, hospitals=N_HOSPITALS, max_age=MAX_AGE):
+    def from_flat(cls, flat, hospitals: int, max_age: int):
         flat = np.asarray(flat)
         h, m = hospitals, max_age
         expected = h + h * (h - 1) * m
@@ -163,7 +160,7 @@ class DecisionVector:
         return self.transship.sum(axis=0)
 
 
-def decision_length(hospitals=N_HOSPITALS, max_age=MAX_AGE) -> int:
+def decision_length(hospitals: int, max_age: int) -> int:
     return hospitals + hospitals * (hospitals - 1) * max_age
 
 
@@ -409,7 +406,7 @@ def run_horizon(initial: InventoryState, policy, demands, costs: CostParams):
     return result
 
 
-def trajectory_columns(hospitals=N_HOSPITALS, max_age=MAX_AGE):
+def trajectory_columns(hospitals: int, max_age: int):
     """CSV header for a trajectory: day, inventory, decision, costs, violations."""
     cols = ["day"]
     cols += [f"inv_{i}_{m}" for i in range(1, hospitals + 1) for m in range(1, max_age + 1)]

@@ -90,7 +90,6 @@ class StageOneSolution:
                                # LP point when outdate >= holding
     breakdown: CostBreakdown   # component split of `objective`
     lp_integral: bool          # whether the LP optimum was already integral
-    scenarios: tuple
 
     @property
     def rounding_gap(self) -> float:
@@ -248,5 +247,4 @@ def solve_stage_one(
         lp_objective=sol.objective,
         breakdown=breakdown,
         lp_integral=integral,
-        scenarios=tuple(map(tuple, scenarios.tolist())),
     )

@@ -2,6 +2,9 @@
 each name must still exist, or a traced benchmark run stops at its set-up."""
 
 import importlib
+import json
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -95,3 +98,20 @@ def test_traced_kernel_is_one_call_per_svr_predict(monkeypatch):
         calls.clear()
         model.predict(X[:n])
         assert len(calls) == 1
+
+
+def test_label_workload_passes_its_checks():
+    """One traced pass of the ``label`` workload: 100 oracle days whose LPs
+    HiGHS re-solves, whose day cycle is recomputed and whose stage-one
+    solutions are checked; the last line of its output is the JSON result."""
+    import pytest
+
+    pytest.importorskip("scipy")
+    result = subprocess.run(
+        [sys.executable, str(BENCH_DIR / "run.py"), "--workload", "label", "--seconds", "0", "--trace", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(result.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True and summary["failed"] == 0

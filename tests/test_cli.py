@@ -137,6 +137,17 @@ class TestGenerate:
         assert key.split(".")[-1] in err and f"got {10**12}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("params", [{"pi": 0.0, "r": 1, "p": 1e-6}, {"pi": 0.0, "r": 2000, "p": 0.5}])
+    def test_demand_table_cap_exit_2(self, tmp_path, capsys, params):
+        # a demand table that misses 1 - 1e-12 within its cap (a mean of
+        # 999,999, or p**r underflowing) fails before any day is simulated
+        config = write_config(tmp_path, overrides={"hospitals": BASE_CONFIG["hospitals"][:3] + [params]})
+        out = tmp_path / "out"
+        assert cli.main(["generate", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: hospital 4: ZinbParams(") and err.count("\n") == 1
+        assert not (out / "dataset.csv").exists()
+
     def test_unwritable_out_exit_3(self, tmp_path):
         config = write_config(tmp_path)
         blocker = tmp_path / "blocked"
@@ -152,7 +163,7 @@ class TestTrain:
         assert result.returncode == 0, result.stderr
         model_path = tmp_path / "model-ridge.surropt"
         model = load_model(model_path)
-        data = read_dataset_csv(out / "dataset.csv")
+        data = read_dataset_csv(out / "dataset.csv", 4, 11)
         a = model.predict(data.X)
         b = load_model(model_path).predict(data.X)
         assert np.array_equal(a, b)

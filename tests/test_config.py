@@ -25,8 +25,8 @@ FULL_CONFIG = {
     "train_fraction": 0.75,
     "max_age": 3,
     "hospitals": [
-        {"id": 1, "pi": 0.5, "r": 2, "p": 0.5},
-        {"id": 2, "pi": 0.25, "r": 3, "p": 0.4},
+        {"pi": 0.5, "r": 2, "p": 0.5},
+        {"pi": 0.25, "r": 3, "p": 0.4},
     ],
     "costs": {"holding": 0.5, "ordering": 4.0, "transship_unit": 2.0, "shortage": 30.0, "outdate": 12.0},
     "saa": {"scenario_count": 7},
@@ -52,7 +52,8 @@ FULL_CONFIG = {
     "initial_inventory": [[1, 0, 2], [0, 3, 0]],
 }
 
-# config_to_dict of BASE_CONFIG: the given keys plus every default.
+# config_to_dict of BASE_CONFIG: the given keys plus every default, less the
+# hospital ids.
 BASE_DICT = {
     "version": 1,
     "seed": 5,
@@ -60,7 +61,7 @@ BASE_DICT = {
     "rollout_days": 4,
     "train_fraction": 0.8,
     "max_age": 11,
-    "hospitals": BASE_CONFIG["hospitals"],
+    "hospitals": [{k: v for k, v in h.items() if k != "id"} for h in BASE_CONFIG["hospitals"]],
     "costs": {"holding": 1.0, "ordering": 10.0, "transship_unit": 7.0, "shortage": 40.0, "outdate": 35.0},
     "saa": {"scenario_count": 4},
     "learner": {
@@ -120,6 +121,8 @@ MALFORMED = [
     (("saa", "form"), "compact", "config.saa: unknown key(s) form"),
     (("issuing",), "fifo", "config: unknown key(s) issuing"),
     (("saa", "rounding"), "nearest", "config.saa: unknown key(s) rounding"),
+    (("hospitals", 0, "id"), 2, "config.hospitals[0].id: must equal the hospital's position 1"),
+    (("hospitals", 1, "id"), "2", "config.hospitals[1].id"),
 ]
 
 
@@ -158,6 +161,18 @@ def test_round_trip_of_full_config():
     assert d == FULL_CONFIG
     assert config_to_dict(parse_config(d)) == d
     assert json.loads(json.dumps(d)) == d
+
+
+def test_hospital_ids_are_optional_positions():
+    # BASE_CONFIG gives "id": k + 1 for every hospital, BASE_DICT none
+    with_ids = parse_config(BASE_CONFIG)
+    without = parse_config(with_node(BASE_CONFIG, ("hospitals",), BASE_DICT["hospitals"]))
+    assert with_ids.hospitals == without.hospitals
+    assert config_to_dict(with_ids) == config_to_dict(without) == BASE_DICT
+    # ids [2, 1] fail at parse time, not when the demand model is built
+    swapped = [dict(h, id=2 - k) for k, h in enumerate(FULL_CONFIG["hospitals"])]
+    with pytest.raises(ConfigError, match=r"config\.hospitals\[0\]\.id"):
+        parse_config(with_node(FULL_CONFIG, ("hospitals",), swapped))
 
 
 def test_float_fields_take_integers_and_seed_feeds_saa():

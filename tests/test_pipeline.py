@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from surropt.demand import HospitalDemandConfig, ZinbParams, default_demand_configs
+from surropt.demand import ZinbParams
 from surropt.errors import ConfigError, InputError
 from surropt.learners.gbdt import GbdtParams
 from surropt.losses import LossSpec
@@ -37,7 +37,7 @@ def tiny_config(**kwargs):
 
 
 def certain_zero_configs(h=2):
-    return tuple(HospitalDemandConfig(i + 1, ZinbParams(1.0, 2, 0.5)) for i in range(h))
+    return (ZinbParams(1.0, 2, 0.5),) * h
 
 
 class ZeroModel:
@@ -94,7 +94,7 @@ class TestGenerate:
             seed=1,
             horizon_days=1,
             rollout_days=1,
-            demand_configs=certain_zero_configs(),
+            hospitals=certain_zero_configs(),
             max_age=3,
             saa=SaaConfig(scenario_count=2, seed=1),
         )
@@ -274,7 +274,7 @@ class TestConfigValidation:
 
     def test_defaults_use_paper_hospitals(self):
         config = tiny_config()
-        assert len(config.demand_configs) == 4
-        assert config.demand_configs[0].params.pi == 0.6
-        assert config.demand_configs[3].params.p == 0.48
+        assert len(config.hospitals) == 4
+        assert config.hospitals[0].pi == 0.6
+        assert config.hospitals[3].p == 0.48
         assert config.n_hospitals == 4
