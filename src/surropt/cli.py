@@ -193,7 +193,7 @@ def cmd_selftest(args) -> int:
     from .lp import LinearProgram, solve_lp
     from .pipeline import ExperimentConfig, generate_dataset
     from .simulate import CostParams, InventoryState
-    from .two_stage import SaaConfig, solve_stage_one
+    from .two_stage import solve_stage_one
     from .util import stream
 
     checks = []
@@ -246,13 +246,13 @@ def cmd_selftest(args) -> int:
         state = InventoryState.zeros(1, 2)
         costs = CostParams(holding=0.1, ordering=1.0, transship_unit=0.0, shortage=10.0, outdate=0.0)
         scen = [np.array([0]), np.array([2])]
-        sol = solve_stage_one(state, costs, SaaConfig(scenario_count=2), scenarios=scen)
+        sol = solve_stage_one(state, scen, costs)
         return sol.decision.orders[0] == 2 and abs(sol.objective - 2.1) < 1e-9
 
     check("two-stage solver matches the analytic newsvendor", newsvendor)
 
     def determinism():
-        cfg = ExperimentConfig(seed=11, horizon_days=4, rollout_days=2, saa=SaaConfig(scenario_count=5, seed=11))
+        cfg = ExperimentConfig(seed=11, horizon_days=4, rollout_days=2)
         a = generate_dataset(cfg)
         b = generate_dataset(cfg)
         return np.array_equal(a.X, b.X) and np.array_equal(a.Y, b.Y)

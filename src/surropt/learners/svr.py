@@ -30,7 +30,6 @@ import numpy as np
 from ..errors import InputError, ResourceLimitError
 from .data import Dataset, kfold_split
 
-DEFAULT_C_GRID = (0.1, 1.0, 10.0, 100.0)
 DEFAULT_EPSILON = 0.1
 DEFAULT_TOL = 1e-3
 

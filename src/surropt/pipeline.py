@@ -118,7 +118,8 @@ class ExperimentConfig:
 
 
 class OraclePolicy:
-    """Solves the scenario program fresh each day; the benchmark policy."""
+    """Draws the day's scenarios from its own stream and solves the scenario
+    program on them; the benchmark policy."""
 
     def __init__(self, config: ExperimentConfig, phase: int):
         self.config = config
@@ -127,9 +128,8 @@ class OraclePolicy:
 
     def __call__(self, day: int, state: InventoryState) -> DecisionVector:
         cfg = self.config
-        rng = stream(cfg.seed, TAG_SAA_SCENARIO, self.phase, day)
-        sol = solve_stage_one(state, cfg.costs, cfg.saa, rng=rng, demand=self.demand)
-        return sol.decision
+        scenarios = self.demand.sample_day(stream(cfg.seed, TAG_SAA_SCENARIO, self.phase, day), cfg.saa.scenario_count)
+        return solve_stage_one(state, scenarios, cfg.costs).decision
 
 
 class SurrogatePolicy:

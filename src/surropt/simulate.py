@@ -34,14 +34,16 @@ import numpy as np
 from .errors import InputError, InternalError
 
 
-def _as_grid(a, name):
+def _as_counts(a, name) -> np.ndarray:
+    """An int64 copy of whole-number counts; the sign is the caller's check."""
     arr = np.asarray(a)
-    if arr.ndim != 2:
-        raise InputError(f"{name} must be 2-d (hospitals x ages), got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.round(arr)):
-            raise InputError(f"{name} must hold integers")
-        arr = arr.astype(np.int64)
+    # NaN fails every comparison and infinity the bound; strings, objects
+    # and complex numbers are not counts
+    whole = arr.dtype.kind in "biu" or (
+        arr.dtype.kind == "f" and ((np.abs(arr) < 2.0**63) & (arr == np.round(arr))).all()
+    )
+    if not whole:
+        raise InputError(f"{name} must hold integers")
     return arr.astype(np.int64)
 
 
@@ -52,7 +54,9 @@ class InventoryState:
     units: np.ndarray
 
     def __post_init__(self):
-        grid = _as_grid(self.units, "units")
+        grid = _as_counts(self.units, "units")
+        if grid.ndim != 2:
+            raise InputError(f"units must be 2-d (hospitals x ages), got shape {grid.shape}")
         if (grid < 0).any():
             raise InputError("inventory counts must be nonnegative")
         grid.flags.writeable = False
@@ -93,18 +97,8 @@ class DecisionVector:
     transship: np.ndarray
 
     def __post_init__(self):
-        orders = np.asarray(self.orders)
-        ship = np.asarray(self.transship)
-        for arr, name in ((orders, "orders"), (ship, "transship")):
-            # NaN fails every comparison and infinity the bound; strings,
-            # objects and complex numbers are not counts
-            whole = arr.dtype.kind in "biu" or (
-                arr.dtype.kind == "f" and ((np.abs(arr) < 2.0**63) & (arr == np.round(arr))).all()
-            )
-            if not whole:
-                raise InputError(f"{name} must hold integers")
-        orders = orders.astype(np.int64)
-        ship = ship.astype(np.int64)
+        orders = _as_counts(self.orders, "orders")
+        ship = _as_counts(self.transship, "transship")
         h = orders.size
         if orders.ndim != 1 or ship.ndim != 3 or ship.shape[:2] != (h, h):
             raise InputError(f"orders {orders.shape} and transship {ship.shape} are not (H,) and (H, H, M)")
@@ -313,10 +307,25 @@ def repair(state: InventoryState, decision: DecisionVector) -> DecisionVector:
     return DecisionVector(decision.orders, ship)
 
 
+def check_count_range(units, orders, demand):
+    """Raise InputError when the morning stock plus the orders, or one day's
+    (one scenario's) total demand, reaches 2**62, summed in float64.  Every
+    int64 count that ``day_cycle`` forms is bounded by one of the two, so
+    below the limit none can wrap."""
+    stock = units.sum(dtype=float) + orders.sum(dtype=float)
+    peak = demand.sum(axis=-1, dtype=float).max()
+    if max(stock, peak) >= 2.0**62:
+        raise InputError(
+            f"stock plus orders ({stock:.4g}) or one day's demand ({peak:.4g}) reaches 2**62: "
+            "the day's counts would overflow the int64 range"
+        )
+
+
 def day_cycle(units, orders, ship, demand, costs: CostParams):
     """Steps 1-5 on int64 units (..., H, M), orders (..., H), ship (..., H, H, M)
     and demand (..., H) whose batch axes broadcast; returns the next units and
-    the (..., 5) cost parts in as_tuple order.  Callers check the inputs."""
+    the (..., 5) cost parts in as_tuple order.  Callers check the inputs,
+    their range with ``check_count_range``."""
     on_hand = units - ship.sum(axis=-2)
     older = on_hand[..., ::-1].cumsum(axis=-1)[..., ::-1] - on_hand
     issued = np.minimum(np.maximum(demand[..., None] - older, 0), on_hand)
@@ -347,6 +356,7 @@ def step(
     """
     demand = as_demand(demand, state.n_hospitals)
     _check_applicable(state, decision)
+    check_count_range(state.units, decision.orders, demand)
     aged, parts = day_cycle(state.units, decision.orders, decision.transship, demand, costs)
     return InventoryState(aged), CostBreakdown(*parts.tolist())
 

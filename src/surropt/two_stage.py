@@ -29,13 +29,13 @@ integral, and a lower bound on every decision's cost otherwise.  When
 holding costs more, the hinges let young units be issued first, and the LP
 optimum is only a lower bound.
 
-The oracle is a function of the state and the scenario multiset (their
-order does not change a byte of the LP).  ``solve_lp``
-returns the lexicographically smallest optimal point, and the first stage
-comes first in the LP's columns, so among first stages of equal LP cost
-the lexicographically smallest flattened decision wins: older units are shipped
-first (a lane's younger ages come first), and lower-index hospitals get the
-smaller order.
+The oracle is a function of the state and the scenario multiset, which the
+caller draws (``pipeline.OraclePolicy``, from the day's stream); their order
+does not change a byte of the LP.  ``solve_lp`` returns the lexicographically
+smallest optimal point, and the first stage comes first in the LP's columns,
+so among first stages of equal LP cost the lexicographically smallest
+flattened decision wins: older units are shipped first (a lane's younger
+ages come first), and lower-index hospitals get the smaller order.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import DemandModel
 from .errors import ConfigError, InputError, InternalError
 from .lp import LinearProgram, LpSolution, solve_lp
 from .simulate import (
@@ -53,6 +52,7 @@ from .simulate import (
     DecisionVector,
     InventoryState,
     as_demand,
+    check_count_range,
     check_feasibility,
     day_cycle,
     decision_length,
@@ -60,7 +60,6 @@ from .simulate import (
     repair,
     sum_breakdowns,
 )
-from .util import TAG_SAA_SCENARIO, stream
 
 # Bounds the day and scenario counts, whose demand blocks are (count, H)
 # arrays, so a mistyped count fails as a config error instead of as an
@@ -73,7 +72,7 @@ class SaaConfig:
     """Controls for the sample-average approximation."""
 
     scenario_count: int = 50
-    seed: int = 0
+    seed: int = 0  # inert: nothing reads it; exact recourse pricing deletes it
 
     def __post_init__(self):
         if not 1 <= self.scenario_count <= MAX_COUNT_LIMIT:
@@ -88,7 +87,6 @@ class StageOneSolution:
     objective: float           # expected cost of the decision over the scenarios
     lp_objective: float        # LP optimum; equals `objective` at an integral
                                # LP point when outdate >= holding
-    breakdown: CostBreakdown   # component split of `objective`
     lp_integral: bool          # whether the LP optimum was already integral
 
     @property
@@ -193,6 +191,7 @@ def evaluate_decision(
     if check_feasibility(state, decision):
         raise InputError("decision is infeasible against the state")
     demand = as_demand(scenarios, state.n_hospitals, batched=True)
+    check_count_range(state.units, decision.orders, demand)
     zero = DecisionVector.zeros(state.n_hospitals, state.max_age)
     post = receipts_state(state, decision).units
     _, parts = day_cycle(post, zero.orders, zero.transship, demand, costs)
@@ -204,31 +203,13 @@ def evaluate_decision(
     )
 
 
-def solve_stage_one(
-    state: InventoryState,
-    costs: CostParams,
-    saa: SaaConfig,
-    rng: np.random.Generator = None,
-    demand: DemandModel = None,
-    scenarios=None,
-) -> StageOneSolution:
+def solve_stage_one(state: InventoryState, scenarios, costs: CostParams) -> StageOneSolution:
     """Solve the scenario LP, integerize the first stage, and price the result.
 
     Equal-cost first stages go to the lexicographically smallest decision in
     ``DecisionVector.flatten`` order (the LP's tie rule): older units are
-    shipped first, and lower-index hospitals get the smaller order.
-
-    Scenarios may be passed explicitly; otherwise ``scenario_count`` days are
-    drawn from the ``demand`` model in one block, using ``rng`` (or a
-    generator derived from the config seed)."""
-    if scenarios is None:
-        if demand is None:
-            raise InputError("either scenarios or a demand model must be given")
-        if rng is None:
-            rng = stream(saa.seed, TAG_SAA_SCENARIO)
-        scenarios = demand.sample_day(rng, saa.scenario_count)
+    shipped first, and lower-index hospitals get the smaller order."""
     scenarios = as_demand(scenarios, state.n_hospitals, batched=True)
-
     lp = build_saa(state, scenarios, costs)
     sol: LpSolution = solve_lp(lp)
     if sol.status != "optimal":
@@ -240,11 +221,9 @@ def solve_stage_one(
     integral = bool(np.max(np.abs(first - np.round(first))) < 1e-6)
     ints = np.maximum(np.rint(first), 0.0).astype(np.int64)
     decision = repair(state, DecisionVector.from_flat(ints, h, m))
-    breakdown = evaluate_decision(state, decision, scenarios, costs)
     return StageOneSolution(
         decision=decision,
-        objective=breakdown.total,
+        objective=evaluate_decision(state, decision, scenarios, costs).total,
         lp_objective=sol.objective,
-        breakdown=breakdown,
         lp_integral=integral,
     )

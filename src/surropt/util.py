@@ -19,7 +19,7 @@ from .errors import InputError
 # Stream tags used across the package. Kept in one place so seeds never
 # collide between subsystems.
 TAG_DATASET_DEMAND = 1  # realized demand during dataset generation
-TAG_SAA_SCENARIO = 2    # scenario draws inside the two-stage solver
+TAG_SAA_SCENARIO = 2    # the oracle's daily scenario draws
 TAG_ROLLOUT_DEMAND = 3  # fresh demand during surrogate evaluation
 TAG_LEARNER = 4         # subsampling inside learners
 

@@ -208,12 +208,7 @@ def test_criterion_3_lp_against_vertex_enumeration():
 def test_criterion_4_two_stage_oracle_equivalence():
     t0 = time.time()
     # the hand-checkable micro-instance first
-    sol = solve_stage_one(
-        InventoryState.zeros(1, 2),
-        NEWSVENDOR_COSTS,
-        SaaConfig(scenario_count=2),
-        scenarios=NEWSVENDOR_SCENARIOS,
-    )
+    sol = solve_stage_one(InventoryState.zeros(1, 2), NEWSVENDOR_SCENARIOS, NEWSVENDOR_COSTS)
     brute_dec, brute_obj = brute_force_oracle(
         InventoryState.zeros(1, 2), NEWSVENDOR_COSTS, NEWSVENDOR_SCENARIOS, cap=5
     )
@@ -224,9 +219,7 @@ def test_criterion_4_two_stage_oracle_equivalence():
     integral_count = 0
     for _ in range(99):
         state, costs, scenarios = random_tiny_instance(rng)
-        sol = solve_stage_one(
-            state, costs, SaaConfig(scenario_count=len(scenarios)), scenarios=scenarios
-        )
+        sol = solve_stage_one(state, scenarios, costs)
         bd, best = brute_force_oracle(state, costs, scenarios, cap=4)
         assert sol.objective >= best - 1e-9
         assert sol.objective - best <= sol.rounding_gap + 1e-7

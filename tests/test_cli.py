@@ -148,6 +148,19 @@ class TestGenerate:
         assert err.startswith("error: hospital 4: ZinbParams(") and err.count("\n") == 1
         assert not (out / "dataset.csv").exists()
 
+    def test_overflowing_inventory_exit_2(self, tmp_path, capsys):
+        # 3 * 2**62 units would wrap int64 in the first day's sums
+        config = write_config(tmp_path, overrides={
+            "hospitals": BASE_CONFIG["hospitals"][:1], "max_age": 3,
+            "initial_inventory": [[2**62, 2**62, 2**62]],
+        })
+        out = tmp_path / "out"
+        assert cli.main(["generate", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "overflow the int64 range" in err
+        assert not (out / "dataset.csv").exists()
+
     def test_unwritable_out_exit_3(self, tmp_path):
         config = write_config(tmp_path)
         blocker = tmp_path / "blocked"

@@ -96,6 +96,20 @@ class TestShapes:
         with pytest.raises(InputError):
             _state([[1, -1], [0, 0]])
 
+    @pytest.mark.parametrize(
+        "units",
+        [np.array([[1.5, 0.0]]), np.array([[-1, 0]]), np.array([[np.nan, 1.0]]),
+         np.array([[np.inf, 1.0]]), np.array([[-np.inf, 1.0]]), np.array([[1, 2]], dtype=object),
+         np.array([["a"]]), np.array([[1 + 0j, 0]]), np.zeros(3, dtype=np.int64)],
+        ids=["fractional", "negative", "nan", "inf", "minus-inf", "object", "string", "complex", "1-d"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_bad_inventory_rejected(self, units):
+        """The state takes counts through the decision's check: no warning,
+        no stray TypeError."""
+        with pytest.raises(InputError):
+            InventoryState(units)
+
 
 class TestFeasibility:
     def test_zero_decision_empty(self):
@@ -283,6 +297,34 @@ class TestStepInputs:
         for demand in ([value, 0], np.array([value, 0]), np.array([value, 0], dtype=np.uint64)):
             assert as_demand(demand, 2).tolist() == [value, 0]
         assert as_demand([[value, 1]], 2, batched=True).tolist() == [[value, 1]]
+
+    @pytest.mark.parametrize(
+        "grid, orders, demand",
+        [([[0, 2**62, 2**62, 2**62]], [0], [0]), ([[0, 0], [0, 0]], [0, 0], [2**62, 2**62]),
+         ([[2**62]], [2**62], [0])],
+        ids=["stock", "demand", "stock-plus-orders"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_counts_past_int64_range_rejected(self, grid, orders, demand):
+        """Holding of 2**63 survivors, shortage of 2**63 units and 2**63
+        outdating units used to wrap to negative costs."""
+        state = InventoryState(np.array(grid))
+        h, m = state.units.shape
+        decision = DecisionVector(np.array(orders), np.zeros((h, h, m), dtype=np.int64))
+        with pytest.raises(InputError, match="int64"):
+            step(state, decision, demand, CostParams())
+        with pytest.raises(InputError, match="int64"):
+            evaluate_decision(state, decision, [demand], CostParams())
+
+    def test_counts_just_below_int64_range_kept_exact(self):
+        costs = CostParams()
+        state = InventoryState(np.array([[0, 2**61, 2**61 - 2**10]]))
+        nxt, cost = step(state, DecisionVector.zeros(1, 3), [0], costs)
+        assert nxt.units.tolist() == [[0, 0, 2**61]]
+        assert cost.holding == float(2**61) and cost.outdate == float(2**61 - 2**10) * costs.outdate
+        demand = [2**61, 2**61 - 2**10]
+        _, cost = step(InventoryState.zeros(2, 2), DecisionVector.zeros(2, 2), demand, costs)
+        assert cost.shortage == float(2**62 - 2**10) * costs.shortage
 
     def test_whole_float_demand_accepted(self):
         state = InventoryState(np.array([[0, 0, 3], [1, 0, 0]]))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from surropt import two_stage
-from surropt.demand import DemandModel, default_demand_configs
 from surropt.errors import InputError
 from surropt.lp import _tableau, solve_lp
 from surropt.simulate import (
@@ -111,9 +110,7 @@ class TestBuildSaa:
         rng = np.random.default_rng(21)
         for _ in range(15):
             state, costs, scenarios = random_tiny_instance(rng)
-            sol = solve_stage_one(
-                state, costs, SaaConfig(scenario_count=len(scenarios)), scenarios=scenarios
-            )
+            sol = solve_stage_one(state, scenarios, costs)
             assert sol.lp_objective <= sol.objective + 1e-7
 
     @pytest.mark.parametrize("h, m", [(1, 1), (1, 3), (2, 1), (3, 2), (4, 3)])
@@ -242,7 +239,7 @@ class TestBuildSaa:
         with pytest.raises(InputError, match="whole numbers"):
             build_saa(state, scenarios, CostParams())
         with pytest.raises(InputError, match="whole numbers"):
-            solve_stage_one(state, CostParams(), SaaConfig(), scenarios=scenarios)
+            solve_stage_one(state, scenarios, CostParams())
         with pytest.raises(InputError, match="whole numbers"):
             evaluate_decision(state, DecisionVector.zeros(2, 2), scenarios, CostParams())
 
@@ -278,20 +275,13 @@ class TestBuildSaa:
 class TestSolveStageOne:
     def test_zero_demand_zero_decision(self):
         state = InventoryState.zeros(2, 2)
-        sol = solve_stage_one(
-            state, CostParams(), SaaConfig(scenario_count=1), scenarios=[np.zeros(2, int)]
-        )
+        sol = solve_stage_one(state, [np.zeros(2, int)], CostParams())
         assert sol.decision.flatten().sum() == 0
         assert sol.objective == pytest.approx(0.0, abs=1e-12)
 
     def test_newsvendor_order(self):
         state = InventoryState.zeros(1, 2)
-        sol = solve_stage_one(
-            state,
-            NEWSVENDOR_COSTS,
-            SaaConfig(scenario_count=2),
-            scenarios=NEWSVENDOR_SCENARIOS,
-        )
+        sol = solve_stage_one(state, NEWSVENDOR_SCENARIOS, NEWSVENDOR_COSTS)
         assert sol.decision.orders[0] == 2
         assert sol.objective == pytest.approx(2.1, abs=1e-9)
         assert sol.lp_integral
@@ -301,32 +291,15 @@ class TestSolveStageOne:
         costs = CostParams(
             holding=0.1, ordering=50.0, transship_unit=1.0, shortage=100.0, outdate=0.2
         )
-        sol = solve_stage_one(
-            state, costs, SaaConfig(scenario_count=1), scenarios=[np.array([0, 1])]
-        )
+        sol = solve_stage_one(state, [np.array([0, 1])], costs)
         assert sol.decision.transship[0, 1].sum() > 0
 
     def test_solution_always_feasible(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
             state, costs, scenarios = random_tiny_instance(rng)
-            sol = solve_stage_one(
-                state, costs, SaaConfig(scenario_count=len(scenarios)), scenarios=scenarios
-            )
+            sol = solve_stage_one(state, scenarios, costs)
             assert check_feasibility(state, sol.decision) == []
-
-    def test_deterministic_given_seed(self):
-        state = InventoryState(np.arange(44).reshape(4, 11) % 3)
-        saa = SaaConfig(scenario_count=10, seed=77)
-        model = DemandModel(default_demand_configs())
-        a = solve_stage_one(state, CostParams(), saa, demand=model)
-        b = solve_stage_one(state, CostParams(), saa, demand=model)
-        assert np.array_equal(a.decision.flatten(), b.decision.flatten())
-        assert a.objective == b.objective
-
-    def test_requires_scenarios_or_configs(self):
-        with pytest.raises(InputError):
-            solve_stage_one(InventoryState.zeros(2, 2), CostParams(), SaaConfig())
 
     def test_equal_cost_tie_ships_the_older_unit(self):
         # hospital 0 holds one unit of each age and both hospitals need one:
@@ -340,7 +313,7 @@ class TestSolveStageOne:
         old = DecisionVector.from_flat(np.array([0, 0, 0, 1, 0, 0]), 2, 2)
         cost_young = evaluate_decision(state, young, scenarios, costs).total
         assert evaluate_decision(state, old, scenarios, costs).total == cost_young
-        sol = solve_stage_one(state, costs, SaaConfig(scenario_count=1), scenarios=scenarios)
+        sol = solve_stage_one(state, scenarios, costs)
         assert sol.lp_integral
         assert sol.objective == cost_young
         assert np.array_equal(sol.decision.flatten(), old.flatten())
@@ -408,9 +381,7 @@ class TestBruteForce:
         exact_matches = 0
         for _ in range(15):
             state, costs, scenarios = random_tiny_instance(rng)
-            sol = solve_stage_one(
-                state, costs, SaaConfig(scenario_count=len(scenarios)), scenarios=scenarios
-            )
+            sol = solve_stage_one(state, scenarios, costs)
             _, best = brute_force_oracle(state, costs, scenarios, cap=4)
             gap = sol.rounding_gap
             assert sol.objective >= best - 1e-9
