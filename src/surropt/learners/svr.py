@@ -12,13 +12,13 @@ with shared folds; the default bandwidth is 1 / (n_features * Var(X)).
 
 Prediction computes one RBF kernel between the inputs and the distinct
 support rows of all outputs (the outputs share most of them, since every
-support vector is a training row), then takes each output's dot product
-over its own columns of it, output by output.  Where the inputs and the
-support rows are whole numbers, as the pipeline's inventory counts are,
-every squared distance is exact, so each output gets the bits of a kernel
-against its own support vectors alone.  On other float rows a kernel
-entry's matrix product can round differently with the column's place, in
-the last bits.
+support vector is a training row), whose squared norms the model keeps from
+its construction, then takes each output's dot product over its own columns
+of it, output by output.  Where the inputs and the support rows are whole
+numbers, as the pipeline's inventory counts are, every squared distance is
+exact, so each output gets the bits of a kernel against its own support
+vectors alone.  On other float rows a kernel entry's matrix product can
+round differently with the column's place, in the last bits.
 """
 
 from __future__ import annotations
@@ -34,14 +34,14 @@ DEFAULT_EPSILON = 0.1
 DEFAULT_TOL = 1e-3
 
 
-def rbf_kernel(A, B, gamma: float) -> np.ndarray:
+def rbf_kernel(A, B, gamma: float, B_sq=None) -> np.ndarray:
+    """exp(-gamma |a - b|^2) for every row a of A and b of B; ``B_sq``, when
+    given, holds the rows' squared norms ``np.sum(B * B, axis=1)``."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    sq = (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
+    if B_sq is None:
+        B_sq = np.sum(B * B, axis=1)
+    sq = np.sum(A * A, axis=1)[:, None] + B_sq[None, :] - 2.0 * (A @ B.T)
     return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
@@ -129,9 +129,10 @@ class SvrModel:
     and bias per output, each support vector of ``n_features`` entries and
     one coefficient per support vector) raise ``ValueError``.
 
-    Construction also keeps the distinct support rows of all outputs and,
-    per output with support vectors, its columns among them, so that
-    ``predict`` computes one kernel."""
+    Construction also keeps the distinct support rows of all outputs, their
+    squared norms and, per output with support vectors, its columns among
+    them, so that ``predict`` computes one kernel and no norm of a support
+    row."""
 
     support: list                 # per output: (n_sv, n_features) array
     coef: list                    # per output: (n_sv,) dual coefficients
@@ -160,6 +161,7 @@ class SvrModel:
                 )
         stacked = np.concatenate([np.zeros((0, self.n_features))] + list(self.support))
         self._rows, inverse = np.unique(stacked, axis=0, return_inverse=True)
+        self._rows_sq = np.sum(self._rows * self._rows, axis=1)
         cols = np.split(inverse.reshape(-1), np.cumsum([sv.shape[0] for sv in self.support])[:-1])
         self._terms = [(j, c, coef) for j, (c, coef) in enumerate(zip(cols, self.coef)) if c.size]
 
@@ -172,7 +174,7 @@ class SvrModel:
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise InputError(f"expected (N, {self.n_features}) inputs, got {X.shape}")
         out = np.tile(self.bias, (X.shape[0], 1))
-        K = rbf_kernel(X, self._rows, self.gamma)
+        K = rbf_kernel(X, self._rows, self.gamma, self._rows_sq)
         for j, cols, coef in self._terms:
             # take gives a C-ordered block, as a kernel of its own would be, so
             # the product adds each row's terms in the same order

@@ -141,14 +141,14 @@ class SurrogatePolicy:
         self.max_age = max_age
 
     def __call__(self, day: int, state: InventoryState) -> DecisionVector:
-        raw = self.model.predict(state.flatten()[None, :].astype(float))[0]
+        raw = self.model.predict(state.units.reshape(1, -1).astype(float))[0]
         return postprocess_prediction(raw, self.hospitals, self.max_age)
 
 
 def postprocess_prediction(raw, hospitals: int, max_age: int) -> DecisionVector:
     """Clamp negatives, round half to even, and reshape into a decision."""
     raw = np.asarray(raw, dtype=float)
-    if not np.all(np.isfinite(raw)):
+    if not np.isfinite(raw).all():
         raise InputError("raw predictions must be finite")
     ints = np.rint(np.maximum(raw, 0.0)).astype(np.int64)
     return DecisionVector.from_flat(ints, hospitals, max_age)

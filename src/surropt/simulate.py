@@ -20,6 +20,11 @@ Issuing is closed form: a slot gives what demand leaves after all older stock,
 capped by its own stock.  Each cost part is float(unit count) x rate, one
 rounding, and parts add left to right from 0.0, in scenario or day order.
 
+A ``DecisionVector`` sums its outbound and inbound units per (hospital, age)
+slot once, when it is built, and hands them out read-only: the checks of a
+day (``check_feasibility``, ``repair``, ``step``) and ``day_cycle`` read
+them and sum no lanes again.
+
 Everything here is a pure function of its inputs, so horizons can run in
 parallel on independent states without locking.
 """
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,7 +63,7 @@ class InventoryState:
         grid = _as_counts(self.units, "units")
         if grid.ndim != 2:
             raise InputError(f"units must be 2-d (hospitals x ages), got shape {grid.shape}")
-        if (grid < 0).any():
+        if grid.min(initial=0) < 0:
             raise InputError("inventory counts must be nonnegative")
         grid.flags.writeable = False
         object.__setattr__(self, "units", grid)
@@ -89,9 +95,21 @@ class InventoryState:
         return int(self.units.sum())
 
 
+@lru_cache(maxsize=8)
+def _lanes(hospitals: int) -> np.ndarray:
+    """The (sender, receiver) pairs with sender != receiver, in row-major
+    order, as flat indices into an H x H grid."""
+    lanes = np.flatnonzero(~np.eye(hospitals, dtype=bool))
+    lanes.flags.writeable = False
+    return lanes
+
+
 @dataclass(frozen=True)
 class DecisionVector:
-    """Orders per hospital plus transship[i, j, m] = age-(m+1) units i+1 -> j+1."""
+    """Orders per hospital plus transship[i, j, m] = age-(m+1) units i+1 -> j+1.
+
+    Construction also sums the lanes into each slot's outbound and inbound
+    units, which ``outbound()`` and ``inbound()`` return as read-only arrays."""
 
     orders: np.ndarray
     transship: np.ndarray
@@ -102,14 +120,15 @@ class DecisionVector:
         h = orders.size
         if orders.ndim != 1 or ship.ndim != 3 or ship.shape[:2] != (h, h):
             raise InputError(f"orders {orders.shape} and transship {ship.shape} are not (H,) and (H, H, M)")
-        if (orders < 0).any() or (ship < 0).any():
+        if orders.min(initial=0) < 0 or ship.min(initial=0) < 0:
             raise InputError("decision quantities must be nonnegative")
         if ship.diagonal().any():
             raise InputError("self-transshipment entries must be zero")
-        orders.flags.writeable = False
-        ship.flags.writeable = False
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "transship", ship)
+        outbound, inbound = ship.sum(axis=1), ship.sum(axis=0)
+        for name, a in (("orders", orders), ("transship", ship), ("_outbound", outbound),
+                        ("_inbound", inbound)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @classmethod
     def zeros(cls, hospitals: int, max_age: int):
@@ -129,8 +148,8 @@ class DecisionVector:
     def flatten(self) -> np.ndarray:
         """Orders first, then lanes in (sender, receiver, age) order; length
         H + H*(H-1)*M (136 for the four-hospital, eleven-age network)."""
-        h, m = self.n_hospitals, self.max_age
-        lanes = self.transship[~np.eye(h, dtype=bool)]  # drops i == j, keeps (i, j, m) order
+        h = self.n_hospitals
+        lanes = self.transship.reshape(h * h, self.max_age)[_lanes(h)]  # drops i == j, keeps (i, j, m) order
         return np.concatenate([self.orders, lanes.reshape(-1)])
 
     @classmethod
@@ -140,18 +159,17 @@ class DecisionVector:
         expected = h + h * (h - 1) * m
         if flat.size != expected:
             raise InputError(f"expected {expected} entries, got {flat.size}")
-        orders = flat[:h]
-        ship = np.zeros((h, h, m), dtype=np.asarray(flat).dtype)
-        ship[~np.eye(h, dtype=bool)] = flat[h:].reshape(h * (h - 1), m)
-        return cls(orders, ship)
+        ship = np.zeros((h * h, m), dtype=flat.dtype)
+        ship[_lanes(h)] = flat[h:].reshape(h * (h - 1), m)
+        return cls(flat[:h], ship.reshape(h, h, m))
 
     def outbound(self) -> np.ndarray:
-        """Total units leaving each (hospital, age) slot; shape (H, M)."""
-        return self.transship.sum(axis=1)
+        """Total units leaving each (hospital, age) slot; shape (H, M), read-only."""
+        return self._outbound
 
     def inbound(self) -> np.ndarray:
-        """Total units arriving at each (hospital, age) slot; shape (H, M)."""
-        return self.transship.sum(axis=0)
+        """Total units arriving at each (hospital, age) slot; shape (H, M), read-only."""
+        return self._inbound
 
 
 def decision_length(hospitals: int, max_age: int) -> int:
@@ -242,11 +260,14 @@ def as_demand(demand, hospitals: int, batched: bool = False) -> np.ndarray:
     if arr.dtype.kind == "f":
         # NaN fails every comparison and infinity the upper one
         whole = (arr >= 0) & (arr < 2.0**63) & (arr == np.floor(arr))
-    else:  # uint64 values from 2**63 up wrap to negative int64
-        whole = arr.astype(np.int64) >= 0
-    if not whole.all():
-        raise InputError(f"demand must be whole numbers >= 0, got {arr[~whole][0]}")
-    return arr.astype(np.int64)
+        if not whole.all():
+            raise InputError(f"demand must be whole numbers >= 0, got {arr[~whole][0]}")
+        return arr.astype(np.int64)
+    # uint64 values from 2**63 up wrap to negative int64
+    counts = arr.astype(np.int64, copy=False)
+    if counts.min(initial=0) < 0:
+        raise InputError(f"demand must be whole numbers >= 0, got {arr[counts < 0][0]}")
+    return counts
 
 
 def check_feasibility(state: InventoryState, decision: DecisionVector, day: int = 0):
@@ -258,19 +279,19 @@ def check_feasibility(state: InventoryState, decision: DecisionVector, day: int 
     if decision.transship.shape[1:] != state.units.shape:
         raise InputError("decision shape does not match state shape")
     out = decision.outbound()
-    records = []
-    over = np.argwhere(out > state.units)
-    for i, m in over:
-        records.append(
-            ViolationLog(
-                day=day,
-                hospital=int(i) + 1,
-                age=int(m) + 1,
-                requested=int(out[i, m]),
-                available=int(state.units[i, m]),
-            )
+    over = out > state.units
+    if not over.any():
+        return []
+    return [
+        ViolationLog(
+            day=day,
+            hospital=int(i) + 1,
+            age=int(m) + 1,
+            requested=int(out[i, m]),
+            available=int(state.units[i, m]),
         )
-    return records
+        for i, m in np.argwhere(over)
+    ]
 
 
 def repair(state: InventoryState, decision: DecisionVector) -> DecisionVector:
@@ -283,12 +304,12 @@ def repair(state: InventoryState, decision: DecisionVector) -> DecisionVector:
     slots pass through untouched, so the map is the identity on feasible
     decisions.
     """
-    out = decision.outbound()
-    if np.all(out <= state.units):
+    over = decision.outbound() > state.units
+    if not over.any():
         return decision
     ship = decision.transship.copy()
     h = decision.n_hospitals
-    for i, m in np.argwhere(out > state.units):
+    for i, m in np.argwhere(over):
         raw = ship[i, :, m].astype(np.int64)
         available = int(state.units[i, m])
         total_raw = int(raw.sum())
@@ -313,29 +334,32 @@ def check_count_range(units, orders, demand):
     int64 count that ``day_cycle`` forms is bounded by one of the two, so
     below the limit none can wrap."""
     stock = units.sum(dtype=float) + orders.sum(dtype=float)
-    peak = demand.sum(axis=-1, dtype=float).max()
-    if max(stock, peak) >= 2.0**62:
+    peak = demand.sum(axis=-1, dtype=float)
+    if demand.ndim > 1:
+        peak = peak.max()
+    if stock >= 2.0**62 or peak >= 2.0**62:
         raise InputError(
             f"stock plus orders ({stock:.4g}) or one day's demand ({peak:.4g}) reaches 2**62: "
             "the day's counts would overflow the int64 range"
         )
 
 
-def day_cycle(units, orders, ship, demand, costs: CostParams):
-    """Steps 1-5 on int64 units (..., H, M), orders (..., H), ship (..., H, H, M)
-    and demand (..., H) whose batch axes broadcast; returns the next units and
-    the (..., 5) cost parts in as_tuple order.  Callers check the inputs,
-    their range with ``check_count_range``."""
-    on_hand = units - ship.sum(axis=-2)
+def day_cycle(units, orders, outbound, inbound, demand, costs: CostParams):
+    """Steps 1-5 on int64 units (..., H, M), orders (..., H), a decision's
+    outbound and inbound units (..., H, M) and demand (..., H) whose batch
+    axes broadcast; returns the next units and the (..., 5) cost parts in
+    as_tuple order.  Callers check the inputs, their range with
+    ``check_count_range``."""
+    on_hand = units - outbound
     older = on_hand[..., ::-1].cumsum(axis=-1)[..., ::-1] - on_hand
     issued = np.minimum(np.maximum(demand[..., None] - older, 0), on_hand)
-    end_of_day = on_hand - issued + ship.sum(axis=-3)
+    end_of_day = on_hand - issued + inbound
     end_of_day[..., 0] += orders
     aged = np.zeros_like(end_of_day)
     aged[..., 1:] = end_of_day[..., :-1]
     parts = np.empty(end_of_day.shape[:-2] + (5,))
     parts[..., 0] = aged.sum(axis=(-2, -1))
-    parts[..., 1] = ship.sum(axis=(-3, -2, -1))
+    parts[..., 1] = outbound.sum(axis=(-2, -1))
     parts[..., 2] = end_of_day[..., -1].sum(axis=-1)
     parts[..., 3] = orders.sum(axis=-1)
     parts[..., 4] = (demand - issued.sum(axis=-1)).sum(axis=-1)
@@ -357,7 +381,9 @@ def step(
     demand = as_demand(demand, state.n_hospitals)
     _check_applicable(state, decision)
     check_count_range(state.units, decision.orders, demand)
-    aged, parts = day_cycle(state.units, decision.orders, decision.transship, demand, costs)
+    aged, parts = day_cycle(
+        state.units, decision.orders, decision.outbound(), decision.inbound(), demand, costs
+    )
     return InventoryState(aged), CostBreakdown(*parts.tolist())
 
 

@@ -114,6 +114,9 @@ def build_saa(state: InventoryState, scenarios, costs: CostParams) -> LinearProg
     LP: after the rows with a negative rhs are negated, every row has a slack
     column or a recourse singleton of the right sign."""
     demand = as_demand(scenarios, state.n_hospitals, batched=True)
+    # the LP sums each hospital's stock in int64, and meets each demand value
+    # alone, as a float: only the stock must stay in range
+    check_count_range(state.units, np.zeros(0, np.int64), np.zeros(state.n_hospitals, np.int64))
     h, m = state.n_hospitals, state.max_age
     d = decision_length(h, m)
     # lane columns in DecisionVector.flatten order: (sender, receiver, age)
@@ -194,7 +197,7 @@ def evaluate_decision(
     check_count_range(state.units, decision.orders, demand)
     zero = DecisionVector.zeros(state.n_hospitals, state.max_age)
     post = receipts_state(state, decision).units
-    _, parts = day_cycle(post, zero.orders, zero.transship, demand, costs)
+    _, parts = day_cycle(post, zero.orders, zero.outbound(), zero.inbound(), demand, costs)
     mean = sum_breakdowns(parts).scaled(1.0 / len(demand))
     return CostBreakdown(
         holding=mean.holding, outdate=mean.outdate, shortage=mean.shortage,

@@ -115,3 +115,53 @@ def test_label_workload_passes_its_checks():
     assert result.returncode == 0, result.stderr
     summary = json.loads(result.stdout.strip().splitlines()[-1])
     assert summary["correct"] is True and summary["failed"] == 0
+
+
+def test_traced_rollout_day_reaches_the_patched_names(monkeypatch):
+    """The traced ``simulate.*`` and ``pipeline.postprocess_s`` figures wrap
+    these module globals: a rollout must reach each once per day."""
+    import numpy as np
+
+    from surropt import pipeline, simulate
+
+    class ShipsFromEmptyStock:
+        """Orders one unit per hospital and ships two units on one lane, which
+        the empty first morning cannot supply."""
+
+        def predict(self, X):
+            raw = np.zeros((len(X), simulate.decision_length(4, 11)))
+            raw[:, :4], raw[:, 4] = 1.0, 2.0
+            return raw
+
+    calls = defaultdict(int)
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in ((simulate, "check_feasibility"), (simulate, "repair"), (simulate, "step"),
+                        (pipeline, "postprocess_prediction")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    config = pipeline.ExperimentConfig(seed=5, rollout_days=5)
+    report = pipeline.rollout(config, ShipsFromEmptyStock(), pipeline.rollout_demands(config))
+    assert report.days == 5 and report.violations >= 1
+    assert dict(calls) == {"check_feasibility": 5, "repair": 5, "step": 5, "postprocess_prediction": 5}
+
+
+def test_rollout_workload_passes_its_checks():
+    """One traced pass of the ``rollout`` workload: five fitted surrogates
+    over 200 days, each day recomputed by ``checks.check_horizon``
+    independently of ``simulate``; the last line of its output is the JSON
+    result."""
+    result = subprocess.run(
+        [sys.executable, str(BENCH_DIR / "run.py"), "--workload", "rollout", "--seconds", "0", "--trace", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(result.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True and summary["failed"] == 0
+    assert summary["metrics"]["simulate.steps"]["value"] == 1000

@@ -719,6 +719,29 @@ class TestSerialization:
         probe = rng.normal(size=(25, data.n_features))
         assert np.array_equal(model.predict(probe), loaded.predict(probe))
 
+    @pytest.mark.parametrize("kind", ["gbdt", "svr"])
+    def test_reloaded_model_rebuilds_its_derived_state(self, kind, tmp_path):
+        """A loaded model rebuilds what its constructor derives (the GBDT's
+        cells, child table and term row; the SVR's support rows and their
+        norms) and predicts the saved model's bits, one row or many."""
+        rng = np.random.default_rng(44)
+        data = make_dataset(rng, n=80)
+        if kind == "gbdt":
+            params = GbdtParams(n_iterations=12, max_depth=3, min_child_weight=1, subsample=0.7)
+            model = fit_gbdt(data, params, LossSpec("huber", 1.0), seed=5)
+        else:
+            model = fit_svr(data, C=2.0, epsilon=0.05)
+        path = tmp_path / f"{kind}.surropt"
+        save_model(path, model)
+        loaded = load_model(path)
+        probes = [rng.normal(size=(25, data.n_features)),
+                  rng.integers(-2, 6, size=(25, data.n_features)).astype(float)]
+        if kind == "gbdt":
+            probes.append(TestGbdtWalk.rows(model, 25, rng))
+        for probe in probes:
+            for rows in (probe, probe[:1]):
+                assert same_bits(loaded.predict(rows), model.predict(rows))
+
     @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.kind)
     def test_gbdt_file_format_unchanged(self, tmp_path, loss):
         fixture = GBDT_FORMAT_FIXTURES / f"gbdt-{loss.kind}-v1.surropt"

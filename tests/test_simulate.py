@@ -52,10 +52,34 @@ class TestShapes:
         assert DecisionVector.zeros(4, 11).flatten().shape == (136,)
 
     def test_decision_roundtrip(self):
+        """Every network size in one process, in and out of order: the lane
+        index kept per hospital count never serves another count."""
         rng = np.random.default_rng(0)
-        flat = rng.integers(0, 5, size=136)
-        d = DecisionVector.from_flat(flat, 4, 11)
-        assert np.array_equal(d.flatten(), flat)
+        sizes = [(h, m) for m in (1, 2, 3) for h in (1, 2, 3, 4, 5)] + [(4, 11)]
+        for h, m in sizes + sizes[::-1]:
+            flat = rng.integers(0, 5, size=decision_length(h, m))
+            d = DecisionVector.from_flat(flat, h, m)
+            ship = np.zeros((h, h, m), dtype=np.int64)
+            ship[~np.eye(h, dtype=bool)] = flat[h:].reshape(-1, m)
+            assert np.array_equal(d.orders, flat[:h]) and np.array_equal(d.transship, ship)
+            assert np.array_equal(d.flatten(), flat)
+            again = DecisionVector.from_flat(d.flatten(), h, m)
+            assert np.array_equal(again.orders, d.orders) and np.array_equal(again.transship, d.transship)
+
+    def test_lane_sums_kept_read_only(self):
+        rng = np.random.default_rng(6)
+        ship = rng.integers(0, 4, size=(3, 3, 2))
+        ship[np.arange(3), np.arange(3)] = 0
+        d = DecisionVector(rng.integers(0, 4, size=3), ship)
+        assert np.array_equal(d.outbound(), ship.sum(axis=1))
+        assert np.array_equal(d.inbound(), ship.sum(axis=0))
+        for lanes in (d.outbound(), d.inbound()):
+            with pytest.raises(ValueError):
+                lanes[0, 0] = 1
+        # the decision holds its own copy of the lanes it summed
+        ship[0, 1, 0] += 5
+        assert np.array_equal(d.outbound(), d.transship.sum(axis=1))
+        assert np.array_equal(d.inbound(), d.transship.sum(axis=0))
 
     def test_self_shipment_rejected(self):
         ship = np.zeros((2, 2, 3), dtype=np.int64)

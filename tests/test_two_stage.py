@@ -249,6 +249,14 @@ class TestBuildSaa:
         b = build_saa(state, [[2, 1]], CostParams())
         assert a.b.tobytes() == b.b.tobytes() and a.A.tobytes() == b.A.tobytes()
 
+    def test_stock_past_int64_range_rejected_before_the_lp(self):
+        """The LP sums each hospital's stock in int64: three slots of 2**62
+        used to enter it as a stock of -4.61e18, and its optimum ordered
+        4.61e18 units."""
+        state = InventoryState(np.array([[2**62, 2**62, 2**62]]))
+        with pytest.raises(InputError, match="int64"):
+            build_saa(state, [[0], [3]], CostParams())
+
     @pytest.mark.parametrize("regime", list(REGIME_OUTDATE))
     def test_demand_near_int64_limit(self, regime):
         # a key like hospital * (max + 1) + value would overflow int64 here
