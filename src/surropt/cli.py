@@ -5,7 +5,6 @@ Subcommands
     train      fit the configured surrogate on a dataset and save the model
     rollout    evaluate model(s) and the oracle on fresh paired demands
     compare    alias of rollout for several --model files
-    selftest   fast internal consistency checks
 
 Exit codes: 0 success, 2 configuration or input error, 3 I/O or environment
 error, 4 internal invariant breach or resource exhaustion.
@@ -15,16 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import traceback
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .config import config_to_dict, load_config
-from .errors import ConfigError, InputError, InternalError, ResourceLimitError, SurroptError
+from .errors import ConfigError, InputError, SurroptError
 from .learners import load_model, save_model
 from .pipeline import compare_models, oracle_generation_run, train_surrogate
 from .report import (
@@ -50,11 +46,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model_flag=False, data_flag=False):
+    def common(p, model_flag=False, days_flag=True):
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--days", type=int, default=None, help="override the day horizon")
+        if days_flag:
+            p.add_argument("--days", type=int, default=None, help="override the day horizon")
         if model_flag:
             p.add_argument(
                 "--model",
@@ -62,19 +59,16 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=[],
                 help="trained model file (repeatable)",
             )
-        if data_flag:
-            p.add_argument("--data", required=True, help="dataset CSV from `generate`")
 
     common(sub.add_parser("generate", help="offline phase: oracle dataset"))
     train = sub.add_parser("train", help="fit the configured learner")
-    common(train, data_flag=True)
+    common(train, days_flag=False)
+    train.add_argument("--data", required=True, help="dataset CSV from `generate`")
     train.add_argument("--model-out", default=None, help="model file path")
     rollout = sub.add_parser("rollout", help="online phase: closed-loop evaluation")
     common(rollout, model_flag=True)
     compare = sub.add_parser("compare", help="rollout several models side by side")
     common(compare, model_flag=True)
-    selftest = sub.add_parser("selftest", help="fast internal consistency checks")
-    selftest.add_argument("--out", default=".", help=argparse.SUPPRESS)
     return parser
 
 
@@ -186,87 +180,6 @@ def cmd_rollout(args) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(args) -> int:
-    """A handful of fast end-to-end sanity checks."""
-    from .demand import DemandModel, ZinbParams
-    from .losses import LossSpec, loss_grad_hess, loss_value
-    from .lp import LinearProgram, solve_lp
-    from .pipeline import ExperimentConfig, generate_dataset
-    from .simulate import CostParams, InventoryState
-    from .two_stage import solve_stage_one
-    from .util import stream
-
-    checks = []
-
-    def check(name, fn):
-        try:
-            ok = bool(fn())
-        except Exception:
-            ok = False
-        checks.append((name, ok))
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-
-    def zinb_mean():
-        draws = DemandModel((ZinbParams(0.6, 4, 0.6),)).sample_day(stream(1, 99), 100_000)
-        return abs(draws.mean() - 4 * 0.4 * 0.4 / 0.6) < 0.05
-
-    check("zinb sample mean near analytic mean", zinb_mean)
-    check(
-        "huber value continuous at the knee",
-        lambda: abs(
-            loss_value(LossSpec("huber", 1.0), 0.0, 1.0)
-            - loss_value(LossSpec("huber", 1.0), 0.0, 1.0 + 1e-12)
-        )
-        < 1e-9,
-    )
-
-    def grad_check():
-        spec = LossSpec("huber", 1.0)
-        y, yhat, eps = 0.3, 1.9, 1e-6
-        g, _ = loss_grad_hess(spec, y, yhat)
-        fd = (loss_value(spec, y, yhat + eps) - loss_value(spec, y, yhat - eps)) / (2 * eps)
-        return abs(g - fd) < 1e-6
-
-    check("huber gradient matches finite differences", grad_check)
-    # max x0 + 2 x1 over x0 + x1 <= 3, x <= 2 is 5: min -c with the bounds as rows
-    check(
-        "lp solves a box-bounded maximum",
-        lambda: abs(
-            solve_lp(
-                LinearProgram(
-                    c=[-1.0, -2.0], A=[[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], b=[3.0, 2.0, 2.0], senses=("<=",) * 3
-                )
-            ).objective
-            + 5.0
-        )
-        < 1e-9,
-    )
-
-    def newsvendor():
-        state = InventoryState.zeros(1, 2)
-        costs = CostParams(holding=0.1, ordering=1.0, transship_unit=0.0, shortage=10.0, outdate=0.0)
-        scen = [np.array([0]), np.array([2])]
-        sol = solve_stage_one(state, scen, costs)
-        return sol.decision.orders[0] == 2 and abs(sol.objective - 2.1) < 1e-9
-
-    check("two-stage solver matches the analytic newsvendor", newsvendor)
-
-    def determinism():
-        cfg = ExperimentConfig(seed=11, horizon_days=4, rollout_days=2)
-        a = generate_dataset(cfg)
-        b = generate_dataset(cfg)
-        return np.array_equal(a.X, b.X) and np.array_equal(a.Y, b.Y)
-
-    check("dataset generation is deterministic", determinism)
-
-    failed = [name for name, ok in checks if not ok]
-    if failed:
-        print(f"{len(failed)} of {len(checks)} checks failed")
-        return EXIT_INTERNAL
-    print(f"all {len(checks)} checks passed")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -275,7 +188,6 @@ def main(argv=None) -> int:
         "train": cmd_train,
         "rollout": cmd_rollout,
         "compare": cmd_rollout,
-        "selftest": cmd_selftest,
     }
     try:
         return handlers[args.command](args)
@@ -285,7 +197,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ResourceLimitError, InternalError, SurroptError) as exc:
+    except SurroptError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception:

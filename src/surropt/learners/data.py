@@ -1,4 +1,4 @@
-"""Training data container and fold assignment."""
+"""Training data container, fold assignment and cross-validation."""
 
 from __future__ import annotations
 
@@ -77,6 +77,30 @@ def kfold_split(n: int, folds: int = 10, seed: int = 0) -> np.ndarray:
         assignment[perm[start : start + size]] = k
         start += size
     return assignment
+
+
+def cross_validate(data: Dataset, candidates, folds: int, seed: int, fold_predict):
+    """The candidate of least mean ``kfold_split`` MSE summed over outputs
+    (ties to the smaller), and the candidate -> score map.
+
+    ``fold_predict(candidate, X_train, Y_train, X_test)`` fits one fold and
+    predicts its test rows.  A candidate whose fit raises ``LinAlgError`` is
+    left out, and ``InputError`` is raised when none is left."""
+    assignment = kfold_split(data.n_rows, folds=folds, seed=seed)
+    cv_mse = {}
+    for candidate in candidates:
+        total = 0.0
+        try:
+            for k in range(folds):
+                test = assignment == k
+                pred = fold_predict(candidate, data.X[~test], data.Y[~test], data.X[test])
+                total += float(np.mean((pred - data.Y[test]) ** 2) * data.n_outputs)
+        except np.linalg.LinAlgError:
+            continue
+        cv_mse[candidate] = total / folds
+    if not cv_mse:
+        raise InputError("every candidate's fold fit left a linear system singular")
+    return min(cv_mse, key=lambda c: (cv_mse[c], c)), cv_mse
 
 
 def split_train_test(data: Dataset, train_fraction: float):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InputError
-from .data import Dataset, kfold_split
+from .data import Dataset, cross_validate
 
 DEFAULT_LAMBDAS = tuple(np.logspace(-3, 3, 13))
 
@@ -52,6 +52,8 @@ class RidgeModel:
     def __post_init__(self):
         if self.coef.ndim != 2 or self.coef.shape[1] < 1 or self.coef.dtype.kind != "f":
             raise ValueError(f"coef is a {self.coef.dtype} array of shape {self.coef.shape}")
+        # a fitted coef is F-ordered: one layout gives fitted and loaded models one BLAS path
+        object.__setattr__(self, "coef", np.ascontiguousarray(self.coef))
 
     @property
     def n_features(self) -> int:
@@ -86,26 +88,12 @@ def fit_ridge(
     lambdas = sorted(float(l) for l in lambdas)
     if any(l < 0 for l in lambdas):
         raise InputError("lambda candidates must be nonnegative")
-    assignment = kfold_split(data.n_rows, folds=folds, seed=seed)
-    cv_mse = {}
-    for lam in lambdas:
-        total = 0.0
-        ok = True
-        for k in range(folds):
-            test = assignment == k
-            try:
-                coef = solve_ridge(data.X[~test], data.Y[~test], lam)
-            except np.linalg.LinAlgError:
-                ok = False
-                break
-            Z = np.column_stack([np.ones(test.sum()), data.X[test]])
-            resid = Z @ coef.T - data.Y[test]
-            total += float(np.mean(resid**2) * data.n_outputs)
-        if ok:
-            cv_mse[lam] = total / folds
-    if not cv_mse:
-        raise InputError("every candidate lambda left the normal matrix singular")
-    best = min(cv_mse, key=lambda l: (cv_mse[l], l))
+
+    def fold_predict(lam, X, Y, X_test):
+        coef = solve_ridge(X, Y, lam)
+        return np.column_stack([np.ones(X_test.shape[0]), X_test]) @ coef.T
+
+    best, cv_mse = cross_validate(data, lambdas, folds, seed, fold_predict)
     try:
         coef = solve_ridge(data.X, data.Y, best)
     except np.linalg.LinAlgError:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InputError, ResourceLimitError
-from .data import Dataset, kfold_split
+from .data import Dataset, cross_validate
 
 DEFAULT_EPSILON = 0.1
 DEFAULT_TOL = 1e-3
@@ -221,8 +221,8 @@ def fit_svr(
     outputs is selected with ``folds`` folds before the final fit.
     """
     X, Y = data.X, data.Y
-    cross_validate = isinstance(C, (list, tuple, np.ndarray))
-    candidates = [float(c) for c in C] if cross_validate else [float(C)]
+    tuned = isinstance(C, (list, tuple, np.ndarray))
+    candidates = [float(c) for c in C] if tuned else [float(C)]
     if not candidates:
         raise InputError("C needs at least one candidate value")
     for c in candidates:
@@ -234,20 +234,12 @@ def fit_svr(
         raise InputError(f"epsilon must be nonnegative, got {epsilon}")
     if gamma is None:
         gamma = scale_gamma(X)
-    cv_mse = {}
-    if cross_validate:
-        if data.n_rows < folds:
-            raise InputError(f"{data.n_rows} rows cannot fill {folds} folds")
-        assignment = kfold_split(data.n_rows, folds=folds, seed=seed)
-        for c in candidates:
-            total = 0.0
-            for k in range(folds):
-                test = assignment == k
-                model = _fit_all_outputs(X[~test], Y[~test], gamma, c, epsilon, tol, max_iter)
-                resid = model.predict(X[test]) - Y[test]
-                total += float(np.mean(resid**2) * data.n_outputs)
-            cv_mse[c] = total / folds
-        candidates = [min(cv_mse, key=lambda c: (cv_mse[c], c))]
-    model = _fit_all_outputs(X, Y, gamma, candidates[0], epsilon, tol, max_iter)
+    best, cv_mse = candidates[0], {}
+    if tuned:
+        def fold_predict(c, X_train, Y_train, X_test):
+            return _fit_all_outputs(X_train, Y_train, gamma, c, epsilon, tol, max_iter).predict(X_test)
+
+        best, cv_mse = cross_validate(data, candidates, folds, seed, fold_predict)
+    model = _fit_all_outputs(X, Y, gamma, best, epsilon, tol, max_iter)
     model.cv_mse = cv_mse
     return model

@@ -124,6 +124,9 @@ class DecisionVector:
             raise InputError("decision quantities must be nonnegative")
         if ship.diagonal().any():
             raise InputError("self-transshipment entries must be zero")
+        # every slot's lane sum is at most the total, so below 2**62 none wraps
+        if (shipped := ship.sum(dtype=float)) >= 2.0**62:
+            raise InputError(f"{shipped:.4g} shipped units reach 2**62: lane sums leave the int64 range")
         outbound, inbound = ship.sum(axis=1), ship.sum(axis=0)
         for name, a in (("orders", orders), ("transship", ship), ("_outbound", outbound),
                         ("_inbound", inbound)):

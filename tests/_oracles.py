@@ -11,11 +11,13 @@ row-by-row, tree-by-tree walk instead of the packed GBDT forest, one RBF
 kernel per output instead of one over all outputs' distinct support rows,
 one-output, one-node-at-a-time recursive tree growth instead of the
 level-wise GBDT grower, bisection of the Huber leaf constant instead of
-the exact breakpoint search, and one day and one scenario at a time with a
-slot-by-slot issuing loop instead of the batched day-cycle kernel.  The
-label replay rolls stored labels through the simulator so a test can check
-that they reproduce the oracle run's costs, and ``nonnegative_form`` writes
-an LP with variable bounds and a sense in the solver's nonnegative-min form.
+the exact breakpoint search, one day and one scenario at a time with a
+slot-by-slot issuing loop instead of the batched day-cycle kernel, and one
+fold at a time on index arrays instead of the shared cross-validation
+loop.  The label replay rolls stored labels through the simulator so a
+test can check that they reproduce the oracle run's costs, and
+``nonnegative_form`` writes an LP with variable bounds and a sense in the
+solver's nonnegative-min form.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from itertools import combinations, product
 import numpy as np
 
 from surropt.errors import InputError, InternalError
+from surropt.learners.data import kfold_split
 from surropt.learners.gbdt import _NODE_ARRAYS, GbdtModel, Tree, _Binner
 from surropt.learners.svr import rbf_kernel
 from surropt.losses import leaf_optimal_value, loss_grad_hess, loss_value
@@ -314,6 +317,33 @@ def gradient_descent_ridge(X, Y, lam, iters=60_000):
             break
         B = B_new
     return B.T
+
+
+def reference_cv_mse(data, candidates, folds, seed, fit_predict):
+    """Mean k-fold MSE summed over outputs per candidate, one fold at a
+    time on index arrays through ``Dataset.take``; a candidate whose fit
+    ``fit_predict(candidate, train, X_test)`` raises ``LinAlgError`` on a
+    fold has no entry."""
+    assignment = kfold_split(data.n_rows, folds=folds, seed=seed)
+    splits = [
+        (data.take(np.flatnonzero(assignment != k)), data.take(np.flatnonzero(assignment == k)))
+        for k in range(folds)
+    ]
+    scores = {}
+    for candidate in candidates:
+        fold_mse = []
+        for train, test in splits:
+            try:
+                pred = fit_predict(candidate, train, test.X)
+            except np.linalg.LinAlgError:
+                break
+            fold_mse.append(float(np.mean((pred - test.Y) ** 2) * data.n_outputs))
+        else:
+            total = 0.0
+            for mse in fold_mse:
+                total += mse
+            scores[candidate] = total / folds
+    return scores
 
 
 def central_difference(fn, x, eps=1e-6):

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import zipfile
@@ -410,8 +412,35 @@ class TestMalformedFiles:
         assert err.startswith(f"error: {model}: malformed model file")
 
 
-class TestSelftest:
-    def test_selftest_passes(self):
-        result = run_cli("selftest")
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "FAIL" not in result.stdout
+class TestSurface:
+    """The console script, the subcommands ``--help`` lists and the module
+    doc describe one command-line surface."""
+
+    def test_console_script_is_cli_main(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads((SRC_DIR.parent / "pyproject.toml").read_text())
+        module, _, attr = pyproject["project"]["scripts"]["surropt"].partition(":")
+        assert getattr(importlib.import_module(module), attr) is cli.main
+
+    def test_help_lists_the_documented_subcommands(self, capsys):
+        doc = cli.__doc__.split("Subcommands\n", 1)[1].split("\n\n", 1)[0]
+        documented = [line.split()[0] for line in doc.splitlines()]
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["--help"])
+        assert stop.value.code == 0
+        listed = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1).split(",")
+        assert listed == documented
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["selftest"], "invalid choice: 'selftest'"),
+            (["train", "--config", "c.json", "--data", "d.csv", "--days", "5"], "unrecognized arguments"),
+        ],
+        ids=["selftest", "train-days"],
+    )
+    def test_removed_surface_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(argv)
+        assert stop.value.code == 2
+        assert message in capsys.readouterr().err

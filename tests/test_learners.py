@@ -16,9 +16,10 @@ from surropt.learners import (
     save_model,
     split_train_test,
 )
+from surropt.learners.data import cross_validate
 from surropt.learners.gbdt import PACKED, GbdtModel, GbdtParams, Tree
 from surropt.learners.ridge import solve_ridge
-from surropt.learners.svr import SvrModel, rbf_kernel, smo_solve
+from surropt.learners.svr import SvrModel, rbf_kernel, scale_gamma, smo_solve
 from surropt.losses import LossSpec, loss_value
 
 from _oracles import (
@@ -26,6 +27,7 @@ from _oracles import (
     dual_objective,
     gradient_descent_ridge,
     projected_gradient_svr_dual,
+    reference_cv_mse,
     reference_fit_gbdt,
     reference_gbdt_predict,
     reference_svr_predict,
@@ -155,6 +157,62 @@ class TestRidge:
         a = solve_ridge(data.X, data.Y, 2.0)
         b = solve_ridge(shuffled.X, shuffled.Y, 2.0)
         assert np.allclose(a, b, atol=1e-9)
+
+
+class TestCrossValidate:
+    """Ridge's lambda and SVR's C are picked by one shared loop, which gives
+    the reference loop's scores bit for bit."""
+
+    def test_ridge_scores_match_the_reference_loop(self):
+        rng = np.random.default_rng(9)
+        base = rng.normal(size=(60, 3))
+        X = np.column_stack([base, np.zeros(60)])  # rank-deficient: singular at lambda 0
+        data = Dataset(X, np.abs(base @ rng.normal(size=(3, 2))), np.arange(60))
+        lambdas = (0.0, 0.01, 0.5, 20.0)
+
+        def fit_predict(lam, train, X_test):
+            coef = solve_ridge(train.X, train.Y, lam)
+            return np.column_stack([np.ones(X_test.shape[0]), X_test]) @ coef.T
+
+        expected = reference_cv_mse(data, lambdas, 5, 3, fit_predict)
+        assert sorted(expected) == [0.01, 0.5, 20.0]
+        model = fit_ridge(data, lambdas=lambdas, folds=5, seed=3)
+        assert list(model.cv_mse) == list(expected)
+        assert same_bits(np.array(list(model.cv_mse.values())), np.array(list(expected.values())))
+        assert model.lam == min(expected, key=lambda lam: (expected[lam], lam))
+
+    def test_svr_scores_match_the_reference_loop(self):
+        rng = np.random.default_rng(10)
+        data = make_dataset(rng, n=40, p=2, q=2)
+        Cs = [8.0, 0.5, 2.0]
+        gamma = scale_gamma(data.X)
+
+        def fit_predict(c, train, X_test):
+            return fit_svr(train, C=c, gamma=gamma, epsilon=0.05).predict(X_test)
+
+        expected = reference_cv_mse(data, Cs, 4, 11, fit_predict)
+        model = fit_svr(data, C=Cs, epsilon=0.05, folds=4, seed=11)
+        assert list(model.cv_mse) == Cs
+        assert same_bits(np.array(list(model.cv_mse.values())), np.array([expected[c] for c in Cs]))
+        assert model.C == min(expected, key=lambda c: (expected[c], c))
+
+    def test_every_candidate_singular_rejected(self):
+        data = Dataset(np.zeros((20, 2)), np.ones((20, 1)), np.arange(20))
+
+        def fold_predict(candidate, X, Y, X_test):
+            raise np.linalg.LinAlgError("singular")
+
+        with pytest.raises(InputError, match="singular"):
+            cross_validate(data, [1.0, 2.0], 4, 0, fold_predict)
+
+    def test_ties_go_to_the_smaller_candidate(self):
+        data = Dataset(np.zeros((20, 2)), np.ones((20, 1)), np.arange(20))
+
+        def fold_predict(candidate, X, Y, X_test):
+            return np.ones((len(X_test), 1))
+
+        best, scores = cross_validate(data, [3.0, 1.0, 2.0], 4, 0, fold_predict)
+        assert best == 1.0 and scores == {3.0: 0.0, 1.0: 0.0, 2.0: 0.0}
 
 
 class TestGbdt:
@@ -718,6 +776,18 @@ class TestSerialization:
         loaded = load_model(path)
         probe = rng.normal(size=(25, data.n_features))
         assert np.array_equal(model.predict(probe), loaded.predict(probe))
+
+    def test_reloaded_ridge_keeps_single_row_bits(self, tmp_path):
+        """A fitted coef was F-ordered and a loaded one C-ordered, so single
+        rows took two BLAS paths and could differ in the last bit."""
+        rng = np.random.default_rng(40)
+        data = make_dataset(rng, n=80)
+        model = fit_ridge(data, lambdas=(0.5,), folds=5)
+        path = tmp_path / "ridge.surropt"
+        save_model(path, model)
+        loaded = load_model(path)
+        rows = rng.integers(-5, 6, size=(2000, 1, data.n_features)).astype(float)
+        assert all(same_bits(model.predict(row), loaded.predict(row)) for row in rows)
 
     @pytest.mark.parametrize("kind", ["gbdt", "svr"])
     def test_reloaded_model_rebuilds_its_derived_state(self, kind, tmp_path):

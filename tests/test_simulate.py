@@ -340,6 +340,21 @@ class TestStepInputs:
         with pytest.raises(InputError, match="int64"):
             evaluate_decision(state, decision, [demand], CostParams())
 
+    @pytest.mark.filterwarnings("error")
+    def test_lane_sums_past_int64_range_rejected(self):
+        """Two lanes of 2**62 out of one slot used to wrap ``outbound()`` to
+        -2**63, and ``step`` then made 2**62 units from one with negative
+        holding."""
+        state = InventoryState(np.array([[1, 0], [0, 0], [0, 0]]))
+        ship = np.zeros((3, 3, 2), dtype=np.int64)
+        ship[0, 1, 0] = ship[0, 2, 0] = 2**62
+        with pytest.raises(InputError, match="int64"):
+            step(state, DecisionVector(np.zeros(3, int), ship), [0, 0, 0], CostParams())
+        flat = DecisionVector.zeros(3, 2).flatten()
+        flat[3] = flat[5] = 2**62  # lanes 1 -> 2 and 1 -> 3, age 1
+        with pytest.raises(InputError, match="int64"):
+            DecisionVector.from_flat(flat, 3, 2)
+
     def test_counts_just_below_int64_range_kept_exact(self):
         costs = CostParams()
         state = InventoryState(np.array([[0, 2**61, 2**61 - 2**10]]))

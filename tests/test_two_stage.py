@@ -1,11 +1,11 @@
 import hashlib
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from surropt import two_stage
+from surropt import pipeline, two_stage
 from surropt.errors import InputError
 from surropt.lp import _tableau, solve_lp
 from surropt.simulate import (
@@ -398,6 +398,63 @@ class TestBruteForce:
                 exact_matches += 1
                 assert sol.objective == pytest.approx(best, abs=1e-7)
         assert exact_matches > 0
+
+
+@pytest.fixture(scope="module")
+def acceptance_days():
+    """(state, costs, scenarios) of the first 30 acceptance generation days,
+    with the scenarios the oracle drew for each."""
+    config = ExperimentConfig(seed=20240803, saa=SaaConfig(scenario_count=50, seed=20240803))
+    days, real = [], pipeline.solve_stage_one
+
+    def probe(state, scenarios, costs):
+        days.append((state, costs, scenarios))
+        return real(state, scenarios, costs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "solve_stage_one", probe)
+        oracle_generation_run(config, 30)
+    assert len(days) == 30
+    return days
+
+
+def metamorphic_instances(acceptance_days):
+    """100 random tiny instances per (H, M) shape, then the acceptance days."""
+    rng = np.random.default_rng(27)
+    for h, m in [(1, 1), (1, 2), (2, 2), (3, 2), (2, 3)]:
+        for _ in range(100):
+            yield random_tiny_instance(rng, h, m)
+    yield from acceptance_days
+
+
+class TestMetamorphic:
+    """Relations the oracle must keep whatever bytes it stores (Chen et al.,
+    "Metamorphic testing: a review of challenges and opportunities", ACM
+    Computing Surveys 51(1), 2018), so they still check it after a change
+    that moves every label."""
+
+    def test_scaled_costs_keep_the_decision(self, acceptance_days):
+        # a power of two scales every rate, product and sum exactly
+        for state, costs, scenarios in metamorphic_instances(acceptance_days):
+            base = solve_stage_one(state, scenarios, costs)
+            for factor in (2.0, 4.0):
+                scaled = CostParams(**{k: factor * v for k, v in asdict(costs).items()})
+                sol = solve_stage_one(state, scenarios, scaled)
+                case = (state.units.tolist(), costs, np.asarray(scenarios).tolist(), factor)
+                assert np.array_equal(sol.decision.flatten(), base.decision.flatten()), case
+                assert sol.objective == factor * base.objective, case
+                assert sol.lp_objective == factor * base.lp_objective, case
+
+    def test_repeated_scenarios_keep_the_lp(self, acceptance_days):
+        for state, costs, scenarios in metamorphic_instances(acceptance_days):
+            base = build_saa(state, scenarios, costs)
+            for reps in (2, 3):
+                lp = build_saa(state, np.tile(scenarios, (reps, 1)), costs)
+                case = (state.units.tolist(), costs, np.asarray(scenarios).tolist(), reps)
+                assert lp.c.tobytes() == base.c.tobytes(), case
+                assert lp.A.tobytes() == base.A.tobytes(), case
+                assert lp.b.tobytes() == base.b.tobytes(), case
+                assert lp.senses == base.senses, case
 
 
 class TestEvaluateDecision:
