@@ -4,7 +4,23 @@ Subcommands
     generate   simulate the oracle and write the labeled dataset CSV
     train      fit the configured surrogate on a dataset and save the model
     rollout    evaluate model(s) and the oracle on fresh paired demands
-    compare    alias of rollout for several --model files
+
+Options
+    generate   --config --out
+    train      --config --out --data --model-out
+    rollout    --config --out --model
+
+The config file (see ``surropt.config``) holds every experiment setting:
+the seed, the day counts, the demand, the costs and the learner.  The
+options name only files and directories.  A run of the three phases::
+
+    surropt generate --config exp.json --out run
+    surropt train --config exp.json --data run/dataset.csv --out run
+    surropt rollout --config exp.json --model run/model-ridge.surropt --out run
+
+``rollout`` labels each ``--model`` by its file name less ``model-`` and the
+extension; two models with one label, or a model labelled ``oracle``, are a
+configuration error.
 
 Exit codes: 0 success, 2 configuration or input error, 3 I/O or environment
 error, 4 internal invariant breach or resource exhaustion.
@@ -16,7 +32,6 @@ import argparse
 import json
 import sys
 import traceback
-from dataclasses import replace
 from pathlib import Path
 
 from .config import config_to_dict, load_config
@@ -45,38 +60,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Learned surrogate policies for the hospital transshipment network",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, model_flag=False, days_flag=True):
-        p.add_argument("--config", required=True, help="experiment config JSON")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=".", help="output directory")
-        if days_flag:
-            p.add_argument("--days", type=int, default=None, help="override the day horizon")
-        if model_flag:
-            p.add_argument(
-                "--model",
-                action="append",
-                default=[],
-                help="trained model file (repeatable)",
-            )
-
-    common(sub.add_parser("generate", help="offline phase: oracle dataset"))
+    generate = sub.add_parser("generate", help="offline phase: oracle dataset")
     train = sub.add_parser("train", help="fit the configured learner")
-    common(train, days_flag=False)
+    rollout = sub.add_parser("rollout", help="online phase: closed-loop evaluation")
+    for p in (generate, train, rollout):
+        p.add_argument("--config", required=True, help="experiment config JSON")
+        p.add_argument("--out", default=".", help="output directory")
     train.add_argument("--data", required=True, help="dataset CSV from `generate`")
     train.add_argument("--model-out", default=None, help="model file path")
-    rollout = sub.add_parser("rollout", help="online phase: closed-loop evaluation")
-    common(rollout, model_flag=True)
-    compare = sub.add_parser("compare", help="rollout several models side by side")
-    common(compare, model_flag=True)
+    rollout.add_argument("--model", action="append", default=[], help="trained model file (repeatable)")
     return parser
-
-
-def _load(args):
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed, saa=replace(config.saa, seed=args.seed))
-    return config
 
 
 def _outdir(args) -> Path:
@@ -86,9 +79,7 @@ def _outdir(args) -> Path:
 
 
 def cmd_generate(args) -> int:
-    config = _load(args)
-    if args.days is not None:
-        config = replace(config, horizon_days=args.days)
+    config = load_config(args.config)
     out = _outdir(args)
     run = oracle_generation_run(config)
     dataset_path = out / "dataset.csv"
@@ -105,7 +96,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _load(args)
+    config = load_config(args.config)
     data = read_dataset_csv(args.data, config.n_hospitals, config.max_age)
     out = _outdir(args)
     model = train_surrogate(config, data)
@@ -141,22 +132,25 @@ def _label_for(path: str) -> str:
 
 
 def cmd_rollout(args) -> int:
-    config = _load(args)
-    if args.days is not None:
-        config = replace(config, rollout_days=args.days)
+    config = load_config(args.config)
     if not args.model:
         raise ConfigError("rollout needs at least one --model file")
+    n_in = config.n_hospitals * config.max_age
+    n_out = decision_length(config.n_hospitals, config.max_age)
+    sources = {"oracle": "the oracle policy"}
     models = {}
     for path in args.model:
+        label = _label_for(path)
+        if label in sources:
+            raise ConfigError(f"{sources[label]} and {path} both have the policy label {label!r}")
+        sources[label] = path
         model = load_model(path)
-        n_in = config.n_hospitals * config.max_age
-        n_out = decision_length(config.n_hospitals, config.max_age)
         if model.n_features != n_in or model.n_outputs != n_out:
             raise ConfigError(
                 f"{path}: model is {model.n_features}->{model.n_outputs}, "
                 f"config expects {n_in}->{n_out}"
             )
-        models[_label_for(path)] = model
+        models[label] = model
     out = _outdir(args)
     comparison = compare_models(config, models)
     paths = {
@@ -174,7 +168,7 @@ def cmd_rollout(args) -> int:
         manifest_path,
         config_to_dict(config),
         list(paths.values()) + [manifest_path],
-        extra={"command": args.command, "days": comparison.days},
+        extra={"command": "rollout", "days": comparison.days},
     )
     print(comparison.table())
     return EXIT_OK
@@ -187,7 +181,6 @@ def main(argv=None) -> int:
         "generate": cmd_generate,
         "train": cmd_train,
         "rollout": cmd_rollout,
-        "compare": cmd_rollout,
     }
     try:
         return handlers[args.command](args)

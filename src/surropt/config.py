@@ -1,17 +1,42 @@
 """Experiment configuration: a single versioned JSON file.
 
-The schema is the dataclass fields.  Each JSON section is read by
-:func:`_fields`, which takes the allowed keys from ``dataclasses.fields`` and
-checks every value against its field's declared type, so a typo in a
+The JSON layout is the ``ExperimentConfig`` dataclass tree.  Each key is the
+name of a field, checked against the field's declared type, so a typo in a
 hyperparameter name or a value of the wrong type fails loudly instead of
-silently using a default.  Only the few places where the JSON layout and the
-dataclasses differ are mapped by hand: ``learner.loss`` and
-``learner.delta``, ``learner.svr``, the top-level ``seed`` that also seeds
-the SAA scenarios, and ``initial_inventory``.  ``hospitals`` is a list of
-``ZinbParams`` objects; a hospital may also give an ``id``, which must equal
-its 1-based position and is not written back.  Every error is a
+silently using a default.  A field whose default is a dataclass instance is
+a nested object of that class (``costs``, ``learner``, ``learner.loss``,
+``learner.gbdt``), and an absent key takes the field's default.  Three
+fields are read by hand: ``hospitals`` is a nonempty list of ``ZinbParams``
+objects, hospital 1 first; ``initial_state`` is ``"empty"`` or a
+per-hospital list of per-age unit counts; and ``saa`` leaves out
+``SaaConfig.seed``, which nothing reads and which stays at its default.  A
+file without ``version`` is read as the current one.  Every error is a
 ``ConfigError`` (or an ``InputError`` from a constructor) naming the
 offending field.
+
+An example file; every key it leaves out takes its default::
+
+    {
+      "version": 2,
+      "seed": 20240803,
+      "horizon_days": 500,
+      "rollout_days": 200,
+      "hospitals": [
+        {"pi": 0.6, "r": 4, "p": 0.6},
+        {"pi": 0.6, "r": 3, "p": 0.57},
+        {"pi": 0.25, "r": 15, "p": 0.57},
+        {"pi": 0.25, "r": 15, "p": 0.48}
+      ],
+      "saa": {"scenario_count": 50},
+      "learner": {
+        "kind": "gbdt",
+        "loss": {"kind": "huber", "delta": 1.0},
+        "gbdt": {"eta": 0.1, "max_depth": 4, "n_iterations": 120}
+      }
+    }
+
+A ridge learner takes ``ridge_lambdas`` and an SVR ``svr_C``, ``svr_gamma``
+and ``svr_epsilon``, all inside ``learner``.
 """
 
 from __future__ import annotations
@@ -24,13 +49,11 @@ import numpy as np
 
 from .demand import ZinbParams
 from .errors import ConfigError, InputError
-from .learners.gbdt import GbdtParams
-from .losses import LossSpec
-from .pipeline import ExperimentConfig, LearnerSpec
-from .simulate import CostParams, InventoryState
+from .pipeline import ExperimentConfig
+from .simulate import InventoryState
 from .two_stage import SaaConfig
 
-CONFIG_VERSION = 1
+CONFIG_VERSION = 2
 
 _EXPECTED = {"int": "an integer", "float": "a finite number", "str": "a string"}
 
@@ -63,61 +86,34 @@ def _object(obj, where: str) -> dict:
     return dict(obj)
 
 
-def _fields(cls, obj, where: str, given=(), prefix: str = "") -> dict:
-    """Keyword arguments for ``cls`` read from the JSON object ``obj``.
-
-    The JSON keys are the names of the fields of ``cls`` that start with
-    ``prefix`` (which the key drops), less those in ``given``.  An absent key
-    takes the field's default; a field without one is required."""
-    obj = _object(obj, where)
-    fields = {
-        f.name[len(prefix) :]: f
-        for f in dataclasses.fields(cls)
-        if f.name.startswith(prefix) and f.name not in given
-    }
-    unknown = sorted(set(obj) - set(fields))
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
-    kwargs = {}
-    for key, f in fields.items():
-        if key in obj:
-            kwargs[f.name] = _coerce(obj[key], f.type, f"{where}.{key}")
-        elif f.default is not dataclasses.MISSING:
-            kwargs[f.name] = f.default
-        else:
-            raise ConfigError(f"{where}: missing required field '{key}'")
-    return kwargs
-
-
-def _construct(cls, where: str, *args, **kwargs):
-    """``cls(*args, **kwargs)``, with the location put in front of its errors."""
+def _construct(cls, where: str, **kwargs):
+    """``cls(**kwargs)``, with the location put in front of its errors."""
     try:
-        return cls(*args, **kwargs)
+        return cls(**kwargs)
     except (ConfigError, InputError) as exc:
         raise type(exc)(f"{where}: {exc}") from None
 
 
 def _build(cls, obj, where: str, **given):
-    return _construct(cls, where, **given, **_fields(cls, obj, where, given))
-
-
-def _hospital(entry, k: int, where: str) -> ZinbParams:
-    """Hospital ``k + 1``'s demand; an optional ``id`` must be that number."""
-    entry = _object(entry, where)
-    hospital_id = _coerce(entry.pop("id", k + 1), "int", f"{where}.id")
-    if hospital_id != k + 1:
-        raise ConfigError(f"{where}.id: must equal the hospital's position {k + 1}, got {hospital_id}")
-    return _build(ZinbParams, entry, where)
-
-
-def _learner(obj, where: str) -> LearnerSpec:
+    """``cls`` read from the JSON object ``obj``, whose keys are the names of
+    the fields of ``cls`` less those in ``given``.  A field whose default is
+    a dataclass instance is read as a nested object of that class; an absent
+    key takes the field's default, and a field without one is required."""
     obj = _object(obj, where)
-    kind = _coerce(obj.pop("loss", "mse"), "str", f"{where}.loss")
-    delta = _coerce(obj.pop("delta", 1.0), "float", f"{where}.delta")
-    loss = _construct(LossSpec, f"{where}.loss", kind, delta)
-    gbdt = _build(GbdtParams, obj.pop("gbdt", {}), f"{where}.gbdt")
-    svr = _fields(LearnerSpec, obj.pop("svr", {}), f"{where}.svr", prefix="svr_")
-    return _build(LearnerSpec, obj, where, loss=loss, gbdt=gbdt, **svr)
+    fields = [f for f in dataclasses.fields(cls) if f.name not in given]
+    unknown = sorted(set(obj) - {f.name for f in fields})
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
+    for f in fields:
+        key = f"{where}.{f.name}"
+        if f.name not in obj:
+            if f.default is dataclasses.MISSING:
+                raise ConfigError(f"{where}: missing required field '{f.name}'")
+        elif dataclasses.is_dataclass(f.default):
+            given[f.name] = _build(type(f.default), obj[f.name], key)
+        else:
+            given[f.name] = _coerce(obj[f.name], f.type, key)
+    return _construct(cls, where, **given)
 
 
 def _inventory(grid, where: str) -> InventoryState:
@@ -132,7 +128,7 @@ def _inventory(grid, where: str) -> InventoryState:
     ]
     if any(not 0 <= v < 2**63 for row in rows for v in row):
         raise ConfigError(f"{where}: unit counts must be in [0, 2**63)")
-    return _construct(InventoryState, where, np.array(rows, dtype=np.int64))
+    return _construct(InventoryState, where, units=np.array(rows, dtype=np.int64))
 
 
 def parse_config(obj, where: str = "config") -> ExperimentConfig:
@@ -146,27 +142,12 @@ def parse_config(obj, where: str = "config") -> ExperimentConfig:
     if not isinstance(hospitals, list) or not hospitals:
         raise ConfigError(f"{where}.hospitals: must be a nonempty list")
     hospitals = tuple(
-        _hospital(entry, k, f"{where}.hospitals[{k}]") for k, entry in enumerate(hospitals)
+        _build(ZinbParams, entry, f"{where}.hospitals[{k}]") for k, entry in enumerate(hospitals)
     )
-    costs = _build(CostParams, obj.pop("costs", {}), f"{where}.costs")
-    seed = _coerce(obj.get("seed", 0), "int", f"{where}.seed")
-    saa = _build(SaaConfig, obj.pop("saa", {}), f"{where}.saa", seed=seed)
-    learner = _learner(obj.pop("learner", {}), f"{where}.learner")
-    initial = obj.pop("initial_inventory", "empty")
-    config = _build(
-        ExperimentConfig,
-        obj,
-        where,
-        hospitals=hospitals,
-        costs=costs,
-        saa=saa,
-        learner=learner,
-        initial_state=None,
-    )
-    if initial == "empty":
-        return config
-    where = f"{where}.initial_inventory"
-    return _construct(dataclasses.replace, where, config, initial_state=_inventory(initial, where))
+    saa = _build(SaaConfig, obj.pop("saa", {}), f"{where}.saa", seed=SaaConfig.seed)
+    initial = obj.pop("initial_state", "empty")
+    state = None if initial == "empty" else _inventory(initial, f"{where}.initial_state")
+    return _build(ExperimentConfig, obj, where, hospitals=hospitals, saa=saa, initial_state=state)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -187,16 +168,7 @@ def _json_object(pairs) -> dict:
 def config_to_dict(config: ExperimentConfig) -> dict:
     """Canonical dict form, round-trippable through parse_config."""
     out = dataclasses.asdict(config, dict_factory=_json_object)
-    learner = out.pop("learner")
-    loss = learner.pop("loss")
-    svr = {name[4:]: learner.pop(name) for name in list(learner) if name.startswith("svr_")}
-    learner.update(loss=loss["kind"], delta=loss["delta"], svr=svr)
     del out["saa"]["seed"]
-    del out["initial_state"]
     state = config.initial_state
-    return {
-        "version": CONFIG_VERSION,
-        **out,
-        "learner": learner,
-        "initial_inventory": "empty" if state.total() == 0 else state.units.tolist(),
-    }
+    out["initial_state"] = "empty" if state.total() == 0 else state.units.tolist()
+    return {"version": CONFIG_VERSION, **out}

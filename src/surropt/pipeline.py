@@ -148,8 +148,10 @@ class SurrogatePolicy:
 def postprocess_prediction(raw, hospitals: int, max_age: int) -> DecisionVector:
     """Clamp negatives, round half to even, and reshape into a decision."""
     raw = np.asarray(raw, dtype=float)
-    if not np.isfinite(raw).all():
-        raise InputError("raw predictions must be finite")
+    # one reduction rejects NaN (max propagates it), +-inf and every value the
+    # int64 cast below would wrap
+    if not np.abs(raw).max(initial=0.0) < 2.0**63:
+        raise InputError("raw predictions must be finite and inside the int64 range (|x| < 2**63)")
     ints = np.rint(np.maximum(raw, 0.0)).astype(np.int64)
     return DecisionVector.from_flat(ints, hospitals, max_age)
 

@@ -27,6 +27,7 @@ from surropt.pipeline import (
     train_surrogate,
 )
 from surropt.report import (
+    read_dataset_csv,
     write_comparison_csv,
     write_comparison_text,
     write_inventory_csv,
@@ -103,11 +104,8 @@ def run_full_pipeline(out_dir):
     run = oracle_generation_run(config)
     timings["generate"] = time.time() - t0
     write_trajectory_csv(out_dir / "dataset.csv", run)
-    data = Dataset(
-        np.stack([s.flatten() for s in run.states[:-1]]).astype(float),
-        np.stack([d.flatten() for d in run.decisions]).astype(float),
-        np.arange(len(run.decisions)),
-    )
+    # trained on the CSV read back, as `surropt train` is
+    data = read_dataset_csv(out_dir / "dataset.csv", 4, 11)
 
     t0 = time.time()
     models = {}

@@ -19,17 +19,17 @@ from surropt.util import load_arrays, save_arrays
 GBDT_MODEL = Path(__file__).parent / "data" / "gbdt-mae-v1.surropt"
 
 BASE_CONFIG = {
-    "version": 1,
+    "version": 2,
     "seed": 5,
     "horizon_days": 10,
     "rollout_days": 4,
     "train_fraction": 0.8,
     "max_age": 11,
     "hospitals": [
-        {"id": 1, "pi": 0.6, "r": 4, "p": 0.6},
-        {"id": 2, "pi": 0.6, "r": 3, "p": 0.57},
-        {"id": 3, "pi": 0.25, "r": 15, "p": 0.57},
-        {"id": 4, "pi": 0.25, "r": 15, "p": 0.48},
+        {"pi": 0.6, "r": 4, "p": 0.6},
+        {"pi": 0.6, "r": 3, "p": 0.57},
+        {"pi": 0.25, "r": 15, "p": 0.57},
+        {"pi": 0.25, "r": 15, "p": 0.48},
     ],
     "saa": {"scenario_count": 4},
     "learner": {"kind": "ridge", "ridge_lambdas": [1.0], "folds": 5},
@@ -96,7 +96,7 @@ class TestGenerate:
         assert "hospitals" in result.stderr
 
     def test_missing_hospital_field_named(self, tmp_path):
-        config = write_config(tmp_path, overrides={"hospitals": [{"id": 1, "pi": 0.5, "r": 2}]})
+        config = write_config(tmp_path, overrides={"hospitals": [{"pi": 0.5, "r": 2}]})
         result = run_cli("generate", "--config", config, "--out", tmp_path / "g")
         assert result.returncode == 2
         assert "'p'" in result.stderr and "hospitals[0]" in result.stderr
@@ -154,7 +154,7 @@ class TestGenerate:
         # 3 * 2**62 units would wrap int64 in the first day's sums
         config = write_config(tmp_path, overrides={
             "hospitals": BASE_CONFIG["hospitals"][:1], "max_age": 3,
-            "initial_inventory": [[2**62, 2**62, 2**62]],
+            "initial_state": [[2**62, 2**62, 2**62]],
         })
         out = tmp_path / "out"
         assert cli.main(["generate", "--config", str(config), "--out", str(out)]) == 2
@@ -191,7 +191,7 @@ class TestTrain:
         cfg = json.loads(config_path.read_text())
         cfg["learner"] = {
             "kind": "gbdt",
-            "loss": "mae",
+            "loss": {"kind": "mae"},
             "gbdt": {"n_iterations": 4, "max_depth": 2, "min_child_weight": 1},
         }
         config2 = tmp_path / "gbdt.json"
@@ -204,7 +204,7 @@ class TestTrain:
     def test_unknown_loss_lists_kinds(self, generated, tmp_path):
         config_path, out = generated
         cfg = json.loads(config_path.read_text())
-        cfg["learner"] = {"kind": "gbdt", "loss": "pinball"}
+        cfg["learner"] = {"kind": "gbdt", "loss": {"kind": "pinball"}}
         config2 = tmp_path / "bad.json"
         config2.write_text(json.dumps(cfg))
         result = run_cli("train", "--config", config2, "--data", out / "dataset.csv", "--out", tmp_path)
@@ -228,12 +228,12 @@ class TestRollout:
         roll_dir = tmp_path / "r"
         result = run_cli(
             "rollout",
-            "--config", config,
+            "--config", write_config(tmp_path, overrides={"rollout_days": 3}),
             "--model", train_dir / "model-ridge.surropt",
             "--out", roll_dir,
-            "--days", 3,
         )
         assert result.returncode == 0, result.stderr
+        assert json.loads((roll_dir / "manifest.json").read_text())["days"] == 3
         comparison = (roll_dir / "comparison.csv").read_text().splitlines()
         assert len(comparison) == 3  # header + ridge + oracle
         assert comparison[0].startswith("policy,holding,transshipment,outdate,ordering,shortage,total")
@@ -255,13 +255,37 @@ class TestRollout:
         assert run_cli("train", "--config", config, "--data", out / "dataset.csv", "--out", train_dir).returncode == 0
         result = run_cli(
             "rollout",
-            "--config", config,
+            "--config", write_config(tmp_path, overrides={"rollout_days": days}),
             "--model", train_dir / "model-ridge.surropt",
             "--out", tmp_path / "r",
-            "--days", days,
         )
         assert result.returncode == 2
         assert "error:" in result.stderr and "rollout_days" in result.stderr
+
+    @pytest.mark.parametrize(
+        "names, named",
+        [
+            (["a/model-ridge.surropt", "b/model-ridge.surropt", "a/oracle.surropt"],
+             ["a/model-ridge.surropt", "b/model-ridge.surropt", "'ridge'"]),
+            (["a/oracle.surropt"], ["the oracle policy", "a/oracle.surropt", "'oracle'"]),
+        ],
+        ids=["same-stem", "oracle-stem"],
+    )
+    def test_clashing_policy_labels_exit_2(self, tmp_path, capsys, names, named):
+        # each model's row is labelled by its file stem, so two models with one
+        # stem, or one named like the oracle, would give indistinguishable rows
+        meta, arrays = TestMalformedFiles.fitted_arrays("ridge")
+        argv = ["rollout", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "r")]
+        for name in names:
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            save_arrays(tmp_path / name, meta, arrays)
+            argv += ["--model", str(tmp_path / name)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        for text in named:
+            assert (str(tmp_path / text) if text.endswith(".surropt") else text) in err
+        assert not (tmp_path / "r").exists()
 
     def test_missing_model_file_exit_3(self, generated, tmp_path):
         config, _ = generated
@@ -431,13 +455,29 @@ class TestSurface:
         listed = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1).split(",")
         assert listed == documented
 
+    def test_help_lists_the_documented_options(self, capsys):
+        doc = cli.__doc__.split("Options\n", 1)[1].split("\n\n", 1)[0]
+        documented = {line.split()[0]: set(line.split()[1:]) for line in doc.splitlines()}
+        assert list(documented) == ["generate", "train", "rollout"]
+        for command, options in documented.items():
+            with pytest.raises(SystemExit) as stop:
+                cli.main([command, "--help"])
+            assert stop.value.code == 0
+            listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+            assert listed == options, command
+
     @pytest.mark.parametrize(
         "argv, message",
         [
             (["selftest"], "invalid choice: 'selftest'"),
             (["train", "--config", "c.json", "--data", "d.csv", "--days", "5"], "unrecognized arguments"),
+            (["generate", "--config", "c.json", "--seed", "3"], "unrecognized arguments: --seed 3"),
+            (["generate", "--config", "c.json", "--days", "5"], "unrecognized arguments: --days 5"),
+            (["rollout", "--config", "c.json", "--model", "m.surropt", "--days", "5"],
+             "unrecognized arguments: --days 5"),
+            (["compare", "--config", "c.json", "--model", "m.surropt"], "invalid choice: 'compare'"),
         ],
-        ids=["selftest", "train-days"],
+        ids=["selftest", "train-days", "seed", "days", "rollout-days", "compare"],
     )
     def test_removed_surface_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as stop:

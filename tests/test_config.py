@@ -3,6 +3,7 @@ value ends in a ConfigError (or an InputError from a constructor) that names
 its field."""
 
 import copy
+import dataclasses
 import json
 import math
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surropt import cli
+from surropt import cli, config as config_module
 from surropt.config import config_to_dict, parse_config
 from surropt.errors import ConfigError, InputError
 
@@ -18,7 +19,7 @@ from test_cli import BASE_CONFIG
 
 # Every section and every key filled in, none at its default.
 FULL_CONFIG = {
-    "version": 1,
+    "version": 2,
     "seed": 9,
     "horizon_days": 12,
     "rollout_days": 3,
@@ -32,8 +33,7 @@ FULL_CONFIG = {
     "saa": {"scenario_count": 7},
     "learner": {
         "kind": "svr",
-        "loss": "huber",
-        "delta": 0.5,
+        "loss": {"kind": "huber", "delta": 0.5},
         "folds": 3,
         "gbdt": {
             "eta": 0.2,
@@ -47,27 +47,27 @@ FULL_CONFIG = {
             "max_bins": 16,
         },
         "ridge_lambdas": [0.1, 1.0, 10.0],
-        "svr": {"C": [0.5, 5.0], "gamma": 0.25, "epsilon": 0.05},
+        "svr_C": [0.5, 5.0],
+        "svr_gamma": 0.25,
+        "svr_epsilon": 0.05,
     },
-    "initial_inventory": [[1, 0, 2], [0, 3, 0]],
+    "initial_state": [[1, 0, 2], [0, 3, 0]],
 }
 
-# config_to_dict of BASE_CONFIG: the given keys plus every default, less the
-# hospital ids.
+# config_to_dict of BASE_CONFIG: the given keys plus every default.
 BASE_DICT = {
-    "version": 1,
+    "version": 2,
     "seed": 5,
     "horizon_days": 10,
     "rollout_days": 4,
     "train_fraction": 0.8,
     "max_age": 11,
-    "hospitals": [{k: v for k, v in h.items() if k != "id"} for h in BASE_CONFIG["hospitals"]],
+    "hospitals": BASE_CONFIG["hospitals"],
     "costs": {"holding": 1.0, "ordering": 10.0, "transship_unit": 7.0, "shortage": 40.0, "outdate": 35.0},
     "saa": {"scenario_count": 4},
     "learner": {
         "kind": "ridge",
-        "loss": "mse",
-        "delta": 1.0,
+        "loss": {"kind": "mse", "delta": 1.0},
         "folds": 5,
         "gbdt": {
             "eta": 0.01,
@@ -81,9 +81,11 @@ BASE_DICT = {
             "max_bins": 64,
         },
         "ridge_lambdas": [1.0],
-        "svr": {"C": 1.0, "gamma": None, "epsilon": 0.1},
+        "svr_C": 1.0,
+        "svr_gamma": None,
+        "svr_epsilon": 0.1,
     },
-    "initial_inventory": "empty",
+    "initial_state": "empty",
 }
 
 
@@ -102,13 +104,13 @@ MALFORMED = [
     (("saa", "scenario_count"), "5", "config.saa.scenario_count"),
     (("learner",), 5, "config.learner"),
     (("learner", "gbdt"), {"max_depth": "3"}, "config.learner.gbdt.max_depth"),
-    (("learner", "svr"), {"C": {}}, "config.learner.svr.C"),
-    (("learner", "svr"), {"C": []}, "config.learner.svr.C"),
+    (("learner", "svr_C"), {}, "config.learner.svr_C"),
+    (("learner", "svr_C"), [], "config.learner.svr_C"),
     (("hospitals", 0, "pi"), None, "config.hospitals[0].pi"),
     (("horizon_days",), "x", "config.horizon_days"),
-    (("initial_inventory",), [[0] * 11] * 3 + [[0] * 10], "config.initial_inventory"),
-    (("initial_inventory",), [[0] * 11] * 3, "config.initial_inventory"),
-    (("learner", "delta"), "a", "config.learner.delta"),
+    (("initial_state",), [[0] * 11] * 3 + [[0] * 10], "config.initial_state"),
+    (("initial_state",), [[0] * 11] * 3, "config: initial_state is 3x11, expected 4x11"),
+    (("learner", "loss"), {"kind": "huber", "delta": "a"}, "config.learner.loss.delta"),
     (("horizon_days",), json.loads("1e999"), "config.horizon_days"),
     (("costs",), {"holding": math.nan}, "config.costs.holding"),
     (("train_fraction",), 10**400, "config.train_fraction"),
@@ -121,8 +123,15 @@ MALFORMED = [
     (("saa", "form"), "compact", "config.saa: unknown key(s) form"),
     (("issuing",), "fifo", "config: unknown key(s) issuing"),
     (("saa", "rounding"), "nearest", "config.saa: unknown key(s) rounding"),
-    (("hospitals", 0, "id"), 2, "config.hospitals[0].id: must equal the hospital's position 1"),
-    (("hospitals", 1, "id"), "2", "config.hospitals[1].id"),
+    # keys of the version-1 layout
+    (("hospitals", 0, "id"), 2, "config.hospitals[0]: unknown key(s) id"),
+    (("hospitals", 1, "id"), "2", "config.hospitals[1]: unknown key(s) id"),
+    (("learner", "loss"), "huber", "config.learner.loss: must be a JSON object"),
+    (("learner", "delta"), 0.5, "config.learner: unknown key(s) delta"),
+    (("learner", "svr"), {"C": 1.0}, "config.learner: unknown key(s) svr"),
+    (("saa", "seed"), 5, "config.saa: unknown key(s) seed"),
+    (("initial_inventory",), "empty", "config: unknown key(s) initial_inventory"),
+    (("version",), 1, "config.version: unsupported version 1"),
 ]
 
 
@@ -163,22 +172,38 @@ def test_round_trip_of_full_config():
     assert json.loads(json.dumps(d)) == d
 
 
-def test_hospital_ids_are_optional_positions():
-    # BASE_CONFIG gives "id": k + 1 for every hospital, BASE_DICT none
-    with_ids = parse_config(BASE_CONFIG)
-    without = parse_config(with_node(BASE_CONFIG, ("hospitals",), BASE_DICT["hospitals"]))
-    assert with_ids.hospitals == without.hospitals
-    assert config_to_dict(with_ids) == config_to_dict(without) == BASE_DICT
-    # ids [2, 1] fail at parse time, not when the demand model is built
-    swapped = [dict(h, id=2 - k) for k, h in enumerate(FULL_CONFIG["hospitals"])]
-    with pytest.raises(ConfigError, match=r"config\.hospitals\[0\]\.id"):
-        parse_config(with_node(FULL_CONFIG, ("hospitals",), swapped))
+def test_every_key_is_a_field_name():
+    # no hand-mapped key: each dict node's keys name fields of the dataclass
+    # it was written from, at every level; top-level "version" is the only
+    # extra key
+    config = parse_config(FULL_CONFIG)
+    d = config_to_dict(config)
+    assert d.pop("version") == config_module.CONFIG_VERSION
+
+    def check(node, obj, where):
+        names = {f.name for f in dataclasses.fields(obj)}
+        assert set(node) <= names, f"{where}: {sorted(set(node) - names)}"
+        for key, value in node.items():
+            child = getattr(obj, key)
+            if isinstance(value, dict):
+                check(value, child, f"{where}.{key}")
+            elif isinstance(value, list) and all(isinstance(v, dict) for v in value):
+                for k, (v, c) in enumerate(zip(value, child, strict=True)):
+                    check(v, c, f"{where}.{key}[{k}]")
+
+    check(d, config, "config")
 
 
-def test_float_fields_take_integers_and_seed_feeds_saa():
+def test_float_fields_take_integers_and_saa_seed_stays_default():
     config = parse_config(with_node(BASE_CONFIG, ("costs",), {"holding": 2}))
     assert config.costs.holding == 2.0 and isinstance(config.costs.holding, float)
-    assert config.saa.seed == config.seed == 5
+    assert config.seed == 5 and config.saa.seed == 0
+
+
+def test_docstring_example_parses():
+    example = config_module.__doc__.split("::\n", 1)[1].split("\n\n", 1)[0]
+    config = parse_config(json.loads(example))
+    assert config.learner.loss.kind == "huber" and config.learner.gbdt.n_iterations == 120
 
 
 JSON_VALUES = st.recursive(

@@ -87,6 +87,21 @@ class TestPostprocess:
         with pytest.raises(InputError):
             postprocess_prediction(raw, 4, 11)
 
+    @pytest.mark.parametrize("value", [1e19, 1e300, np.nan, np.inf, -np.inf, 2.0**63])
+    def test_outside_int64_rejected_before_the_cast(self, value):
+        # numpy warns on the cast (an error under the suite's RuntimeWarning
+        # filter) and wraps to INT64_MIN, which DecisionVector would blame on
+        # the sign; the check names the range first
+        raw = np.zeros(136)
+        raw[7] = value
+        with pytest.raises(InputError, match="int64 range"):
+            postprocess_prediction(raw, 4, 11)
+
+    def test_largest_int64_float_passes(self):
+        raw = np.zeros(136)
+        raw[0] = np.nextafter(2.0**63, 0.0)
+        assert postprocess_prediction(raw, 4, 11).orders[0] == 2**63 - 1024
+
 
 class TestGenerate:
     def test_single_zero_day(self):
