@@ -22,7 +22,6 @@ from .pipeline import (
     LearnerSpec,
     RolloutReport,
     compare_models,
-    generate_dataset,
     postprocess_prediction,
     rollout,
     train_surrogate,

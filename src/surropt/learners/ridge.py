@@ -18,6 +18,14 @@ from .data import Dataset, cross_validate
 DEFAULT_LAMBDAS = tuple(np.logspace(-3, 3, 13))
 
 
+def check_lambdas(lambdas) -> list:
+    """The penalty candidates, sorted; InputError unless one or more, each >= 0."""
+    lambdas = sorted(float(l) for l in lambdas)
+    if not lambdas or not all(l >= 0 for l in lambdas):
+        raise InputError(f"lambda candidates must be one or more numbers >= 0, got {lambdas}")
+    return lambdas
+
+
 def solve_ridge(X, Y, lam: float) -> np.ndarray:
     """Minimize ||Z b - y||^2 + lam ||b_noint||^2 per output column, where
     Z is X behind a leading column of ones.
@@ -85,9 +93,7 @@ def fit_ridge(
         raise InputError(
             f"need more rows ({data.n_rows}) than coefficients ({data.n_features + 1})"
         )
-    lambdas = sorted(float(l) for l in lambdas)
-    if any(l < 0 for l in lambdas):
-        raise InputError("lambda candidates must be nonnegative")
+    lambdas = check_lambdas(lambdas)
 
     def fold_predict(lam, X, Y, X_test):
         coef = solve_ridge(X, Y, lam)

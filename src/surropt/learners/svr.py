@@ -54,6 +54,22 @@ def scale_gamma(X) -> float:
     return 1.0 / (X.shape[1] * var)
 
 
+def check_svr(C, gamma, epsilon) -> list:
+    """C's candidates (one value, or a list to cross-validate) as floats; InputError
+    unless each C and gamma (None: default) is finite and > 0 and epsilon >= 0."""
+    candidates = [float(c) for c in np.ravel(C)]
+    if not candidates:
+        raise InputError("C needs at least one candidate value")
+    for c in candidates:
+        if not (np.isfinite(c) and c > 0):
+            raise InputError(f"C must be finite and positive, got {c}")
+    if gamma is not None and not (np.isfinite(gamma) and gamma > 0):
+        raise InputError(f"gamma must be finite and positive, got {gamma}")
+    if not epsilon >= 0:  # NaN fails it
+        raise InputError(f"epsilon must be nonnegative, got {epsilon}")
+    return candidates
+
+
 def smo_solve(K, y, C, epsilon, tol=DEFAULT_TOL, max_iter=None):
     """Solve one output's dual; returns (beta, b, iterations, converged).
 
@@ -221,17 +237,8 @@ def fit_svr(
     outputs is selected with ``folds`` folds before the final fit.
     """
     X, Y = data.X, data.Y
-    tuned = isinstance(C, (list, tuple, np.ndarray))
-    candidates = [float(c) for c in C] if tuned else [float(C)]
-    if not candidates:
-        raise InputError("C needs at least one candidate value")
-    for c in candidates:
-        if not (np.isfinite(c) and c > 0):
-            raise InputError(f"C must be finite and positive, got {c}")
-    if gamma is not None and not (np.isfinite(gamma) and gamma > 0):
-        raise InputError(f"gamma must be finite and positive, got {gamma}")
-    if epsilon < 0:
-        raise InputError(f"epsilon must be nonnegative, got {epsilon}")
+    candidates = check_svr(C, gamma, epsilon)
+    tuned = np.ndim(C) > 0
     if gamma is None:
         gamma = scale_gamma(X)
     best, cv_mse = candidates[0], {}

@@ -7,16 +7,15 @@ A crash pass builds the starting basis from slack columns and structural
 singleton columns, so LPs with an obvious feasible point (like the scenario
 programs built by the two-stage solver) skip phase one entirely.
 
-Pivoting is deterministic.  The default rule prices by the most negative
-reduced cost and falls back permanently to Bland's smallest-index rule after
-a run of degenerate pivots, which preserves the anti-cycling guarantee;
-``pivot_rule="bland"`` forces the textbook rule throughout.  Identical
-inputs always produce the identical pivot sequence.
+Pivoting is deterministic.  The rule prices by the most negative reduced
+cost and falls back permanently to Bland's smallest-index rule after
+``STALL_LIMIT`` degenerate pivots in a row, which preserves the anti-cycling
+guarantee.  Identical inputs always produce the identical pivot sequence.
 
 Equal-cost optima are broken by a fixed rule: the returned point is the
 lexicographically smallest point of the optimal face (within ``COST_TOL``),
 taken over ``x`` in its own index order.  The point therefore does not
-depend on ``pivot_rule`` or on the path the pivots took.
+depend on the path the pivots took.
 
 Tolerances: primal feasibility 1e-7, reduced-cost optimality 1e-9.
 """
@@ -154,11 +153,11 @@ def _tableau(lp: LinearProgram):
     return T, basis, c
 
 
-def _simplex_loop(T, basis, allowed, pivot_rule, max_pivots, start_iter):
+def _simplex_loop(T, basis, allowed, max_pivots, start_iter):
     """Run pivots until optimal/unbounded/caps; returns (status, iterations)."""
     m = basis.size
     iters = start_iter
-    bland = pivot_rule == "bland"
+    bland = False
     stall = 0
     last_obj = T[-1, -1]
     while True:
@@ -198,7 +197,7 @@ def _simplex_loop(T, basis, allowed, pivot_rule, max_pivots, start_iter):
             last_obj = obj
 
 
-def _lexicographic_min(T, basis, allowed, n_struct, pivot_rule, max_pivots, start_iter):
+def _lexicographic_min(T, basis, allowed, n_struct, max_pivots, start_iter):
     """From an optimal phase-2 tableau, move to the lexicographically smallest
     optimal point over structural columns 0..n_struct-1; returns the pivot
     count.
@@ -223,26 +222,24 @@ def _lexicographic_min(T, basis, allowed, n_struct, pivot_rule, max_pivots, star
         # cost row of min x_k: e_k less the row where x_k is basic
         T[-1] = -T[rows[0]]
         T[-1, k] = 0.0
-        status, iters = _simplex_loop(T, basis, face, pivot_rule, max_pivots, iters)
+        status, iters = _simplex_loop(T, basis, face, max_pivots, iters)
         if status != "optimal":
             raise InternalError("a nonnegative variable cannot be unbounded below")
         face &= np.abs(T[-1, :-1]) <= COST_TOL
     return iters
 
 
-def solve_lp(lp: LinearProgram, max_pivots: int = 1_000_000, pivot_rule: str = "auto") -> LpSolution:
+def solve_lp(lp: LinearProgram, max_pivots: int = 1_000_000) -> LpSolution:
     """Solve min c.x over nonnegative x to optimality, or report
     infeasible/unbounded.
 
     An optimal solve returns the lexicographically smallest optimal point
     (within ``COST_TOL``) over ``x`` in index order, so equal-cost optima
-    are broken the same way under either ``pivot_rule``.
+    are broken the same way whatever path the pivots take.
 
     Raises ResourceLimitError if the pivot cap is exhausted and InputError
     for malformed problems.
     """
-    if pivot_rule not in ("auto", "bland"):
-        raise InputError(f"pivot_rule must be 'auto' or 'bland', got {pivot_rule!r}")
     T, basis, c = _tableau(lp)
     m, n, total_cols = basis.size, c.size, T.shape[1] - 1
     allowed = np.ones(total_cols, dtype=bool)
@@ -256,7 +253,7 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 1_000_000, pivot_rule: str = "
         T[-1, n:-1] = 1.0
         for r in art_rows:
             T[-1] -= T[r]
-        status, iterations = _simplex_loop(T, basis, allowed, pivot_rule, max_pivots, iterations)
+        status, iterations = _simplex_loop(T, basis, allowed, max_pivots, iterations)
         if status != "optimal":
             raise InternalError("phase 1 cannot be unbounded")
         if -T[-1, -1] > infeasible:
@@ -286,10 +283,10 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 1_000_000, pivot_rule: str = "
     c_basic = np.append(c, 0.0)[np.minimum(basis, n)]
     for r in np.flatnonzero(c_basic):
         T[-1] -= c_basic[r] * T[r]
-    status, iterations = _simplex_loop(T, basis, allowed, pivot_rule, max_pivots, iterations)
+    status, iterations = _simplex_loop(T, basis, allowed, max_pivots, iterations)
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=iterations)
-    iterations = _lexicographic_min(T, basis, allowed, lp.n_vars, pivot_rule, max_pivots, iterations)
+    iterations = _lexicographic_min(T, basis, allowed, lp.n_vars, max_pivots, iterations)
 
     x_std = np.zeros(n)
     structural = basis < n

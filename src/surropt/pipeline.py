@@ -22,7 +22,8 @@ from .demand import DemandModel, ZinbParams, default_demand_configs
 from .errors import ConfigError, InputError
 from .learners import Dataset, fit_gbdt, fit_ridge, fit_svr, split_train_test
 from .learners.gbdt import GbdtParams
-from .learners.ridge import DEFAULT_LAMBDAS
+from .learners.ridge import DEFAULT_LAMBDAS, check_lambdas
+from .learners.svr import check_svr
 from .losses import LossSpec
 from .simulate import (
     CostBreakdown,
@@ -71,6 +72,8 @@ class LearnerSpec:
             )
         if self.folds < 2:
             raise ConfigError("folds must be >= 2")
+        check_lambdas(self.ridge_lambdas)
+        check_svr(self.svr_C, self.svr_gamma, self.svr_epsilon)
 
 
 @dataclass(frozen=True)
@@ -173,15 +176,6 @@ def oracle_generation_run(config: ExperimentConfig, days: int = None) -> Horizon
     return run_horizon(config.initial_state, policy, demands, config.costs)
 
 
-def generate_dataset(config: ExperimentConfig, days: int = None) -> Dataset:
-    """Offline phase: one row per day, inputs = morning state, outputs = the
-    solver's decision for that state.  Deterministic per seed."""
-    result = oracle_generation_run(config, days)
-    X = np.stack([s.flatten() for s in result.states[:-1]]).astype(float)
-    Y = np.stack([d.flatten() for d in result.decisions]).astype(float)
-    return Dataset(X, Y, np.arange(X.shape[0]))
-
-
 def train_surrogate(config: ExperimentConfig, data: Dataset):
     """Fit the configured learner on the chronological training block."""
     spec = config.learner
@@ -211,7 +205,6 @@ class RolloutReport:
     violations: int
     slots_checked: int
     inventory_summary: np.ndarray      # (H, M, 5): min, q1, median, q3, max
-    breakdown_series: list = field(repr=False, default_factory=list)
     violation_records: list = field(repr=False, default_factory=list)
 
     @property
@@ -243,7 +236,6 @@ def report_from_run(label: str, result: HorizonResult) -> RolloutReport:
         violations=len(result.violations),
         slots_checked=result.slots_checked,
         inventory_summary=summarize_inventory(result.states[1:]),
-        breakdown_series=list(result.breakdowns),
         violation_records=list(result.violations),
     )
 

@@ -20,6 +20,9 @@ Issuing is closed form: a slot gives what demand leaves after all older stock,
 capped by its own stock.  Each cost part is float(unit count) x rate, one
 rounding, and parts add left to right from 0.0, in scenario or day order.
 
+Every count read here (units, orders, lanes, demand) is a whole number in
+[0, 2**63); anything else, a string or a ragged sequence too, raises InputError.
+
 A ``DecisionVector`` sums its outbound and inbound units per (hospital, age)
 slot once, when it is built, and hands them out read-only: the checks of a
 day (``check_feasibility``, ``repair``, ``step``) and ``day_cycle`` read
@@ -41,16 +44,20 @@ from .errors import InputError, InternalError
 
 
 def _as_counts(a, name) -> np.ndarray:
-    """An int64 copy of whole-number counts; the sign is the caller's check."""
-    arr = np.asarray(a)
-    # NaN fails every comparison and infinity the bound; strings, objects
-    # and complex numbers are not counts
-    whole = arr.dtype.kind in "biu" or (
-        arr.dtype.kind == "f" and ((np.abs(arr) < 2.0**63) & (arr == np.round(arr))).all()
-    )
-    if not whole:
-        raise InputError(f"{name} must hold integers")
-    return arr.astype(np.int64)
+    """The one count rule: ``a`` as a fresh int64 array of whole numbers in
+    [0, 2**63), or InputError naming ``name``."""
+    try:
+        arr = np.asarray(a)
+    except ValueError:  # a ragged sequence
+        arr = np.asarray(None)
+    # NaN fails the bound; strings, objects and complex numbers are not counts;
+    # a negative float, or a uint64 from 2**63 up, turns negative in the cast
+    kind = arr.dtype.kind
+    if kind in "biu" or kind == "f" and ((np.abs(arr) < 2.0**63) & (arr == np.floor(arr))).all():
+        counts = arr.astype(np.int64)
+        if counts.min(initial=0) >= 0:
+            return counts
+    raise InputError(f"{name} must be whole numbers in [0, 2**63)")
 
 
 @dataclass(frozen=True)
@@ -63,21 +70,12 @@ class InventoryState:
         grid = _as_counts(self.units, "units")
         if grid.ndim != 2:
             raise InputError(f"units must be 2-d (hospitals x ages), got shape {grid.shape}")
-        if grid.min(initial=0) < 0:
-            raise InputError("inventory counts must be nonnegative")
         grid.flags.writeable = False
         object.__setattr__(self, "units", grid)
 
     @classmethod
     def zeros(cls, hospitals: int, max_age: int):
         return cls(np.zeros((hospitals, max_age), dtype=np.int64))
-
-    @classmethod
-    def from_flat(cls, flat, hospitals: int, max_age: int):
-        flat = np.asarray(flat)
-        if flat.size != hospitals * max_age:
-            raise InputError(f"expected {hospitals * max_age} entries, got {flat.size}")
-        return cls(flat.reshape(hospitals, max_age))
 
     @property
     def n_hospitals(self) -> int:
@@ -120,8 +118,6 @@ class DecisionVector:
         h = orders.size
         if orders.ndim != 1 or ship.ndim != 3 or ship.shape[:2] != (h, h):
             raise InputError(f"orders {orders.shape} and transship {ship.shape} are not (H,) and (H, H, M)")
-        if orders.min(initial=0) < 0 or ship.min(initial=0) < 0:
-            raise InputError("decision quantities must be nonnegative")
         if ship.diagonal().any():
             raise InputError("self-transshipment entries must be zero")
         # every slot's lane sum is at most the total, so below 2**62 none wraps
@@ -159,8 +155,7 @@ class DecisionVector:
     def from_flat(cls, flat, hospitals: int, max_age: int):
         flat = np.asarray(flat)
         h, m = hospitals, max_age
-        expected = h + h * (h - 1) * m
-        if flat.size != expected:
+        if flat.size != (expected := decision_length(h, m)):
             raise InputError(f"expected {expected} entries, got {flat.size}")
         ship = np.zeros((h * h, m), dtype=flat.dtype)
         ship[_lanes(h)] = flat[h:].reshape(h * (h - 1), m)
@@ -242,34 +237,25 @@ class ViolationLog:
     available: int
 
 
-def _check_applicable(state: InventoryState, decision: DecisionVector):
-    """A decision of another shape is bad input; an infeasible one a caller bug."""
+def _over(state: InventoryState, decision: DecisionVector) -> np.ndarray:
+    """The (H, M) mask of slots whose outbound units exceed the stock; a
+    decision of another shape is bad input."""
     if decision.transship.shape[1:] != state.units.shape:
         raise InputError("decision shape does not match state shape")
-    if (decision.outbound() > state.units).any():
+    return decision.outbound() > state.units
+
+
+def _check_applicable(state: InventoryState, decision: DecisionVector):
+    """An infeasible decision is a caller bug."""
+    if _over(state, decision).any():
         raise InternalError("decision is infeasible against the state; repair it first")
 
 
 def as_demand(demand, hospitals: int, batched: bool = False) -> np.ndarray:
-    """Whole-number demand as int64: one (H,) day or (S, H) scenarios, S >= 1;
-    integer arrays are taken exactly, anything else through float64."""
-    try:
-        arr = np.asarray(demand)
-        arr = arr if arr.dtype.kind in "iu" else np.asarray(demand, dtype=float)
-    except (TypeError, ValueError):
-        raise InputError(f"demand must be numbers, one per hospital ({hospitals})") from None
-    if arr.ndim != 1 + batched or arr.shape[-1] != hospitals or (batched and not len(arr)):
-        raise InputError(f"demand of shape {arr.shape} does not match {hospitals} hospitals")
-    if arr.dtype.kind == "f":
-        # NaN fails every comparison and infinity the upper one
-        whole = (arr >= 0) & (arr < 2.0**63) & (arr == np.floor(arr))
-        if not whole.all():
-            raise InputError(f"demand must be whole numbers >= 0, got {arr[~whole][0]}")
-        return arr.astype(np.int64)
-    # uint64 values from 2**63 up wrap to negative int64
-    counts = arr.astype(np.int64, copy=False)
-    if counts.min(initial=0) < 0:
-        raise InputError(f"demand must be whole numbers >= 0, got {arr[counts < 0][0]}")
+    """Demand counts: one (H,) day or (S, H) scenarios, S >= 1."""
+    counts = _as_counts(demand, "demand")
+    if counts.ndim != 1 + batched or counts.shape[-1] != hospitals or (batched and not len(counts)):
+        raise InputError(f"demand of shape {counts.shape} does not match {hospitals} hospitals")
     return counts
 
 
@@ -279,12 +265,10 @@ def check_feasibility(state: InventoryState, decision: DecisionVector, day: int 
     Exactly H*M slots are inspected per call, which fixes the violation-rate
     denominator at days * H * M for a horizon.
     """
-    if decision.transship.shape[1:] != state.units.shape:
-        raise InputError("decision shape does not match state shape")
-    out = decision.outbound()
-    over = out > state.units
+    over = _over(state, decision)
     if not over.any():
         return []
+    out = decision.outbound()
     return [
         ViolationLog(
             day=day,
@@ -307,7 +291,7 @@ def repair(state: InventoryState, decision: DecisionVector) -> DecisionVector:
     slots pass through untouched, so the map is the identity on feasible
     decisions.
     """
-    over = decision.outbound() > state.units
+    over = _over(state, decision)
     if not over.any():
         return decision
     ship = decision.transship.copy()
@@ -316,9 +300,6 @@ def repair(state: InventoryState, decision: DecisionVector) -> DecisionVector:
         raw = ship[i, :, m].astype(np.int64)
         available = int(state.units[i, m])
         total_raw = int(raw.sum())
-        if available == 0:
-            ship[i, :, m] = 0
-            continue
         quota = raw * (available / total_raw)
         alloc = np.floor(quota).astype(np.int64)
         remainder = quota - alloc

@@ -32,7 +32,7 @@ from surropt.learners.gbdt import _NODE_ARRAYS, GbdtModel, Tree, _Binner
 from surropt.learners.svr import rbf_kernel
 from surropt.losses import leaf_optimal_value, loss_grad_hess, loss_value
 from surropt.lp import LinearProgram
-from surropt.pipeline import generation_demands, report_from_run
+from surropt.pipeline import generation_demands
 from surropt.simulate import (
     CostBreakdown,
     DecisionVector,
@@ -767,5 +767,4 @@ def replay_rollout(config, data):
     rollout the oracle's own run must reproduce cost for cost."""
     demands = generation_demands(config, data.n_rows)
     policy = LabelReplayPolicy(data, config.n_hospitals, config.max_age)
-    result = run_horizon(config.initial_state, policy, demands, config.costs)
-    return report_from_run("replay", result)
+    return run_horizon(config.initial_state, policy, demands, config.costs)

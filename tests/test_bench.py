@@ -117,6 +117,22 @@ def test_label_workload_passes_its_checks():
     assert summary["correct"] is True and summary["failed"] == 0
 
 
+def test_train_workload_passes_its_checks():
+    """One traced pass of the ``train`` workload: five surrogates fitted on
+    the stored trajectory from ``acceptance.experiment_config``, each saved,
+    loaded and checked (ridge against least squares, SVR dual feasibility,
+    boosted trees below the constant model, bit-identical reloads); the last
+    line of its output is the JSON result."""
+    result = subprocess.run(
+        [sys.executable, str(BENCH_DIR / "run.py"), "--workload", "train", "--seconds", "0", "--trace", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(result.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True and summary["failed"] == 0
+
+
 def test_traced_rollout_day_reaches_the_patched_names(monkeypatch):
     """The traced ``simulate.*`` and ``pipeline.postprocess_s`` figures wrap
     these module globals: a rollout must reach each once per day."""

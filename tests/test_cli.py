@@ -163,6 +163,15 @@ class TestGenerate:
         assert "overflow the int64 range" in err
         assert not (out / "dataset.csv").exists()
 
+    def test_learner_out_of_range_exit_2_before_labelling(self, tmp_path, capsys):
+        # a negative SVR penalty used to pass generate and fail only in train
+        config = write_config(tmp_path, overrides={"learner.kind": "svr", "learner.svr_C": -1})
+        out = tmp_path / "out"
+        assert cli.main(["generate", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "learner" in err and "C must be finite and positive" in err
+        assert not (out / "dataset.csv").exists()
+
     def test_unwritable_out_exit_3(self, tmp_path):
         config = write_config(tmp_path)
         blocker = tmp_path / "blocked"

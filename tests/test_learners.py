@@ -663,6 +663,13 @@ class TestSvr:
         with pytest.raises(InputError, match="gamma"):
             fit_svr(data, C=1.0, gamma=gamma)
 
+    @pytest.mark.parametrize("epsilon", [-2.0, float("nan")])
+    def test_invalid_epsilon_rejected(self, epsilon):
+        rng = np.random.default_rng(28)
+        data = make_dataset(rng, n=20, p=2, q=1)
+        with pytest.raises(InputError, match="epsilon"):
+            fit_svr(data, C=1.0, epsilon=epsilon)
+
 
 class TestSvrPredict:
     """One kernel over the distinct support rows of all outputs gives the

@@ -9,7 +9,6 @@ from surropt.pipeline import (
     ExperimentConfig,
     LearnerSpec,
     compare_models,
-    generate_dataset,
     generation_demands,
     oracle_generation_run,
     postprocess_prediction,
@@ -17,7 +16,15 @@ from surropt.pipeline import (
     rollout_demands,
     train_surrogate,
 )
-from surropt.simulate import CostParams, DecisionVector, InventoryState, check_feasibility, step
+from surropt.report import read_dataset_csv
+from surropt.simulate import (
+    CostParams,
+    DecisionVector,
+    InventoryState,
+    check_feasibility,
+    step,
+    write_trajectory_csv,
+)
 from surropt.two_stage import SaaConfig
 
 from _oracles import replay_rollout
@@ -34,6 +41,13 @@ def tiny_config(**kwargs):
     )
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
+
+
+def dataset_via_csv(config, path):
+    """The rows ``surropt train`` reads: the oracle run written as CSV and
+    read back."""
+    write_trajectory_csv(path, oracle_generation_run(config))
+    return read_dataset_csv(path, config.n_hospitals, config.max_age)
 
 
 def certain_zero_configs(h=2):
@@ -104,7 +118,7 @@ class TestPostprocess:
 
 
 class TestGenerate:
-    def test_single_zero_day(self):
+    def test_single_zero_day(self, tmp_path):
         config = ExperimentConfig(
             seed=1,
             horizon_days=1,
@@ -113,29 +127,29 @@ class TestGenerate:
             max_age=3,
             saa=SaaConfig(scenario_count=2, seed=1),
         )
-        data = generate_dataset(config)
+        data = dataset_via_csv(config, tmp_path / "dataset.csv")
         assert data.n_rows == 1
         assert np.all(data.X[0] == 0)
         assert np.all(data.Y[0] == 0)
 
-    def test_shapes_on_default_network(self):
+    def test_shapes_on_default_network(self, tmp_path):
         config = tiny_config()
-        data = generate_dataset(config)
+        data = dataset_via_csv(config, tmp_path / "dataset.csv")
         assert data.X.shape == (12, 44)
         assert data.Y.shape == (12, 136)
         assert np.array_equal(data.day, np.arange(12))
 
-    def test_labels_feasible_against_inputs(self):
+    def test_labels_feasible_against_inputs(self, tmp_path):
         config = tiny_config()
-        data = generate_dataset(config)
+        data = dataset_via_csv(config, tmp_path / "dataset.csv")
         for t in range(data.n_rows):
-            state = InventoryState.from_flat(data.X[t].astype(int), 4, 11)
+            state = InventoryState(data.X[t].reshape(4, 11))
             decision = DecisionVector.from_flat(data.Y[t].astype(int), 4, 11)
             assert check_feasibility(state, decision) == []
 
-    def test_trajectory_consistency(self):
+    def test_trajectory_consistency(self, tmp_path):
         config = tiny_config()
-        data = generate_dataset(config)
+        data = dataset_via_csv(config, tmp_path / "dataset.csv")
         demands = generation_demands(config)
         state = config.initial_state
         for t in range(data.n_rows):
@@ -143,10 +157,11 @@ class TestGenerate:
             decision = DecisionVector.from_flat(data.Y[t].astype(int), 4, 11)
             state, _ = step(state, decision, demands[t], config.costs)
 
-    def test_deterministic(self):
+    def test_deterministic(self, tmp_path):
         config = tiny_config()
-        a = generate_dataset(config)
-        b = generate_dataset(config)
+        a = dataset_via_csv(config, tmp_path / "a.csv")
+        b = dataset_via_csv(config, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.Y, b.Y)
 
@@ -157,16 +172,15 @@ class TestGenerate:
 
 
 class TestReplayEquivalence:
-    def test_label_replay_reproduces_oracle_costs(self):
+    def test_label_replay_reproduces_oracle_costs(self, tmp_path):
         config = tiny_config()
         run = oracle_generation_run(config)
-        data = generate_dataset(config)
-        report = replay_rollout(config, data)
-        assert report.days == run.days
-        for mine, oracle in zip(report.breakdown_series, run.breakdowns):
+        replay = replay_rollout(config, dataset_via_csv(config, tmp_path / "dataset.csv"))
+        assert replay.days == run.days
+        for mine, oracle in zip(replay.breakdowns, run.breakdowns):
             assert mine.total == oracle.total
             assert mine.as_tuple() == oracle.as_tuple()
-        assert report.violations == 0
+        assert replay.violations == []
 
 
 class TestRollout:
@@ -230,7 +244,7 @@ class TestCompare:
                 self.day = 0
 
             def predict(self, X):
-                state = InventoryState.from_flat(X[0].astype(np.int64), 4, 11)
+                state = InventoryState(X[0].reshape(4, 11))
                 decision = self.policy(self.day, state)
                 self.day += 1
                 return decision.flatten()[None, :].astype(float)
@@ -248,12 +262,12 @@ class TestCompare:
 
 
 class TestTrainDispatch:
-    def test_ridge_and_gbdt_and_svr(self):
+    def test_ridge_and_gbdt_and_svr(self, tmp_path):
         config = tiny_config(
             horizon_days=80,
             learner=LearnerSpec(kind="ridge", ridge_lambdas=(0.1, 10.0), folds=4),
         )
-        data = generate_dataset(config)
+        data = dataset_via_csv(config, tmp_path / "dataset.csv")
         ridge = train_surrogate(config, data)
         assert ridge.coef.shape == (136, 45)
         gb_cfg = tiny_config(
@@ -276,6 +290,17 @@ class TestTrainDispatch:
     def test_unknown_learner_rejected(self):
         with pytest.raises(ConfigError):
             LearnerSpec(kind="forest")
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"svr_C": -1.0}, {"svr_C": ()}, {"svr_gamma": -1.0}, {"svr_epsilon": -2.0},
+         {"svr_epsilon": float("nan")}, {"ridge_lambdas": (-1.0,)}, {"ridge_lambdas": ()}],
+        ids=["C", "no-C", "gamma", "epsilon", "nan-epsilon", "lambda", "no-lambda"],
+    )
+    def test_out_of_range_setting_rejected_when_built(self, setting):
+        """The fit checks run when the spec is built, before any oracle day."""
+        with pytest.raises(InputError):
+            LearnerSpec(kind="svr", **setting)
 
 
 class TestConfigValidation:

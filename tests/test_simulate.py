@@ -135,6 +135,41 @@ class TestShapes:
             InventoryState(units)
 
 
+# One hospital's counts next to a zero; only the last two pass the count rule.
+COUNT_CASES = {
+    "ragged": ([[1, 2], 0], False),
+    "string": (["3", 0], False),
+    "none": ([None, 0], False),
+    "nan": ([np.nan, 0], False),
+    "fractional": ([1.5, 0], False),
+    "negative": ([-1, 0], False),
+    "float-2**63": ([2.0**63, 0], False),
+    "uint64-2**63": (np.array([2**63, 0], dtype=np.uint64), False),
+    "bool": (np.array([True, False]), True),
+    "seven": ([7, 0], True),
+}
+
+
+@pytest.mark.parametrize("counts, valid", list(COUNT_CASES.values()), ids=list(COUNT_CASES))
+@pytest.mark.filterwarnings("error")
+def test_state_decision_and_demand_share_one_count_rule(counts, valid):
+    """The state, the orders and the demand accept the same counts, and
+    reject the rest with InputError, never a stray numpy error."""
+    readers = {
+        "state": lambda: InventoryState([counts]),
+        "orders": lambda: DecisionVector(counts, np.zeros((2, 2, 1), dtype=np.int64)),
+        "demand": lambda: as_demand(counts, 2),
+    }
+    accepted = {}
+    for name, read in readers.items():
+        try:
+            read()
+            accepted[name] = True
+        except InputError:
+            accepted[name] = False
+    assert accepted == dict.fromkeys(readers, valid)
+
+
 class TestFeasibility:
     def test_zero_decision_empty(self):
         state = _state(np.arange(8).reshape(2, 4))
@@ -303,6 +338,8 @@ class TestStepInputs:
             receipts_state(state, decision)
         with pytest.raises(InputError, match="shape"):
             check_feasibility(state, decision)
+        with pytest.raises(InputError, match="shape"):
+            repair(state, decision)
 
     @pytest.mark.parametrize(
         "demand",
