@@ -16,20 +16,22 @@ by default); numeric thresholds are stored in the nodes, so prediction
 needs only the raw feature values.
 
 A round grows the trees of all outputs still boosting together, one depth
-level at a time: one bincount fills the histograms of the level's counted
-nodes, and one pass scores all their splits.  Only the roots, and of the
-two children of each split the one with fewer sampled rows (the left one
-on a tie), are counted from their rows; the other child's cumulative cells
-are its parent's less its sibling's, cell by cell, for the gradient sums
-and the row counts (Ke et al., "LightGBM", NeurIPS 2017).  A difference of
-row counts is exact, but one of gradient sums can round unlike a direct
-sum and flip a near-tie split under mse or Huber.  Under mae the gradients
-are -1, 0 or 1, every sum is an exact integer, and the trees are those of
-counting every node.  The trees are, bit for bit, those of growing each
-output's tree alone, node by node, with the same sibling rule.  Each
-output draws its rows, then its features, from its own stream; a histogram
-cell adds its rows in ascending order, as do the pairwise sums that give
-node totals; the best split is the first maximum over (feature, bin); one
+level at a time.  Each output's gradients are first rounded to multiples of
+2^(ceil(log2(n G)) - 52), n the training rows and G the largest gradient
+magnitude, so every sum of them, a multiple of the step below 2^53 steps,
+is exact in any order (LightGBM's coarser integer grid is the same idea:
+Shi et al., "Quantized Training of Gradient Boosting Decision Trees",
+NeurIPS 2022).  mae's gradients -1, 0 and 1 lie on every such grid, and
+leaf values are taken from the residuals.  One matrix product gives a
+level's cumulative histograms: the counted nodes' gradients and 0/1 row
+memberships times the (row, cell) matrix that is 1 where the row's bin is
+at most the cell's.  Only the roots, and of the two children of each split
+the one with fewer sampled rows (the left one on a tie), are counted; the
+other child's cells are its parent's less its sibling's (Ke et al.,
+"LightGBM", NeurIPS 2017), exact as well.  The trees are, bit for bit,
+those of growing each output's tree alone, node by node, with or without
+the sibling rule.  Each output draws its rows, then its features, from its
+own stream; the best split is the first maximum over (feature, bin); one
 ``leaf_optimal_value`` call per level values all its leaves, each ``eta``
 times the constant of its own residuals alone, so a leaf's value does not
 depend on which leaves share its level; every row, sampled or not, goes
@@ -112,8 +114,7 @@ class Tree:
 
 class _Binner:
     """Equal-frequency candidate thresholds per feature, and the split
-    cells: each (feature, bin) below a threshold, feature-major, with its
-    place in the (feature with a threshold, bin) grid of a histogram."""
+    cells: each (feature, bin) below a threshold, feature-major."""
 
     def __init__(self, X: np.ndarray, max_bins: int):
         self.thresholds = []
@@ -127,10 +128,6 @@ class _Binner:
         self.cell_feature = np.repeat(np.arange(X.shape[1]), sizes)
         self.cell_bin = np.concatenate([np.zeros(0, np.int64)] + [np.arange(k) for k in sizes])
         self.cell_threshold = np.concatenate([np.zeros(0)] + self.thresholds)
-        self.features = np.flatnonzero(sizes)
-        # k thresholds give bins 0..k
-        self.width = max(sizes, default=0) + 1
-        self.cell_slot = self.width * (np.cumsum(np.array(sizes) > 0) - 1)[self.cell_feature] + self.cell_bin
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         binned = np.empty(X.shape, dtype=np.int32)
@@ -144,22 +141,37 @@ def _score(G, H, params):
     return np.maximum(np.abs(G) - params.l1, 0.0) ** 2 / (H + params.l2)
 
 
-def _grow_round(binner, bins, rows, feats, g, hess, residual, loss, params):
+def _on_grid(g):
+    """Each row of ``g`` rounded to multiples of 2^(ceil(log2(n G)) - 52), n
+    its length and G its largest magnitude: any sum of its entries is exact."""
+    mant, exp = np.frexp(g.shape[1] * np.max(np.abs(g), axis=1, keepdims=True))
+    step = np.ldexp(1.0, exp - (mant == 0.5) - 52)
+    return np.rint(g / step) * step
+
+
+def _left_sums(left_of, slot, row, g, m):
+    """The gradient sum and row count left of every cell, (m, 2, cells), of
+    m nodes, node ``slot[i]`` holding row ``row[i]`` with gradient ``g[i]``:
+    one product of the nodes' gradients and 0/1 rows with ``left_of``."""
+    n, n_cells = left_of.shape
+    weights = np.zeros((m, 2, n))
+    weights[slot, 0, row], weights[slot, 1, row] = g, 1.0
+    return (weights.reshape(2 * m, n) @ left_of).reshape(m, 2, n_cells)
+
+
+def _grow_round(binner, bins, left_of, rows, feats, g, hess, residual, loss, params):
     """Grow one tree per row of ``residual`` (an output's residuals on all
     training rows), level by level, tree i on the sampled rows ``rows[i]``
-    and features ``feats[i]``, with gradients ``g`` and hessian ``hess``;
-    ``bins`` is (features, rows).  Returns the trees' node arrays and sizes,
-    and the leaf value each (tree, row) reaches.
+    and features ``feats[i]``, with gridded gradients ``g`` and hessian
+    ``hess``; ``bins`` is (features, rows), ``left_of`` (rows, cells) 1.0
+    where the row's bin is at most the cell's.  Returns the trees' node
+    arrays and sizes, and the leaf value each (tree, row) reaches.
 
-    Only the roots and, of each split's two children where either may split,
-    the one with fewer sampled rows (the left on a tie) are counted; the
-    other's cumulative cells are its parent's, kept from the last level,
-    less its sibling's.  Counts and mae's integer gradient sums subtract
-    exactly; mse and Huber sums can round unlike a direct count."""
+    Sums of gridded gradients are exact in any order.  One product gives the
+    cells of the roots and, of each split's two children where either may
+    split, the one with fewer sampled rows (the left on a tie); the other's
+    are its parent's, kept from the last level, less its sibling's."""
     n_trees, n = residual.shape
-    n_cells, n_feats = binner.cell_bin.size, binner.features.size
-    # each (feature with a threshold, row)'s cell in a node's grid
-    grid, cell_of = n_feats * binner.width, bins[binner.features] + binner.width * np.arange(n_feats)[:, None]
     sample = (np.arange(n_trees)[:, None] * n + rows).ravel()
     # each (tree, row)'s node in the level, or the level's size past a leaf
     at = np.repeat(np.arange(n_trees), n).reshape(n_trees, n)
@@ -167,19 +179,17 @@ def _grow_round(binner, bins, rows, feats, g, hess, residual, loss, params):
     while size := owner.size:
         # the sampled rows grouped by node, ascending within a node
         count = np.bincount(at.ravel()[sample], minlength=size + 1)[:size]
-        end = np.cumsum(count)
-        start, order = end - count, sample[np.argsort(at.ravel()[sample], kind="stable")[: end[-1]]]
+        order = sample[np.argsort(at.ravel()[sample], kind="stable")[: count.sum()]]
         node, row = at.ravel()[order], order % n
         e_g, e_res = g.ravel()[order], residual.ravel()[order]
         split, best = np.zeros(size + 1, dtype=bool), np.zeros(size, dtype=np.int64)
-        if len(levels) < params.max_depth and n_cells:
+        if len(levels) < params.max_depth and binner.cell_bin.size:
             # a sum of k copies of hess is exactly hess * k in float64
-            g_tot, h_tot, parent = np.empty(size), hess * count, np.empty(size)
-            for k, (s, e, ht) in enumerate(zip(start, end, h_tot)):
-                g_tot[k] = gt = float(e_g[s:e].sum())
-                # the node's own score: float ** is libm pow, which can round unlike
-                # the array square; no node is empty, so ht > 0
-                parent[k] = max(abs(gt) - params.l1, 0.0) ** 2 / (ht + params.l2)
+            g_tot, h_tot = np.bincount(node, e_g, minlength=size), hess * count
+            # the nodes' own scores: float ** is libm pow, which can round unlike
+            # the array square; no node is empty, so h_tot > 0
+            parent = np.array([max(abs(gt) - params.l1, 0.0) ** 2 for gt in g_tot.tolist()])
+            parent /= h_tot + params.l2
             can = h_tot >= 2 * params.min_child_weight
             grow = np.flatnonzero(can)
             counted = grow
@@ -187,29 +197,17 @@ def _grow_round(binner, bins, rows, feats, g, hess, residual, loss, params):
                 # nodes 2k and 2k + 1 are the children of the last level's k-th split
                 pair = np.flatnonzero(can.reshape(-1, 2).any(axis=1))
                 counted = 2 * pair + (count[2 * pair + 1] < count[2 * pair])
-            # one bincount fills the gradient sums, and one the row counts, of
-            # every counted node's grid, at its rank among them; the cells are
-            # feature-major, so each adds its rows in ascending order
-            m, is_counted = counted.size, np.zeros(size, dtype=bool)
-            is_counted[counted] = True
-            mine = is_counted[node]
-            cell = cell_of.take(row[mine], axis=1)
-            cell += (np.cumsum(is_counted) - 1)[node[mine]] * grid
-            cell, shape = cell.ravel(), ((2 if levels else 1) * m, n_cells)
-            gl, cnt = np.empty(shape), np.empty(shape, dtype=np.int64)
-            for hist, out in ((np.bincount(cell, np.tile(e_g[mine], n_feats), minlength=m * grid), gl),
-                              (np.bincount(cell, minlength=m * grid), cnt)):
-                hist = np.cumsum(hist.reshape(m, n_feats, binner.width), axis=2)
-                np.take(hist.reshape(m, grid), binner.cell_slot, axis=1, out=out[:m])
+            # each node's place in hist, or -1 for a node not counted
+            slot = np.full(size, -1)
+            slot[counted] = np.arange(m := counted.size)
+            mine = slot[node] >= 0
+            hist = _left_sums(left_of, slot[node[mine]], row[mine], e_g[mine], m)
             if levels:
                 # node k ^ 1 is node k's sibling: its parent's cells less node k's
-                np.subtract(kept_gl[pair], gl[:m], out=gl[m:])
-                np.subtract(kept_cnt[pair], cnt[:m], out=cnt[m:])
-                counted = np.concatenate([counted, counted ^ 1])
-            slot = np.empty(size, dtype=np.int64)
-            slot[counted] = np.arange(counted.size)
-            gl, cnt = gl[slot[grow]], cnt[slot[grow]]
-            hl = hess * cnt
+                hist = np.concatenate([hist, kept[pair] - hist])
+                slot[counted ^ 1] = np.arange(m, 2 * m)
+            hist = hist[slot[grow]]
+            gl, hl = hist[:, 0], hess * hist[:, 1]
             gr, hr = g_tot[grow, None] - gl, h_tot[grow, None] - hl
             ok = feats[owner[grow]][:, binner.cell_feature]
             # hl and hr are hess times a row count, so each side keeps a row:
@@ -221,7 +219,7 @@ def _grow_round(binner, bins, rows, feats, g, hess, residual, loss, params):
             gain[~ok] = -np.inf
             best[grow] = np.argmax(gain, axis=1)
             split[grow] = gain[np.arange(grow.size), best[grow]] > _GAIN_TOL
-            kept_gl, kept_cnt = gl[split[grow]], cnt[split[grow]]
+            kept = hist[split[grow]]
         # one call values every leaf of the level, each from its own rows
         leaf, value = np.flatnonzero(~split[:-1]), np.zeros(size + 1)
         value[leaf] = params.eta * leaf_optimal_value(loss, e_res[~split[node]], count[leaf])
@@ -375,6 +373,7 @@ def fit_gbdt(data: Dataset, params: GbdtParams, loss: LossSpec, seed: int = 0) -
     (n, n_features), Y = data.X.shape, data.Y.T.copy()
     binner = _Binner(data.X, params.max_bins)
     bins = np.ascontiguousarray(binner.transform(data.X).T)
+    left_of = (bins[binner.cell_feature] <= binner.cell_bin[:, None]).T.astype(float)
     base = np.array([leaf_optimal_value(loss, y) for y in Y], dtype=float)
     pred = np.repeat(base[:, None], n, axis=1)
     rngs = [stream(seed, TAG_LEARNER, j) for j in range(data.n_outputs)]
@@ -395,7 +394,8 @@ def fit_gbdt(data: Dataset, params: GbdtParams, loss: LossSpec, seed: int = 0) -
                 rows[i] = np.sort(rng.choice(n, size=n_rows, replace=False))
             if n_feats < n_features:
                 feats[i] = np.isin(np.arange(n_features), rng.choice(n_features, size=n_feats, replace=False))
-        nodes, sizes, leaf_value = _grow_round(binner, bins, rows, feats, g, hess, residual, loss, params)
+        nodes, sizes, leaf_value = _grow_round(
+            binner, bins, left_of, rows, feats, _on_grid(g), hess, residual, loss, params)
         pred[active] += leaf_value
         rounds.append((active, sizes, nodes))
     # the trees output by output, each output's in fit order

@@ -153,11 +153,11 @@ class DecisionVector:
 
     @classmethod
     def from_flat(cls, flat, hospitals: int, max_age: int):
-        flat = np.asarray(flat)
+        flat = _as_counts(flat, "flat")
         h, m = hospitals, max_age
-        if flat.size != (expected := decision_length(h, m)):
-            raise InputError(f"expected {expected} entries, got {flat.size}")
-        ship = np.zeros((h * h, m), dtype=flat.dtype)
+        if flat.shape != ((expected := decision_length(h, m)),):
+            raise InputError(f"expected {expected} entries, got shape {flat.shape}")
+        ship = np.zeros((h * h, m), dtype=np.int64)
         ship[_lanes(h)] = flat[h:].reshape(h * (h - 1), m)
         return cls(flat[:h], ship.reshape(h, h, m))
 

@@ -22,6 +22,7 @@ solver's nonnegative-min form.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, product
 
 import numpy as np
@@ -512,6 +513,10 @@ def _fit_single_output(X, binned, thresholds, y, params, loss, rng, subtract):
         if np.max(np.abs(residual)) < 1e-15:
             break
         g, hess = loss_grad_hess(loss, y, pred)
+        # the gradients on the grid of 2**(ceil(log2(n * max|g|)) - 52), where every sum is exact
+        mant, exp = math.frexp(n * float(np.max(np.abs(g))))
+        step = math.ldexp(1.0, exp - (mant == 0.5) - 52)
+        g = np.rint(g / step) * step
         # the hessian of each row, summed row by row below
         h = np.full_like(g, hess)
         rows = all_rows if n_rows == n else np.sort(rng.choice(n, size=n_rows, replace=False))

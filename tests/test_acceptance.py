@@ -316,7 +316,7 @@ DATASET_SHA256 = "e75d8b57a1d5e9c907195ea28df129698714f08afc86edc40b49614c4e5ade
 GBDT_MAE_MODEL_SHA256 = "751539a8d5f3c37d1e505218f7b7c2ea26e4b1d542ee084a2441af64b2e5b712"
 # the five surrogates' and the oracle's rollout costs, which every predict
 # path reaches; likewise
-COMPARISON_SHA256 = "f19abbd16eb1fd32fedd4987a03401423ea1a5735727e02dd2aab008e1417693"
+COMPARISON_SHA256 = "bb148d27b5fecb58e94d0b17c53de43505a698adc680fda985e3dad054be02c8"
 
 
 def test_dataset_labels_pinned(artifacts):

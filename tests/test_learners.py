@@ -1,9 +1,12 @@
 import itertools
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surropt.errors import InputError, ResourceLimitError
 from surropt.learners import (
@@ -17,7 +20,7 @@ from surropt.learners import (
     split_train_test,
 )
 from surropt.learners.data import cross_validate
-from surropt.learners.gbdt import PACKED, GbdtModel, GbdtParams, Tree
+from surropt.learners.gbdt import PACKED, GbdtModel, GbdtParams, Tree, _left_sums, _on_grid
 from surropt.learners.ridge import solve_ridge
 from surropt.learners.svr import SvrModel, rbf_kernel, scale_gamma, smo_solve
 from surropt.losses import LossSpec, loss_value
@@ -34,9 +37,9 @@ from _oracles import (
 )
 
 # GBDT model files written by the tree-by-tree grower, before the forest was
-# packed in memory (mae) and before the trees grew level by level (mse); the
-# huber file was written once the Huber leaf value became the exact root
-# (bisection moved it in the last bits).  The fitting recipe is
+# packed in memory (mae); the huber file was written once the Huber leaf value
+# became the exact root (bisection moved it in the last bits), and the mse
+# file once the gradients went on the exact grid.  The fitting recipe is
 # format_fixture_model below.
 GBDT_FORMAT_FIXTURES = Path(__file__).parent / "data"
 LOSSES = [LossSpec("mse"), LossSpec("mae"), LossSpec("huber", 1.0)]
@@ -540,9 +543,11 @@ class TestGbdtGrower:
 
     def assert_grid_matches(self, loss, subtract, subsample, colsample, max_depth):
         # l2 = 0: with min_child_weight 0 empty nodes score 0 / 0, and 2.5 is
-        # a child weight that is not a multiple of the mse hessian
+        # a child weight that is not a multiple of the mse hessian; at 5, some
+        # level below the cap has no node heavy enough to split
         regular = itertools.product((0.0, 2.0), (0.0, 0.1), (2, 64), (1.0,))
-        for mcw, l1, max_bins, l2 in itertools.chain(regular, [(0.0, 0.0, 64, 0.0), (2.5, 0.1, 64, 0.0)]):
+        extra = [(0.0, 0.0, 64, 0.0), (2.5, 0.1, 64, 0.0), (5.0, 0.1, 64, 1.0)]
+        for mcw, l1, max_bins, l2 in itertools.chain(regular, extra):
             model, reference = self.fit_both(
                 loss, subtract, max_depth=max_depth, min_child_weight=mcw, l1=l1, l2=l2, max_bins=max_bins,
                 subsample=subsample, colsample_bytree=colsample,
@@ -566,9 +571,64 @@ class TestGbdtGrower:
     @pytest.mark.parametrize("max_depth", [1, 3, 6])
     @pytest.mark.parametrize("subsample, colsample", [(1.0, 1.0), (0.7, 1.0), (1.0, 0.5), (0.7, 0.5)])
     def test_mae_keeps_the_direct_count_bits(self, subsample, colsample, max_depth):
-        # mae gradients are -1, 0 or 1, so a parent less its sibling is the
-        # exact integer a direct count gives, and the headline model keeps its bits
+        # mae gradients -1, 0 and 1 lie on the grid, and the headline model
+        # keeps the bits of the grower that counted every node
         self.assert_grid_matches(LossSpec("mae"), False, subsample, colsample, max_depth)
+
+    @pytest.mark.parametrize("max_depth", [1, 3, 6])
+    @pytest.mark.parametrize("subsample, colsample", [(1.0, 1.0), (0.7, 1.0), (1.0, 0.5), (0.7, 0.5)])
+    @pytest.mark.parametrize("loss", [LossSpec("mse"), LossSpec("huber", 1.0)], ids=lambda loss: loss.kind)
+    def test_subtraction_keeps_the_direct_count_bits(self, loss, subsample, colsample, max_depth):
+        # gridded gradient sums are exact, so a parent less its sibling is the
+        # sum a direct count gives under every loss
+        self.assert_grid_matches(loss, False, subsample, colsample, max_depth)
+
+    @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.kind)
+    def test_level_with_no_counted_node(self, loss):
+        """A level below the depth cap where no node may split used to fail
+        in the histogram pass (a TypeError from an empty bincount)."""
+        rng = np.random.default_rng(0)
+        X = rng.integers(0, 3, (40, 3)).astype(float)
+        data = Dataset(X, np.abs(X[:, :1] - 1 + 0.1 * rng.normal(size=(40, 1))), np.arange(40))
+        params = GbdtParams(max_depth=6, min_child_weight=5.0, n_iterations=5)
+        model, reference = fit_gbdt(data, params, loss), reference_fit_gbdt(data, params, loss)
+        for name in PACKED:
+            assert same_bits(getattr(model, name), getattr(reference, name)), name
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 500),
+        log_g=st.floats(-12.0, 6.0),
+        edge=st.sampled_from([-2, -1, 0, 1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gridded_sums_are_exact(self, n, log_g, edge, seed):
+        """With G near 10**log_g and n * G at a power of two, or just below
+        or above it, every node's gradient sum left of a cell is the exact
+        sum, math.fsum's, and the grid keeps -1, 0 and 1."""
+        rng = np.random.default_rng(seed)
+        G = 2.0 ** round(math.log2(n * 10.0**log_g)) / n
+        for _ in range(abs(edge)):
+            G = np.nextafter(G, np.inf if edge > 0 else 0.0)
+        g = rng.uniform(-G, G, size=(3, n))
+        # output 0 one-signed, so its sums grow like n * G
+        g[0] = np.abs(g[0])
+        g[np.arange(3), rng.integers(0, n, 3)] = G * rng.choice([-1.0, 1.0], 3)
+        on_grid = _on_grid(g)
+        # half a step, and a step is below 2 n G 2**-52
+        assert np.abs(on_grid - g).max() <= n * G * 2.0**-52
+        # three outputs' nodes, each on some of the rows, in one product
+        m = 7
+        left_of = (rng.integers(0, 5, (n, 1)) <= rng.integers(0, 5, 6)).astype(float)
+        owner, member = rng.integers(0, 3, m), rng.random((m, n)) < 0.6
+        slot, row = np.nonzero(member)
+        hist = _left_sums(left_of, slot, row, on_grid[owner[slot], row], m)
+        for k, c in itertools.product(range(m), range(left_of.shape[1])):
+            rows = np.flatnonzero(member[k] & (left_of[:, c] == 1.0))
+            assert hist[k, 0, c] == math.fsum(on_grid[owner[k], rows]), (k, c)
+            assert hist[k, 1, c] == rows.size
+        signs = rng.choice([-1.0, 0.0, 1.0], size=(3, n))
+        assert same_bits(_on_grid(signs), signs)
 
 
 class TestSvr:

@@ -170,6 +170,17 @@ def test_state_decision_and_demand_share_one_count_rule(counts, valid):
     assert accepted == dict.fromkeys(readers, valid)
 
 
+@pytest.mark.parametrize("flat", [[[1, 2], 3], [1.5], ["1"], [-1], [1, 0], [[3]]],
+                         ids=["ragged", "fractional", "string", "negative", "long", "2-d"])
+@pytest.mark.filterwarnings("error")
+def test_flat_decision_read_by_the_count_rule(flat):
+    """A flat decision that is not one row of counts of the right length is
+    an InputError, not numpy's ValueError."""
+    assert DecisionVector.from_flat([3], 1, 1).orders.tolist() == [3]
+    with pytest.raises(InputError):
+        DecisionVector.from_flat(flat, 1, 1)
+
+
 class TestFeasibility:
     def test_zero_decision_empty(self):
         state = _state(np.arange(8).reshape(2, 4))
