@@ -40,13 +40,14 @@ def _pivot_kernel(T, r, j):
     # Only rows with a nonzero in column j and columns with a nonzero in row r
     # change; elsewhere the dense rank-one update subtracts a zero.  The
     # scenario tableaux are sparse, so that block is a small part of T.
-    T[r] = T[r] / T[r, j]
-    rows = np.flatnonzero(T[:, j])
+    col, row = T[:, j], T[r]
+    row /= row[j]
+    rows = col.nonzero()[0]
     rows = rows[rows != r]
-    cols = np.flatnonzero(T[r])
-    T[rows[:, None], cols] -= T[rows, j][:, None] * T[r, cols]
-    T[:, j] = 0.0
-    T[r, j] = 1.0
+    cols = row.nonzero()[0]
+    T[rows[:, None], cols] -= col[rows, None] * row[cols]
+    col[:] = 0.0
+    row[j] = 1.0
 
 
 @dataclass(frozen=True)
@@ -160,26 +161,28 @@ def _simplex_loop(T, basis, allowed, max_pivots, start_iter):
     bland = False
     stall = 0
     last_obj = T[-1, -1]
+    # reduced costs of the allowed columns, 0 elsewhere, and a trailing 0 so
+    # an LP without columns is optimal too
+    masked = np.zeros(T.shape[1])
     while True:
-        rc = T[-1, :-1]
+        np.copyto(masked[:-1], T[-1, :-1], where=allowed)
         if bland:
-            cand = np.flatnonzero((rc < -COST_TOL) & allowed)
+            cand = (masked < -COST_TOL).nonzero()[0]
             if cand.size == 0:
                 return "optimal", iters
             j = int(cand[0])
         else:
-            masked = np.where(allowed, rc, 0.0)
-            j = int(np.argmin(masked))
+            j = int(masked.argmin())
             if masked[j] >= -COST_TOL:
                 return "optimal", iters
         # ratio test over the column's positive entries only: the same pivots
         col = T[:m, j]
-        eligible = np.flatnonzero(col > PIVOT_TOL)
+        eligible = (col > PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
             return "unbounded", iters
         ratios = np.maximum(T[eligible, -1], 0.0) / col[eligible]
         ties = eligible[ratios <= ratios.min() + 1e-12]
-        r = int(ties[np.argmin(basis[ties])])
+        r = int(ties[basis[ties].argmin()])
         _pivot_kernel(T, r, j)
         basis[r] = j
         iters += 1

@@ -93,6 +93,14 @@ class TestTrivial:
         assert got == status
         assert got_x is None if x is None else got_x.tolist() == x
 
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (2, 0), (0, 2)], ids=["empty", "rows-only", "columns-only"])
+    def test_empty_dimensions(self, rows, cols):
+        # the empty LP used to fail in argmin over zero reduced costs
+        lp = LinearProgram(c=np.ones(cols), A=np.zeros((rows, cols)), b=np.zeros(rows), senses=("<=",) * rows)
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        assert sol.x.tolist() == [0.0] * cols and sol.objective == 0.0
+
     def test_negative_zero_rhs_leaves_no_negative_zero(self):
         # the crash row 2 x >= -0.0 scales its rhs to -0.0 / 2 = -0.0, and
         # the solver returns that zero as +0.0
