@@ -154,29 +154,22 @@ def _tableau(lp: LinearProgram):
     return T, basis, c
 
 
-def _simplex_loop(T, basis, allowed, max_pivots, start_iter):
-    """Run pivots until optimal/unbounded/caps; returns (status, iterations)."""
-    m = basis.size
-    iters = start_iter
+def _simplex_loop(T, basis, allowed, max_pivots, iters):
+    """Run pivots from ``iters`` done until optimal/unbounded/caps; returns
+    (status, iterations)."""
     bland = False
     stall = 0
     last_obj = T[-1, -1]
-    # reduced costs of the allowed columns, 0 elsewhere, and a trailing 0 so
-    # an LP without columns is optimal too
+    # allowed reduced costs, 0 elsewhere and in a last entry for the empty LP
     masked = np.zeros(T.shape[1])
     while True:
         np.copyto(masked[:-1], T[-1, :-1], where=allowed)
-        if bland:
-            cand = (masked < -COST_TOL).nonzero()[0]
-            if cand.size == 0:
-                return "optimal", iters
-            j = int(cand[0])
-        else:
-            j = int(masked.argmin())
-            if masked[j] >= -COST_TOL:
-                return "optimal", iters
+        # Bland: the first improving column, or column 0 when none improves
+        j = int((masked < -COST_TOL).argmax() if bland else masked.argmin())
+        if masked[j] >= -COST_TOL:
+            return "optimal", iters
         # ratio test over the column's positive entries only: the same pivots
-        col = T[:m, j]
+        col = T[:-1, j]
         eligible = (col > PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
             return "unbounded", iters
@@ -190,14 +183,8 @@ def _simplex_loop(T, basis, allowed, max_pivots, start_iter):
             raise ResourceLimitError(f"simplex exceeded {max_pivots} pivots")
         if not bland:
             # T[-1, -1] holds the negated objective, so progress pushes it up
-            obj = T[-1, -1]
-            if obj <= last_obj + 1e-12:
-                stall += 1
-                if stall >= STALL_LIMIT:
-                    bland = True
-            else:
-                stall = 0
-            last_obj = obj
+            stall = stall + 1 if T[-1, -1] <= last_obj + 1e-12 else 0
+            bland, last_obj = stall >= STALL_LIMIT, T[-1, -1]
 
 
 def _lexicographic_min(T, basis, allowed, n_struct, max_pivots, start_iter):

@@ -13,13 +13,21 @@ integerized by rounding and re-repaired against the current stock.
 The LP encodes a hospital's recourse with three hinge variables (unmet
 demand, leftover stock, and the old-stock excess that outdates).  Its
 optimal value equals that of the explicit formulation with per-age
-issued/leftover variables, at a fraction of the row count; the tests keep
-that formulation as a cross-check.  A hospital's recourse depends on a
-scenario only through that hospital's demand, so the LP holds one row group
-per distinct (hospital, demand value) pair, its costs weighted by the share
-of scenarios with that value: 50 scenarios over four hospitals give about
-50 groups instead of 200.  The tests keep the one-group-per-scenario form
-as a cross-check too.
+issued/leftover variables, at a fraction of the row count.  A hospital's
+recourse depends on a scenario only through that hospital's demand, so the
+LP holds one row group per distinct (hospital, demand value) pair, its
+costs weighted by the share of scenarios with that value: 50 scenarios over
+four hospitals give about 50 groups instead of 200.  The tests keep both
+larger forms as cross-checks.
+
+Only the live part of that program is built, by two presolve rules that
+read the state alone (Andersen and Andersen, "Presolving in linear
+programming", Math. Programming 71, 1995).  A lane out of an empty slot is
+pinned at 0 by the slot's stock cap, so neither is built.  When outdating
+costs more than holding, M > 1 and no age-M slot holds stock, each outdate
+row reads ``-w <= d`` with d >= 0 and a costly w, so w is 0 at every optimum
+and the rows and their w go.  On the acceptance days the LP shrinks from
+about 192 x 284 to 104 x 117.
 
 When outdating costs at least as much as holding (the default costs), the
 hinges price an integral first stage exactly as the evaluation does:
@@ -32,8 +40,9 @@ optimum is only a lower bound.
 The oracle is a function of the state and the scenario multiset, which the
 caller draws (``pipeline.OraclePolicy``, from the day's stream); their order
 does not change a byte of the LP.  ``solve_lp`` returns the lexicographically
-smallest optimal point, and the first stage comes first in the LP's columns,
-so among first stages of equal LP cost the lexicographically smallest
+smallest optimal point, and the live first stage comes first in the LP's
+columns, in flatten order (the columns left out are 0 at every optimum), so
+among first stages of equal LP cost the lexicographically smallest
 flattened decision wins: older units are shipped first (a lane's younger
 ages come first), and lower-index hospitals get the smaller order.
 """
@@ -45,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError, InternalError
-from .lp import LinearProgram, LpSolution, solve_lp
+from .lp import LinearProgram, solve_lp
 from .simulate import (
     CostBreakdown,
     CostParams,
@@ -56,7 +65,6 @@ from .simulate import (
     check_feasibility,
     day_cycle,
     decision_length,
-    receipts_state,
     repair,
     sum_breakdowns,
 )
@@ -94,20 +102,26 @@ class StageOneSolution:
         return self.objective - self.lp_objective
 
 
-def build_saa(state: InventoryState, scenarios, costs: CostParams) -> LinearProgram:
-    """Assemble the scenario LP.  The first ``decision_length(H, M)`` columns
-    are the flattened first stage (orders, then lanes); recourse columns
-    follow per (hospital, distinct demand value).
+def live_columns(state: InventoryState) -> np.ndarray:
+    """The scenario LP's first-stage columns as ``DecisionVector.flatten``
+    indices: every order, then each lane out of a stocked slot."""
+    h = state.n_hospitals
+    return np.concatenate([np.arange(h), h + np.flatnonzero(np.repeat(state.units, h - 1, axis=0))])
 
-    Rows: the stock caps of the lanes out of each (hospital, age) slot
-    (only when lanes exist), then one row group per distinct (hospital,
-    demand value) pair, in hospital then value order: the unmet-demand row
-    ``total + u >= d``, the leftover row ``total - v <= d`` and, when the
-    hinge has a cost, the outdate row ``oldest - w <= d`` (or, when holding
-    costs more than outdating, ``(total - oldest) - w <= d``).  ``total`` and
-    ``oldest`` are the post-receipt stock of a hospital and of its age-M slot
-    as linear maps of the first stage; orders land in the age-M slot only
-    when M == 1.  Recourse column k belongs to recourse row k; its cost is
+
+def build_saa(state: InventoryState, scenarios, costs: CostParams) -> LinearProgram:
+    """Assemble the live scenario LP (see the module doc).  The first columns
+    are the first stage of ``live_columns(state)``, in that order; recourse
+    columns follow per (hospital, distinct demand value).
+
+    Rows: one stock cap per slot with live lanes out of it, in slot order,
+    then one row group per distinct (hospital, demand value) pair, in
+    hospital then value order: the unmet-demand row ``total + u >= d``, the
+    leftover row ``total - v <= d`` and, when the hinge has a cost and is
+    not left out, the outdate row ``oldest - w <= d`` (``(total - oldest) -
+    w <= d`` when holding costs more than outdating).  ``total`` and
+    ``oldest`` are the post-receipt stock of a hospital and of its age-M
+    slot as linear maps of the first stage.  Recourse column k belongs to recourse row k; its cost is
     its rate times the share of the scenarios that hold the group's demand.
 
     The solver's crash basis covers every row, so phase 1 never runs on this
@@ -118,12 +132,12 @@ def build_saa(state: InventoryState, scenarios, costs: CostParams) -> LinearProg
     # alone, as a float: only the stock must stay in range
     check_count_range(state.units, np.zeros(0, np.int64), np.zeros(state.n_hospitals, np.int64))
     h, m = state.n_hospitals, state.max_age
-    d = decision_length(h, m)
-    # lane columns in DecisionVector.flatten order: (sender, receiver, age)
-    sender, receiver = np.nonzero(~np.eye(h, dtype=bool))
-    age = np.tile(np.arange(m), sender.size)
-    sender, receiver = np.repeat(sender, m), np.repeat(receiver, m)
-    lane_cols = h + np.arange(sender.size)
+    columns = live_columns(state)
+    d = columns.size
+    # the live lanes, in flatten order: (sender, receiver, age)
+    pair, age = np.divmod(columns[h:] - h, m)
+    sender, receiver = (ends[pair] for ends in np.nonzero(~np.eye(h, dtype=bool)))
+    lane_cols = np.arange(h, d)
     on_hand = state.units.sum(axis=1).astype(float)
     on_hand_oldest = state.units[:, -1].astype(float)
 
@@ -131,25 +145,19 @@ def build_saa(state: InventoryState, scenarios, costs: CostParams) -> LinearProg
     total[np.arange(h), np.arange(h)] = 1.0
     total[sender, lane_cols] = -1.0
     total[receiver, lane_cols] = 1.0
-    oldest = np.zeros((h, d))
-    if m == 1:
-        oldest[np.arange(h), np.arange(h)] = 1.0
-    last = age == m - 1
-    oldest[sender[last], lane_cols[last]] = -1.0
-    oldest[receiver[last], lane_cols[last]] = 1.0
+    # the age-M part of total: the orders land there only when M == 1
+    oldest = np.where(np.append(np.full(h, m == 1), age == m - 1), total, 0.0)
 
     old_regime = costs.outdate >= costs.holding
-    hinge_cost = costs.outdate - costs.holding if old_regime else costs.holding - costs.outdate
     # Per hospital, one entry per recourse row: first-stage coefficients,
-    # stock netted out of the rhs, sign and rate of the recourse column.
+    # stock netted out of the rhs, and rate of the recourse column, whose
+    # sign is +1, -1, -1 in row order.
     coeffs, stock = [total, total], [on_hand, on_hand]
-    signs = [1.0, -1.0]
     rates = [costs.shortage, costs.holding if old_regime else costs.outdate]
-    if hinge_cost > 0.0:
+    if costs.outdate != costs.holding and not (old_regime and m > 1 and not on_hand_oldest.any()):
         coeffs.append(oldest if old_regime else total - oldest)
         stock.append(on_hand_oldest if old_regime else on_hand - on_hand_oldest)
-        signs.append(-1.0)
-        rates.append(hinge_cost)
+        rates.append(abs(costs.outdate - costs.holding))
     per_pair = len(coeffs)
     # each hospital's sorted demands, hospital by hospital; a group starts at
     # a hospital's first value and wherever the value changes
@@ -163,13 +171,15 @@ def build_saa(state: InventoryState, scenarios, costs: CostParams) -> LinearProg
     n_pairs = counts.size
     rhs = value.astype(float)[:, None] - np.stack(stock, axis=1)[hospital]
 
-    n_cap = h * m if h > 1 else 0
+    # one cap row per sender slot of the live lanes, in slot order
+    slots, cap_row = np.unique(sender * m + age, return_inverse=True)
+    n_cap = slots.size
     n_rec = per_pair * n_pairs
     A = np.zeros((n_cap + n_rec, d + n_rec))
-    A[sender * m + age, lane_cols] = 1.0
+    A[cap_row, lane_cols] = 1.0
     A[n_cap:, :d] = np.stack(coeffs, axis=1)[hospital].reshape(n_rec, d)
-    A[n_cap + np.arange(n_rec), d + np.arange(n_rec)] = np.tile(signs, n_pairs)
-    b = np.concatenate([state.units.reshape(-1)[:n_cap].astype(float), rhs.reshape(-1)])
+    A[n_cap + np.arange(n_rec), d + np.arange(n_rec)] = np.tile([1.0, -1.0, -1.0][:per_pair], n_pairs)
+    b = np.concatenate([state.units.reshape(-1)[slots].astype(float), rhs.reshape(-1)])
     c = np.concatenate([
         np.repeat([costs.ordering, costs.transship_unit], [h, d - h]),
         ((counts / n_scen)[:, None] * rates).reshape(-1),
@@ -195,9 +205,11 @@ def evaluate_decision(
         raise InputError("decision is infeasible against the state")
     demand = as_demand(scenarios, state.n_hospitals, batched=True)
     check_count_range(state.units, decision.orders, demand)
-    zero = DecisionVector.zeros(state.n_hospitals, state.max_age)
-    post = receipts_state(state, decision).units
-    _, parts = day_cycle(post, zero.orders, zero.outbound(), zero.inbound(), demand, costs)
+    # the receipts_state grid, and no second decision: both are checked above
+    post = state.units - decision.outbound() + decision.inbound()
+    post[:, 0] += decision.orders
+    none = np.zeros_like(post)
+    _, parts = day_cycle(post, none[:, 0], none, none, demand, costs)
     mean = sum_breakdowns(parts).scaled(1.0 / len(demand))
     return CostBreakdown(
         holding=mean.holding, outdate=mean.outdate, shortage=mean.shortage,
@@ -212,15 +224,13 @@ def solve_stage_one(state: InventoryState, scenarios, costs: CostParams) -> Stag
     Equal-cost first stages go to the lexicographically smallest decision in
     ``DecisionVector.flatten`` order (the LP's tie rule): older units are
     shipped first, and lower-index hospitals get the smaller order."""
-    scenarios = as_demand(scenarios, state.n_hospitals, batched=True)
-    lp = build_saa(state, scenarios, costs)
-    sol: LpSolution = solve_lp(lp)
+    sol = solve_lp(build_saa(state, scenarios, costs))
     if sol.status != "optimal":
-        raise InternalError(
-            f"scenario LP reported {sol.status}; the zero decision is always feasible"
-        )
+        raise InternalError(f"scenario LP reported {sol.status}; the zero decision is always feasible")
     h, m = state.n_hospitals, state.max_age
-    first = sol.x[: decision_length(h, m)]
+    columns = live_columns(state)
+    first = np.zeros(decision_length(h, m))
+    first[columns] = sol.x[: columns.size]
     integral = bool(np.max(np.abs(first - np.round(first))) < 1e-6)
     ints = np.maximum(np.rint(first), 0.0).astype(np.int64)
     decision = repair(state, DecisionVector.from_flat(ints, h, m))

@@ -5,7 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from surropt import pipeline, two_stage
+from surropt import pipeline, simulate, two_stage
 from surropt.errors import InputError
 from surropt.lp import _tableau, solve_lp
 from surropt.simulate import (
@@ -14,9 +14,10 @@ from surropt.simulate import (
     InventoryState,
     check_feasibility,
     decision_length,
+    repair,
 )
 from surropt.pipeline import ExperimentConfig, oracle_generation_run
-from surropt.two_stage import SaaConfig, build_saa, evaluate_decision, solve_stage_one
+from surropt.two_stage import SaaConfig, build_saa, evaluate_decision, live_columns, solve_stage_one
 
 from _oracles import brute_force_oracle, build_age_lp, build_per_scenario_lp, first_stage
 
@@ -46,7 +47,7 @@ REGIME_OUTDATE = {"outdate>holding": 4.0, "holding>outdate": 0.5, "equal": 1.5}
 
 # sha256 of the oracle's LP solves over the first 30 acceptance generation
 # days (``TestSolveStageOne.test_oracle_pivot_path_pinned``)
-PIVOT_PATH_SHA256 = "b082870641f858dfd62110c9558574482483dabf00685a0a51a20e3159dacc5e"
+PIVOT_PATH_SHA256 = "1617d568e118a6c54837e213e88d428221deb46327ab5512c502e6f257966af8"
 
 # edge shapes for the scenario-aggregation checks, as (state, scenarios) maps
 EDGE_SHAPES = {
@@ -67,12 +68,34 @@ def repeated_demand_instance(rng, h, m, regime):
     return state, costs, pool[rng.integers(0, 3, size=int(rng.integers(1, 31)))]
 
 
+def live_layout(state, costs):
+    """(first-stage columns, cap rows, rows per demand group) of the
+    presolved scenario LP, counted from the state and the costs: a cap row
+    per stocked slot with lanes out of it, and the outdate row unless the
+    rates are equal, or outdating costs more, M > 1 and no age-M slot holds
+    stock."""
+    h, m = state.n_hospitals, state.max_age
+    n_cap = int(np.count_nonzero(state.units)) if h > 1 else 0
+    pinned = costs.outdate > costs.holding and m > 1 and not state.units[:, -1].any()
+    hinge = costs.outdate != costs.holding and not pinned
+    return live_columns(state), n_cap, 3 if hinge else 2
+
+
+def full_first_stage(state, x):
+    """The first stage of a presolved LP point in ``DecisionVector.flatten``
+    order, 0 in the columns the LP leaves out."""
+    columns = live_columns(state)
+    first = np.zeros(decision_length(state.n_hospitals, state.max_age))
+    first[columns] = x[: columns.size]
+    return first
+
+
 def assert_groups_in_order(state, scenarios, costs):
     """One row group per (hospital, demand) pair, counted and ordered by
     Python ints, and the optimum of the one-group-per-scenario form."""
-    h, m = state.n_hospitals, state.max_age
-    d, n_cap = decision_length(h, m), (h * m if h > 1 else 0)
-    per_pair = 2 if costs.outdate == costs.holding else 3
+    h = state.n_hospitals
+    columns, n_cap, per_pair = live_layout(state, costs)
+    d = columns.size
     groups = sorted(Counter((i, int(s[i])) for s in scenarios for i in range(h)).items())
     on_hand = state.units.sum(axis=1)
     lp = build_saa(state, scenarios, costs)
@@ -87,7 +110,7 @@ def assert_groups_in_order(state, scenarios, costs):
     b = solve_lp(build_per_scenario_lp(state, scenarios, costs))
     assert a.status == b.status == "optimal"
     assert a.objective == pytest.approx(b.objective, rel=1e-12)
-    assert np.allclose(a.x[:d], b.x[:d], rtol=1e-12, atol=1e-9)
+    assert np.allclose(full_first_stage(state, a.x), b.x[: decision_length(h, state.max_age)], rtol=1e-12, atol=1e-9)
 
 
 class TestBuildSaa:
@@ -124,14 +147,16 @@ class TestBuildSaa:
             costs = replace(costs, holding=1.5, outdate=REGIME_OUTDATE[regime])
             lp = build_saa(state, scenarios, costs)
             _, c_fs, caps, rhs = first_stage(state, costs)
-            n_cap = caps.shape[0] if h > 1 else 0
+            columns, n_cap, per_pair = live_layout(state, costs)
+            stocked = np.flatnonzero(state.units)[:n_cap]
             # one row group per distinct (hospital, demand) pair
             n_pairs = len({(i, int(s[i])) for s in scenarios for i in range(h)})
-            n_rec = (2 if regime == "equal" else 3) * n_pairs
-            assert lp.A.shape == (n_cap + n_rec, c_fs.size + n_rec)
-            assert np.array_equal(lp.c[: c_fs.size], c_fs)
-            assert np.array_equal(lp.A[:n_cap, : c_fs.size], caps[:n_cap])
-            assert not lp.A[:n_cap, c_fs.size :].any() and np.array_equal(lp.b[:n_cap], rhs[:n_cap])
+            n_rec = per_pair * n_pairs
+            d = columns.size
+            assert lp.A.shape == (n_cap + n_rec, d + n_rec)
+            assert np.array_equal(lp.c[:d], c_fs[columns])
+            assert np.array_equal(lp.A[:n_cap, :d], caps[np.ix_(stocked, columns)])
+            assert not lp.A[:n_cap, d:].any() and np.array_equal(lp.b[:n_cap], rhs[stocked])
             a = solve_lp(lp)
             b = solve_lp(build_age_lp(state, scenarios, costs))
             assert a.status == b.status == "optimal"
@@ -147,13 +172,13 @@ class TestBuildSaa:
                 state, scenarios = shape(state, scenarios)
                 lp = build_saa(state, scenarios, costs)
                 if edge == "equal-scenarios":
-                    per_pair = 2 if regime == "equal" else 3
-                    assert lp.n_rows == (h * m if h > 1 else 0) + per_pair * h
+                    _, n_cap, per_pair = live_layout(state, costs)
+                    assert lp.n_rows == n_cap + per_pair * h
                 a = solve_lp(lp)
                 b = solve_lp(build_per_scenario_lp(state, scenarios, costs))
                 assert a.status == b.status == "optimal"
                 assert a.objective == pytest.approx(b.objective, rel=1e-9, abs=1e-12)
-                assert np.allclose(a.x[:d], b.x[:d], rtol=0.0, atol=1e-9), (h, m, edge)
+                assert np.allclose(full_first_stage(state, a.x), b.x[:d], rtol=0.0, atol=1e-9), (h, m, edge)
 
     @pytest.mark.parametrize("regime", list(REGIME_OUTDATE))
     def test_crash_basis_covers_every_row(self, regime):
@@ -188,9 +213,10 @@ class TestBuildSaa:
                 shortage=float(rng.uniform(10.0, 50.0)),
                 outdate=float(holding * ratio),
             )
-            sol = solve_lp(build_saa(InventoryState(units), scenarios, costs))
+            state = InventoryState(units)
+            sol = solve_lp(build_saa(state, scenarios, costs))
             assert sol.status == "optimal"
-            first = sol.x[: decision_length(h, m)]
+            first = sol.x[: live_columns(state).size]
             assert np.max(np.abs(first - np.rint(first)), initial=0.0) <= 1e-9, (edge, units, scenarios, costs)
 
     def test_scenario_order_does_not_change_the_lp(self):
@@ -347,6 +373,18 @@ class TestSolveStageOne:
         assert digest.hexdigest() == PIVOT_PATH_SHA256
 
 
+    def test_one_day_reads_each_input_at_most_twice(self, monkeypatch):
+        # the demand is read by build_saa and evaluate_decision, the
+        # feasibility mask by repair and evaluate_decision, and no more
+        calls = Counter()
+        for owner, name in [(two_stage, "as_demand"), (simulate, "as_demand"), (simulate, "_over")]:
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _f=real, _n=name, **k: calls.update([_n]) or _f(*a, **k))
+        state = InventoryState(np.array([[1, 0, 2], [0, 3, 0], [2, 0, 1]]))
+        solve_stage_one(state, np.array([[2, 1, 0], [0, 4, 1], [3, 3, 2]]), CostParams())
+        assert 1 <= calls["as_demand"] <= 2 and 1 <= calls["_over"] <= 2, calls
+
+
 class TestBruteForce:
     def test_zero_demand(self):
         state = InventoryState.zeros(2, 2)
@@ -454,6 +492,72 @@ class TestMetamorphic:
                 assert lp.A.tobytes() == base.A.tobytes(), case
                 assert lp.b.tobytes() == base.b.tobytes(), case
                 assert lp.senses == base.senses, case
+
+
+    @pytest.mark.parametrize("regime", ["outdate>holding", "holding>outdate"])
+    def test_idle_hospital_changes_nothing(self, regime):
+        # a hospital with no stock and no demand, inserted at any position,
+        # gets no order and no lane, and the others keep their decision
+        rng = np.random.default_rng(29)
+        for _ in range(150):
+            h, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            state, costs, scenarios = random_tiny_instance(rng, h, m)
+            costs = replace(costs, holding=1.5, outdate=REGIME_OUTDATE[regime])
+            at = int(rng.integers(0, h + 1))
+            grown = InventoryState(np.insert(state.units, at, 0, axis=0))
+            base = solve_stage_one(state, scenarios, costs).decision
+            got = solve_stage_one(grown, np.insert(np.stack(scenarios), at, 0, axis=1), costs).decision
+            others = np.delete(np.arange(h + 1), at)
+            case = (state.units.tolist(), costs, np.stack(scenarios).tolist(), at)
+            assert got.orders[at] == 0 and not got.transship[at].any() and not got.transship[:, at].any(), case
+            assert np.array_equal(got.orders[others], base.orders), case
+            assert np.array_equal(got.transship[np.ix_(others, others)], base.transship), case
+
+
+class TestPresolve:
+    """The live LP against the per-scenario form, which keeps every lane,
+    every cap row and every outdate row."""
+
+    SHAPES = {
+        **EDGE_SHAPES,
+        # only age-M stock: the outdate rows stay, and only age-M lanes
+        "oldest-only": lambda state, scenarios: (
+            InventoryState(np.pad(state.units[:, -1:] + 1, ((0, 0), (state.max_age - 1, 0)))), scenarios),
+        # no age-M stock: the outdate rows go when outdating costs more
+        "no-oldest": lambda state, scenarios: (
+            InventoryState(np.pad(state.units[:, :-1], ((0, 0), (0, 1)))), scenarios),
+    }
+
+    @pytest.mark.parametrize("regime", list(REGIME_OUTDATE))
+    def test_matches_the_full_form(self, regime):
+        rng = np.random.default_rng(28)
+        for h, m in [(1, 1), (1, 3), (3, 1), (2, 2), (4, 3)]:
+            d = decision_length(h, m)
+            for edge, shape in list(self.SHAPES.items()) * 5:
+                state, costs, scenarios = repeated_demand_instance(rng, h, m, regime)
+                state, scenarios = shape(state, scenarios)
+                lp = build_saa(state, scenarios, costs)
+                columns, n_cap, per_pair = live_layout(state, costs)
+                n_rec = per_pair * len({(i, int(s[i])) for s in scenarios for i in range(h)})
+                assert lp.A.shape == (n_cap + n_rec, columns.size + n_rec), (h, m, edge)
+                a = solve_lp(lp)
+                b = solve_lp(build_per_scenario_lp(state, scenarios, costs))
+                case = (state.units.tolist(), costs, scenarios.tolist())
+                assert a.status == b.status == "optimal"
+                assert a.objective == pytest.approx(b.objective, rel=1e-9, abs=1e-12), case
+                assert np.allclose(full_first_stage(state, a.x), b.x[:d], rtol=0.0, atol=1e-9), case
+
+    def test_acceptance_days_keep_their_decisions(self, acceptance_days):
+        for day, (state, costs, scenarios) in enumerate(acceptance_days):
+            h, m = state.n_hospitals, state.max_age
+            sol = solve_stage_one(state, scenarios, costs)
+            full = solve_lp(build_per_scenario_lp(state, scenarios, costs))
+            first = full.x[: decision_length(h, m)]
+            decision = repair(state, DecisionVector.from_flat(np.rint(first).astype(np.int64), h, m))
+            assert np.array_equal(sol.decision.flatten(), decision.flatten()), day
+            assert sol.lp_objective == pytest.approx(full.objective, rel=1e-9), day
+            lp = solve_lp(build_saa(state, scenarios, costs))
+            assert np.allclose(full_first_stage(state, lp.x), first, rtol=0.0, atol=1e-9), day
 
 
 class TestEvaluateDecision:
