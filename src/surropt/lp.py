@@ -157,9 +157,7 @@ def _tableau(lp: LinearProgram):
 def _simplex_loop(T, basis, allowed, max_pivots, iters):
     """Run pivots from ``iters`` done until optimal/unbounded/caps; returns
     (status, iterations)."""
-    bland = False
-    stall = 0
-    last_obj = T[-1, -1]
+    bland, stall, last_obj = False, 0, T[-1, -1]
     # allowed reduced costs, 0 elsewhere and in a last entry for the empty LP
     masked = np.zeros(T.shape[1])
     while True:

@@ -27,7 +27,7 @@ pinned at 0 by the slot's stock cap, so neither is built.  When outdating
 costs more than holding, M > 1 and no age-M slot holds stock, each outdate
 row reads ``-w <= d`` with d >= 0 and a costly w, so w is 0 at every optimum
 and the rows and their w go.  On the acceptance days the LP shrinks from
-about 192 x 284 to 104 x 117.
+about 192 x 284 to 105 x 118.
 
 When outdating costs at least as much as holding (the default costs), the
 hinges price an integral first stage exactly as the evaluation does:
@@ -121,8 +121,9 @@ def build_saa(state: InventoryState, scenarios, costs: CostParams) -> LinearProg
     not left out, the outdate row ``oldest - w <= d`` (``(total - oldest) -
     w <= d`` when holding costs more than outdating).  ``total`` and
     ``oldest`` are the post-receipt stock of a hospital and of its age-M
-    slot as linear maps of the first stage.  Recourse column k belongs to recourse row k; its cost is
-    its rate times the share of the scenarios that hold the group's demand.
+    slot as linear maps of the first stage.  Recourse column k belongs to
+    recourse row k; its cost is its rate times the share of the scenarios
+    that hold the group's demand.
 
     The solver's crash basis covers every row, so phase 1 never runs on this
     LP: after the rows with a negative rhs are negated, every row has a slack
@@ -205,7 +206,7 @@ def evaluate_decision(
         raise InputError("decision is infeasible against the state")
     demand = as_demand(scenarios, state.n_hospitals, batched=True)
     check_count_range(state.units, decision.orders, demand)
-    # the receipts_state grid, and no second decision: both are checked above
+    # receipts_state's grid and no recourse decision, not checked again
     post = state.units - decision.outbound() + decision.inbound()
     post[:, 0] += decision.orders
     none = np.zeros_like(post)

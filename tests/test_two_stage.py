@@ -93,7 +93,7 @@ def full_first_stage(state, x):
 def assert_groups_in_order(state, scenarios, costs):
     """One row group per (hospital, demand) pair, counted and ordered by
     Python ints, and the optimum of the one-group-per-scenario form."""
-    h = state.n_hospitals
+    h, m = state.n_hospitals, state.max_age
     columns, n_cap, per_pair = live_layout(state, costs)
     d = columns.size
     groups = sorted(Counter((i, int(s[i])) for s in scenarios for i in range(h)).items())
@@ -110,7 +110,7 @@ def assert_groups_in_order(state, scenarios, costs):
     b = solve_lp(build_per_scenario_lp(state, scenarios, costs))
     assert a.status == b.status == "optimal"
     assert a.objective == pytest.approx(b.objective, rel=1e-12)
-    assert np.allclose(full_first_stage(state, a.x), b.x[: decision_length(h, state.max_age)], rtol=1e-12, atol=1e-9)
+    assert np.allclose(full_first_stage(state, a.x), b.x[: decision_length(h, m)], rtol=1e-12, atol=1e-9)
 
 
 class TestBuildSaa:
@@ -372,7 +372,6 @@ class TestSolveStageOne:
         assert len(oracle_generation_run(config, 30).decisions) == 30
         assert digest.hexdigest() == PIVOT_PATH_SHA256
 
-
     def test_one_day_reads_each_input_at_most_twice(self, monkeypatch):
         # the demand is read by build_saa and evaluate_decision, the
         # feasibility mask by repair and evaluate_decision, and no more
@@ -493,7 +492,6 @@ class TestMetamorphic:
                 assert lp.b.tobytes() == base.b.tobytes(), case
                 assert lp.senses == base.senses, case
 
-
     @pytest.mark.parametrize("regime", ["outdate>holding", "holding>outdate"])
     def test_idle_hospital_changes_nothing(self, regime):
         # a hospital with no stock and no demand, inserted at any position,
@@ -556,8 +554,8 @@ class TestPresolve:
             decision = repair(state, DecisionVector.from_flat(np.rint(first).astype(np.int64), h, m))
             assert np.array_equal(sol.decision.flatten(), decision.flatten()), day
             assert sol.lp_objective == pytest.approx(full.objective, rel=1e-9), day
-            lp = solve_lp(build_saa(state, scenarios, costs))
-            assert np.allclose(full_first_stage(state, lp.x), first, rtol=0.0, atol=1e-9), day
+            live = solve_lp(build_saa(state, scenarios, costs))
+            assert np.allclose(full_first_stage(state, live.x), first, rtol=0.0, atol=1e-9), day
 
 
 class TestEvaluateDecision:
