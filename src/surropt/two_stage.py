@@ -106,6 +106,7 @@ def live_columns(state: InventoryState) -> np.ndarray:
     """The scenario LP's first-stage columns as ``DecisionVector.flatten``
     indices: every order, then each lane out of a stocked slot."""
     h = state.n_hospitals
+    # lane (i, j, a) reads slot (i, a): each sender row once per receiver
     return np.concatenate([np.arange(h), h + np.flatnonzero(np.repeat(state.units, h - 1, axis=0))])
 
 
