@@ -45,8 +45,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from .demand import ZinbParams
 from .errors import ConfigError, InputError
 from .pipeline import ExperimentConfig
@@ -126,9 +124,9 @@ def _inventory(grid, where: str) -> InventoryState:
         [_coerce(v, "int", f"{where}[{i}][{a}]") for a, v in enumerate(row)]
         for i, row in enumerate(grid)
     ]
-    if any(not 0 <= v < 2**63 for row in rows for v in row):
-        raise ConfigError(f"{where}: unit counts must be in [0, 2**63)")
-    return _construct(InventoryState, where, units=np.array(rows, dtype=np.int64))
+    # the state's one count rule judges them: from 2**63 up, numpy reads a
+    # count as uint64, float or object, and none passes
+    return _construct(InventoryState, where, units=rows)
 
 
 def parse_config(obj, where: str = "config") -> ExperimentConfig:

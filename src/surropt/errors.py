@@ -19,14 +19,8 @@ class InputError(SurroptError):
 
 
 class ResourceLimitError(SurroptError):
-    """An iteration or size cap was exhausted before convergence.
-
-    May carry a ``partial`` attribute with the best result obtained so far.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """An iteration or size cap was exhausted before convergence; the
+    operation fails whole and returns no result."""
 
 
 class InternalError(SurroptError):

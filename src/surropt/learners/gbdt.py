@@ -11,9 +11,12 @@ scaled by the learning rate, and the model boosts from the loss-optimal
 constant of the full target, so training loss never increases while
 subsampling is off.
 
-Features are pre-binned once per fit on equal-frequency quantiles (64 bins
-by default); numeric thresholds are stored in the nodes, so prediction
-needs only the raw feature values.
+The candidate splits are the fit's cells: per feature, its distinct
+quantiles at k / ``max_bins``, k = 1 .. ``max_bins`` - 1 (64 bins by
+default), that lie below its largest value.  Fit and prediction route a
+row by one rule, left when ``x[feature] <= threshold``: the fit makes that
+comparison once for every (training row, cell) pair, and the nodes store
+the threshold itself.
 
 A round grows the trees of all outputs still boosting together, one depth
 level at a time.  Each output's gradients are first rounded to multiples of
@@ -24,26 +27,26 @@ Shi et al., "Quantized Training of Gradient Boosting Decision Trees",
 NeurIPS 2022).  mae's gradients -1, 0 and 1 lie on every such grid, and
 leaf values are taken from the residuals.  One matrix product gives a
 level's cumulative histograms: the counted nodes' gradients and 0/1 row
-memberships times the (row, cell) matrix that is 1 where the row's bin is
-at most the cell's.  Only the roots, and of the two children of each split
-the one with fewer sampled rows (the left one on a tie), are counted; the
-other child's cells are its parent's less its sibling's (Ke et al.,
-"LightGBM", NeurIPS 2017), exact as well.  The trees are, bit for bit,
-those of growing each output's tree alone, node by node, with or without
-the sibling rule.  Each output draws its rows, then its features, from its
-own stream; the best split is the first maximum over (feature, bin); one
-``leaf_optimal_value`` call per level values all its leaves, each ``eta``
-times the constant of its own residuals alone, so a leaf's value does not
-depend on which leaves share its level; every row, sampled or not, goes
-left when its bin is at most the split's, which is ``x <= threshold`` since
-a bin counts the thresholds below x; and each tree's nodes are numbered
+memberships times the (row, cell) matrix that is 1 where x <= the cell's
+threshold.  Only the roots, and of the two children of each split the one
+with fewer sampled rows (the left one on a tie), are counted; the other
+child's cells are its parent's less its sibling's (Ke et al., "LightGBM",
+NeurIPS 2017), exact as well.  The trees are, bit for bit, those of
+growing each output's tree alone, node by node, with or without the
+sibling rule.  Each output draws its rows, then its features, from its own
+stream; the best split is the first maximum over the cells, feature by
+feature in ascending threshold; one ``leaf_optimal_value`` call per level
+values all its leaves, each ``eta`` times the constant of its own
+residuals alone, so a leaf's value does not depend on which leaves share
+its level; every row, sampled or not, goes left by its entry of that
+matrix at the split's cell; and each tree's nodes are numbered
 depth-first, left subtree first.
 
 A fitted forest is packed into the flat arrays of the model file.
 Prediction first compares each row once with every cell of the forest, a
 distinct (feature, threshold) pair of its splits: the trees share the
-binner's thresholds, so the acceptance forests of 18,000 to 31,000 nodes
-have about 130 cells.  It then walks every (row, tree) pair down exactly as
+fit's cells, so the acceptance forests of 18,000 to 31,000 nodes have
+about 130 cells.  It then walks every (row, tree) pair down exactly as
 many levels as the deepest tree has, one ``take`` of the node's cell, its
 comparison and its child per level, through a (node, side) child table in
 which both entries of a leaf are the leaf itself, so a row that reaches a
@@ -112,28 +115,15 @@ class Tree:
     value: np.ndarray
 
 
-class _Binner:
-    """Equal-frequency candidate thresholds per feature, and the split
-    cells: each (feature, bin) below a threshold, feature-major."""
-
-    def __init__(self, X: np.ndarray, max_bins: int):
-        self.thresholds = []
-        qs = np.arange(1, max_bins) / max_bins
-        for f in range(X.shape[1]):
-            edges = np.unique(np.quantile(X[:, f], qs))
-            # an edge equal to the column max cannot separate anything
-            edges = edges[edges < X[:, f].max()] if edges.size else edges
-            self.thresholds.append(edges.astype(float))
-        sizes = [t.size for t in self.thresholds]
-        self.cell_feature = np.repeat(np.arange(X.shape[1]), sizes)
-        self.cell_bin = np.concatenate([np.zeros(0, np.int64)] + [np.arange(k) for k in sizes])
-        self.cell_threshold = np.concatenate([np.zeros(0)] + self.thresholds)
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        binned = np.empty(X.shape, dtype=np.int32)
-        for f, edges in enumerate(self.thresholds):
-            binned[:, f] = np.searchsorted(edges, X[:, f], side="left")
-        return binned
+def _cells(X: np.ndarray, max_bins: int):
+    """The candidate splits, feature-major, as (cell_feature, cell_threshold):
+    each feature's distinct equal-frequency quantiles below its largest value,
+    ascending."""
+    qs = np.arange(1, max_bins) / max_bins
+    edges = [np.unique(np.quantile(col, qs)) for col in X.T]
+    # an edge equal to the column max cannot separate anything
+    edges = [e[e < col.max()] for e, col in zip(edges, X.T)]
+    return np.repeat(np.arange(X.shape[1]), [e.size for e in edges]), np.concatenate([np.zeros(0)] + edges)
 
 
 def _score(G, H, params):
@@ -159,19 +149,20 @@ def _left_sums(left_of, slot, row, g, m):
     return (weights.reshape(2 * m, n) @ left_of).reshape(m, 2, n_cells)
 
 
-def _grow_round(binner, bins, left_of, rows, feats, g, hess, residual, loss, params):
+def _grow_round(cells, left_of, rows, feats, g, hess, residual, loss, params):
     """Grow one tree per row of ``residual`` (an output's residuals on all
     training rows), level by level, tree i on the sampled rows ``rows[i]``
     and features ``feats[i]``, with gridded gradients ``g`` and hessian
-    ``hess``; ``bins`` is (features, rows), ``left_of`` (rows, cells) 1.0
-    where the row's bin is at most the cell's.  Returns the trees' node
-    arrays and sizes, and the leaf value each (tree, row) reaches.
+    ``hess``; ``cells`` is ``_cells``'s (cell_feature, cell_threshold) and
+    ``left_of`` (rows, cells) 1.0 where the row's x <= the cell's threshold.
+    Returns the trees' node arrays and sizes, and the leaf value each (tree,
+    row) reaches.
 
     Sums of gridded gradients are exact in any order.  One product gives the
     cells of the roots and, of each split's two children where either may
     split, the one with fewer sampled rows (the left on a tie); the other's
     are its parent's, kept from the last level, less its sibling's."""
-    n_trees, n = residual.shape
+    (cell_feature, cell_threshold), (n_trees, n) = cells, residual.shape
     sample = (np.arange(n_trees)[:, None] * n + rows).ravel()
     # each (tree, row)'s node in the level, or the level's size past a leaf
     at = np.repeat(np.arange(n_trees), n).reshape(n_trees, n)
@@ -182,8 +173,9 @@ def _grow_round(binner, bins, left_of, rows, feats, g, hess, residual, loss, par
         order = sample[np.argsort(at.ravel()[sample], kind="stable")[: count.sum()]]
         node, row = at.ravel()[order], order % n
         e_g, e_res = g.ravel()[order], residual.ravel()[order]
-        split, best = np.zeros(size + 1, dtype=bool), np.zeros(size, dtype=np.int64)
-        if len(levels) < params.max_depth and binner.cell_bin.size:
+        # each node's split cell; a node past a leaf or not split keeps cell 0
+        split, best = np.zeros(size + 1, dtype=bool), np.zeros(size + 1, dtype=np.int64)
+        if len(levels) < params.max_depth and cell_threshold.size:
             # a sum of k copies of hess is exactly hess * k in float64
             g_tot, h_tot = np.bincount(node, e_g, minlength=size), hess * count
             # the nodes' own scores: float ** is libm pow, which can round unlike
@@ -209,7 +201,7 @@ def _grow_round(binner, bins, left_of, rows, feats, g, hess, residual, loss, par
             hist = hist[slot[grow]]
             gl, hl = hist[:, 0], hess * hist[:, 1]
             gr, hr = g_tot[grow, None] - gl, h_tot[grow, None] - hl
-            ok = feats[owner[grow]][:, binner.cell_feature]
+            ok = feats[owner[grow]][:, cell_feature]
             # hl and hr are hess times a row count, so each side keeps a row:
             # an empty one scores 0 / 0 when l2 = 0
             least = max(params.min_child_weight, hess)
@@ -224,13 +216,12 @@ def _grow_round(binner, bins, left_of, rows, feats, g, hess, residual, loss, par
         leaf, value = np.flatnonzero(~split[:-1]), np.zeros(size + 1)
         value[leaf] = params.eta * leaf_optimal_value(loss, e_res[~split[node]], count[leaf])
         hit = np.flatnonzero(split)
-        feature, bin_, threshold = np.full(size + 1, -1, np.int32), np.zeros(size + 1, np.int64), np.zeros(size)
-        feature[hit], bin_[hit], threshold[hit] = (
-            a[best[hit]] for a in (binner.cell_feature, binner.cell_bin, binner.cell_threshold))
-        levels.append((owner, split[:-1], feature[:-1], threshold, value[:-1]))
-        # every row moves on, sampled or not
+        feature, threshold = np.full(size, -1, np.int32), np.zeros(size)
+        feature[hit], threshold[hit] = cell_feature[best[hit]], cell_threshold[best[hit]]
+        levels.append((owner, split[:-1], feature, threshold, value[:-1]))
+        # every row moves on, sampled or not, right unless x <= the threshold
         np.copyto(leaf_value, value[at], where=(at < size) & ~split[at])
-        right = bins[feature[at], np.arange(n)] > bin_[at]
+        right = left_of[np.arange(n), best[at]] == 0.0
         at = np.where(split[at], (2 * np.cumsum(split) - 2)[at] + right, 2 * hit.size)
         owner = np.repeat(owner[hit], 2)
     return _preorder(levels, n_trees) + (leaf_value,)
@@ -371,9 +362,10 @@ def fit_gbdt(data: Dataset, params: GbdtParams, loss: LossSpec, seed: int = 0) -
     if not data.n_rows or data.n_rows * loss.hessian < 2 * params.min_child_weight:
         raise InputError(f"{data.n_rows} rows cannot satisfy min_child_weight {params.min_child_weight}")
     (n, n_features), Y = data.X.shape, data.Y.T.copy()
-    binner = _Binner(data.X, params.max_bins)
-    bins = np.ascontiguousarray(binner.transform(data.X).T)
-    left_of = (bins[binner.cell_feature] <= binner.cell_bin[:, None]).T.astype(float)
+    cells = _cells(data.X, params.max_bins)
+    # predict's comparison x <= threshold, once per (row, cell), 1.0 in place
+    left_of = data.X[:, cells[0]]
+    np.less_equal(left_of, cells[1], out=left_of)
     base = np.array([leaf_optimal_value(loss, y) for y in Y], dtype=float)
     pred = np.repeat(base[:, None], n, axis=1)
     rngs = [stream(seed, TAG_LEARNER, j) for j in range(data.n_outputs)]
@@ -395,7 +387,7 @@ def fit_gbdt(data: Dataset, params: GbdtParams, loss: LossSpec, seed: int = 0) -
             if n_feats < n_features:
                 feats[i] = np.isin(np.arange(n_features), rng.choice(n_features, size=n_feats, replace=False))
         nodes, sizes, leaf_value = _grow_round(
-            binner, bins, left_of, rows, feats, _on_grid(g), hess, residual, loss, params)
+            cells, left_of, rows, feats, _on_grid(g), hess, residual, loss, params)
         pred[active] += leaf_value
         rounds.append((active, sizes, nodes))
     # the trees output by output, each output's in fit order

@@ -3,9 +3,9 @@
 Each output is solved by sequential minimal optimization on the stacked
 dual (positive and negative tube multipliers as one box-constrained vector
 with a sum-to-zero coupling).  The working pair is the maximal violating
-pair, and the solve stops when the KKT violation drops below ``tol``.
-Non-convergence within the iteration cap raises a resource error that
-carries the best model found so far.
+pair, and the solve stops when the KKT violation drops below ``tol``.  A
+fit fails whole: the first output whose solve does not converge within the
+iteration cap raises ResourceLimitError, and no model is built.
 
 The penalty C may be a single value or a candidate list cross-validated
 with shared folds; the default bandwidth is 1 / (n_features * Var(X)).
@@ -31,7 +31,6 @@ from ..errors import InputError, ResourceLimitError
 from .data import Dataset, cross_validate
 
 DEFAULT_EPSILON = 0.1
-DEFAULT_TOL = 1e-3
 
 
 def rbf_kernel(A, B, gamma: float, B_sq=None) -> np.ndarray:
@@ -70,7 +69,7 @@ def check_svr(C, gamma, epsilon) -> list:
     return candidates
 
 
-def smo_solve(K, y, C, epsilon, tol=DEFAULT_TOL, max_iter=None):
+def smo_solve(K, y, C, epsilon, tol=1e-3, max_iter=None):
     """Solve one output's dual; returns (beta, b, iterations, converged).
 
     beta are the per-sample dual coefficients (difference of the two tube
@@ -198,27 +197,20 @@ class SvrModel:
         return out
 
 
-def _fit_all_outputs(X, Y, gamma, C, epsilon, tol, max_iter) -> SvrModel:
-    """One SMO solve per output; raises ResourceLimitError, carrying the
-    outputs fitted so far, at the first output that does not converge."""
+def _fit_all_outputs(X, Y, gamma, C, epsilon) -> SvrModel:
+    """One SMO solve per output; raises ResourceLimitError at the first
+    output that does not converge."""
     K = rbf_kernel(X, X, gamma)
-    support, coefs, bias, converged = [], [], [], True
+    support, coefs, bias = [], [], []
     for j in range(Y.shape[1]):
-        beta, b, _, converged = smo_solve(K, Y[:, j], C, epsilon, tol, max_iter)
+        beta, b, _, converged = smo_solve(K, Y[:, j], C, epsilon)
+        if not converged:
+            raise ResourceLimitError(f"SMO did not converge within the iteration cap (output {j}, C={C})")
         sv = np.abs(beta) > 1e-9
         support.append(X[sv].copy())
         coefs.append(beta[sv].copy())
         bias.append(b)
-        if not converged:
-            break
-    model = SvrModel(support, coefs, np.array(bias), gamma=gamma, epsilon=epsilon, C=C, n_features=X.shape[1])
-    if not converged:
-        raise ResourceLimitError(
-            f"SMO did not reach the KKT tolerance within the iteration cap "
-            f"(output {j}, C={C})",
-            partial=model,
-        )
-    return model
+    return SvrModel(support, coefs, np.array(bias), gamma=gamma, epsilon=epsilon, C=C, n_features=X.shape[1])
 
 
 def fit_svr(
@@ -228,8 +220,6 @@ def fit_svr(
     epsilon: float = DEFAULT_EPSILON,
     folds: int = 10,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = None,
 ) -> SvrModel:
     """Train one SMO solve per output at a fixed or cross-validated C.
 
@@ -244,9 +234,9 @@ def fit_svr(
     best, cv_mse = candidates[0], {}
     if tuned:
         def fold_predict(c, X_train, Y_train, X_test):
-            return _fit_all_outputs(X_train, Y_train, gamma, c, epsilon, tol, max_iter).predict(X_test)
+            return _fit_all_outputs(X_train, Y_train, gamma, c, epsilon).predict(X_test)
 
         best, cv_mse = cross_validate(data, candidates, folds, seed, fold_predict)
-    model = _fit_all_outputs(X, Y, gamma, best, epsilon, tol, max_iter)
+    model = _fit_all_outputs(X, Y, gamma, best, epsilon)
     model.cv_mse = cv_mse
     return model

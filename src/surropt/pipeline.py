@@ -278,17 +278,14 @@ class ComparisonResult:
         return "\n".join(lines)
 
 
-def compare_models(
-    config: ExperimentConfig,
-    models: dict,
-    days: int = None,
-) -> ComparisonResult:
-    """Roll every model and the oracle on one shared demand stream.
+def compare_models(config: ExperimentConfig, models: dict) -> ComparisonResult:
+    """Roll every model and the oracle over ``config.rollout_days`` days of
+    one shared demand stream.
 
     All policies consume the identical demand array, so cost differences are
     attributable to the policies alone.
     """
-    demands = rollout_demands(config, days)
+    demands = rollout_demands(config)
     reports = [rollout(config, model, demands, label=name) for name, model in models.items()]
     result = run_horizon(config.initial_state, OraclePolicy(config, ROLLOUT_PHASE), demands, config.costs)
     reports.append(report_from_run("oracle", result))

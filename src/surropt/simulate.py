@@ -287,27 +287,25 @@ def repair(state: InventoryState, decision: DecisionVector) -> DecisionVector:
     Per violating (hospital, age) slot the lane quantities are reduced
     proportionally and integerized by the largest-remainder rule: floor the
     scaled quotas, then hand out the remaining units in order of descending
-    fractional part, ties broken by ascending destination index.  Feasible
-    slots pass through untouched, so the map is the identity on feasible
-    decisions.
+    fractional part, ties broken by ascending destination index.  The split
+    is exact in integers: each quota lane * stock / total is taken as a
+    quotient and remainder of Python ints, so the rule holds at any count,
+    the slot ships exactly its stock, and a lane of 0 (the self-lane among
+    them) gets no unit.  Feasible slots pass through untouched, so the map
+    is the identity on feasible decisions.
     """
     over = _over(state, decision)
     if not over.any():
         return decision
     ship = decision.transship.copy()
-    h = decision.n_hospitals
     for i, m in np.argwhere(over):
-        raw = ship[i, :, m].astype(np.int64)
-        available = int(state.units[i, m])
-        total_raw = int(raw.sum())
-        quota = raw * (available / total_raw)
-        alloc = np.floor(quota).astype(np.int64)
-        remainder = quota - alloc
-        leftover = available - int(alloc.sum())
-        if leftover > 0:
-            # descending fractional part, ascending destination on ties
-            order = np.lexsort((np.arange(h), -remainder))
-            alloc[order[:leftover]] += 1
+        lanes, available = ship[i, :, m].tolist(), int(state.units[i, m])
+        total = sum(lanes)
+        quota = [divmod(lane * available, total) for lane in lanes]
+        alloc = [q for q, _ in quota]
+        # descending remainder, ascending destination on ties (sorted is stable)
+        for j in sorted(range(len(lanes)), key=lambda j: -quota[j][1])[: available - sum(alloc)]:
+            alloc[j] += 1
         ship[i, :, m] = alloc
     return DecisionVector(decision.orders, ship)
 
@@ -369,16 +367,6 @@ def step(
         state.units, decision.orders, decision.outbound(), decision.inbound(), demand, costs
     )
     return InventoryState(aged), CostBreakdown(*parts.tolist())
-
-
-def receipts_state(state: InventoryState, decision: DecisionVector) -> InventoryState:
-    """Inventory after moving transshipments and receiving orders, before any
-    demand or aging.  This is the availability the two-stage model plans
-    against when it treats a scenario's demand as served post-receipt."""
-    _check_applicable(state, decision)
-    grid = state.units - decision.outbound() + decision.inbound()
-    grid[:, 0] += decision.orders
-    return InventoryState(grid)
 
 
 @dataclass

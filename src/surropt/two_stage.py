@@ -207,7 +207,7 @@ def evaluate_decision(
         raise InputError("decision is infeasible against the state")
     demand = as_demand(scenarios, state.n_hospitals, batched=True)
     check_count_range(state.units, decision.orders, demand)
-    # receipts_state's grid and no recourse decision, not checked again
+    # the post-receipt grid, feasible so not checked again, and no recourse decision
     post = state.units - decision.outbound() + decision.inbound()
     post[:, 0] += decision.orders
     none = np.zeros_like(post)

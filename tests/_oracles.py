@@ -9,8 +9,10 @@ hinge form, one hinge row group per scenario instead of one per distinct
 (hospital, demand) pair, exhaustive enumeration instead of the LP oracle, a
 row-by-row, tree-by-tree walk instead of the packed GBDT forest, one RBF
 kernel per output instead of one over all outputs' distinct support rows,
-one-output, one-node-at-a-time recursive tree growth instead of the
-level-wise GBDT grower, bisection of the Huber leaf constant instead of
+one-output, one-node-at-a-time recursive tree growth on its own
+searchsorted bins instead of the level-wise GBDT grower and its threshold
+comparisons, rational arithmetic instead of the integer quotients of the
+largest-remainder repair, bisection of the Huber leaf constant instead of
 the exact breakpoint search, one day and one scenario at a time with a
 slot-by-slot issuing loop instead of the batched day-cycle kernel, and one
 fold at a time on index arrays instead of the shared cross-validation
@@ -23,13 +25,14 @@ solver's nonnegative-min form.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 
 from surropt.errors import InputError, InternalError
 from surropt.learners.data import kfold_split
-from surropt.learners.gbdt import _NODE_ARRAYS, GbdtModel, Tree, _Binner
+from surropt.learners.gbdt import _NODE_ARRAYS, GbdtModel, Tree
 from surropt.learners.svr import rbf_kernel
 from surropt.losses import leaf_optimal_value, loss_grad_hess, loss_value
 from surropt.lp import LinearProgram
@@ -217,6 +220,26 @@ def audit_total_cost(result, costs) -> float:
             + costs.holding * int(after.sum())
         )
     return total
+
+
+def reference_repair(state, decision):
+    """``simulate.repair`` slot by slot in exact rationals: the lanes of each
+    slot that ships more than its stock get their quotas lane * stock / total
+    floored, and the leftover units go one each by descending fractional
+    part, ascending destination on ties."""
+    ship = decision.transship.copy()
+    h, m = state.units.shape
+    for i, a in product(range(h), range(m)):
+        lanes, stock = [int(v) for v in ship[i, :, a]], int(state.units[i, a])
+        if sum(lanes) <= stock:
+            continue
+        quota = [Fraction(v * stock, sum(lanes)) for v in lanes]
+        alloc = [math.floor(q) for q in quota]
+        order = sorted(range(h), key=lambda j: (alloc[j] - quota[j], j))
+        for j in order[: stock - sum(alloc)]:
+            alloc[j] += 1
+        ship[i, :, a] = alloc
+    return DecisionVector(decision.orders.copy(), ship)
 
 
 def _issue(on_hand, demand):
@@ -531,6 +554,19 @@ def _fit_single_output(X, binned, thresholds, y, params, loss, rng, subtract):
     return base, trees, pred
 
 
+def quantile_bins(X, max_bins):
+    """Per feature, its candidate thresholds (the distinct quantiles at
+    1/max_bins .. (max_bins-1)/max_bins that lie below the column's largest
+    value), and the (rows, features) bins: the count of a feature's
+    thresholds below each x."""
+    thresholds = []
+    for col in X.T:
+        edges = np.unique(np.quantile(col, np.arange(1, max_bins) / max_bins))
+        thresholds.append(edges[edges < col.max()])
+    binned = np.column_stack([np.searchsorted(t, col, side="left") for t, col in zip(thresholds, X.T)])
+    return thresholds, binned
+
+
 def reference_fit_gbdt(data, params, loss, seed=0, subtract=True):
     """fit_gbdt one output at a time, each tree grown by depth-first
     recursion over its node's rows (nodes numbered in creation order) and
@@ -539,8 +575,7 @@ def reference_fit_gbdt(data, params, loss, seed=0, subtract=True):
     ``subtract=False`` counts every node's histograms from its own rows, the
     grower before sibling subtraction."""
     X = data.X
-    binner = _Binner(X, params.max_bins)
-    binned = binner.transform(X)
+    thresholds, binned = quantile_bins(X, params.max_bins)
     base = np.empty(data.n_outputs)
     ensembles = []
     train_loss = np.empty(data.n_outputs)
@@ -548,7 +583,7 @@ def reference_fit_gbdt(data, params, loss, seed=0, subtract=True):
     for j in range(data.n_outputs):
         rng = stream(seed, TAG_LEARNER, j)
         b, trees, pred = _fit_single_output(
-            X, binned, binner.thresholds, data.Y[:, j], params, loss, rng, subtract
+            X, binned, thresholds, data.Y[:, j], params, loss, rng, subtract
         )
         base[j] = b
         ensembles.append(trees)
@@ -718,13 +753,13 @@ def build_per_scenario_lp(state, scenarios, costs):
     return LinearProgram(c=c, A=A, b=b, senses=senses)
 
 
-def brute_force_oracle(state, costs, scenarios, cap: int):
-    """Exhaustive minimizer over integer decisions on tiny instances.
+def _brute_force_costs(state, costs, scenarios, cap: int):
+    """(decision, expected cost) of every integer decision in the box, the
+    flattened decisions in lexicographic order.
 
     Orders range over 0..cap; each lane over 0..min(cap, stock in its slot),
     which keeps every enumerated decision feasible because a slot has at
-    most one outbound lane when H <= 2.  Ties go to the lexicographically
-    smallest flattened decision.  Returns (decision, expected cost)."""
+    most one outbound lane when H <= 2."""
     h, m = state.n_hospitals, state.max_age
     if h > BRUTE_MAX_HOSPITALS or m > BRUTE_MAX_AGE:
         raise InputError(f"brute force capped at H<={BRUTE_MAX_HOSPITALS}, M<={BRUTE_MAX_AGE}")
@@ -740,16 +775,30 @@ def brute_force_oracle(state, costs, scenarios, cap: int):
         size *= len(r)
     if size > BRUTE_MAX_ENUM:
         raise InputError(f"enumeration of {size} decisions exceeds {BRUTE_MAX_ENUM}")
-
-    best = None
-    best_cost = np.inf
     for combo in product(*ranges):
         decision = DecisionVector.from_flat(np.asarray(combo, dtype=np.int64), h, m)
-        cost = evaluate_decision(state, decision, scenarios, costs).total
+        yield decision, evaluate_decision(state, decision, scenarios, costs).total
+
+
+def brute_force_oracle(state, costs, scenarios, cap: int):
+    """Exhaustive minimizer over integer decisions on tiny instances (the
+    box of ``_brute_force_costs``).  Ties go to the lexicographically
+    smallest flattened decision.  Returns (decision, expected cost)."""
+    best = None
+    best_cost = np.inf
+    for decision, cost in _brute_force_costs(state, costs, scenarios, cap):
         if cost < best_cost - 1e-12:
             best_cost = cost
             best = decision
     return best, float(best_cost)
+
+
+def brute_force_optima(state, costs, scenarios, cap: int, tol: float = 1e-9):
+    """Every decision of the box whose expected cost is within ``tol`` of the
+    least; one decision when the optimum is unique."""
+    found = list(_brute_force_costs(state, costs, scenarios, cap))
+    least = min(cost for _, cost in found)
+    return [decision for decision, cost in found if cost <= least + tol]
 
 
 class LabelReplayPolicy:

@@ -118,7 +118,7 @@ def run_full_pipeline(out_dir):
         save_model(out_dir / f"model-{name}.surropt", model)
 
     t0 = time.time()
-    comparison = compare_models(config, models, days=ROLLOUT_DAYS)
+    comparison = compare_models(config, models)
     timings["compare"] = time.time() - t0
     write_comparison_csv(out_dir / "comparison.csv", comparison)
     write_comparison_text(out_dir / "comparison.txt", comparison)

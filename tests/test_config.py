@@ -148,6 +148,22 @@ def test_negative_cost_is_an_input_error_naming_the_field():
     assert "config.costs" in str(err.value) and "shortage" in str(err.value)
 
 
+@pytest.mark.parametrize("count", [-1, 2**63, 2**64])
+def test_initial_count_out_of_range_exits_2(count, tmp_path, capsys):
+    # the state's one count rule judges the grid read from the file
+    grid = [[0] * 11 for _ in range(4)]
+    grid[2][5] = count
+    cfg = with_node(BASE_CONFIG, ("initial_state",), grid)
+    with pytest.raises(InputError, match=r"^config\.initial_state: units must be whole numbers"):
+        parse_config(cfg)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    code = cli.main(["generate", "--config", str(config), "--out", str(tmp_path / "g")])
+    assert code == 2
+    assert f"{config}.initial_state" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
 @pytest.mark.parametrize("path, value, field", MALFORMED)
 def test_malformed_config_exits_2(path, value, field, tmp_path, capsys):
     config = tmp_path / "config.json"

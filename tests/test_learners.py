@@ -18,6 +18,7 @@ from surropt.learners import (
     load_model,
     save_model,
     split_train_test,
+    svr,
 )
 from surropt.learners.data import cross_validate
 from surropt.learners.gbdt import PACKED, GbdtModel, GbdtParams, Tree, _left_sums, _on_grid
@@ -348,6 +349,25 @@ class TestGbdt:
         b = fit_gbdt(data, params, LossSpec("mae"), seed=9)
         assert np.array_equal(a.predict(data.X), b.predict(data.X))
 
+    @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.kind)
+    def test_predict_routes_training_rows_as_the_fit_did(self, loss):
+        # whole-number features put many rows exactly on a split's threshold;
+        # with subsampling, the fit also routes rows it did not sample
+        rng = np.random.default_rng(18)
+        X = rng.integers(0, 5, size=(120, 4)).astype(float)
+        Y = np.abs(X @ rng.normal(size=(4, 3)) + rng.normal(size=(120, 3)))
+        data = Dataset(X, Y, np.arange(120))
+        params = GbdtParams(eta=0.3, n_iterations=20, max_depth=4, min_child_weight=1.0, subsample=0.6)
+        model = fit_gbdt(data, params, loss, seed=3)
+        split = model.feature >= 0
+        assert (X[:, model.feature[split]] == model.threshold[split]).any(axis=0).all()
+        # the diagnostics come from the fit's own running predictions
+        Y, pred = data.Y.T.copy(), model.predict(data.X).T.copy()
+        loss_mean = float(np.mean([np.mean(loss_value(loss, y, p)) for y, p in zip(Y, pred)]))
+        rmse_mean = float(np.mean([np.sqrt(np.mean((y - p) ** 2)) for y, p in zip(Y, pred)]))
+        assert loss_mean.hex() == model.diagnostics["train_loss_mean"].hex()
+        assert rmse_mean.hex() == model.diagnostics["train_rmse_mean"].hex()
+
     def test_too_few_rows_rejected(self):
         rng = np.random.default_rng(17)
         data = make_dataset(rng, n=4)
@@ -631,6 +651,21 @@ class TestGbdtGrower:
         assert same_bits(_on_grid(signs), signs)
 
 
+def solve_with(monkeypatch, **options):
+    """Run every SMO solve of the fits that follow with ``options`` (a
+    tolerance or an iteration cap); returns the solves' convergence flags,
+    in call order."""
+    converged = []
+
+    def solve(*args):
+        result = smo_solve(*args, **options)
+        converged.append(result[3])
+        return result
+
+    monkeypatch.setattr(svr, "smo_solve", solve)
+    return converged
+
+
 class TestSvr:
     def test_constant_target_inside_tube(self):
         rng = np.random.default_rng(20)
@@ -668,13 +703,14 @@ class TestSvr:
         assert abs(beta.sum()) < 1e-6
         assert np.all(np.abs(beta) <= C + 1e-12)
 
-    def test_non_support_vectors_inside_tube(self):
+    def test_non_support_vectors_inside_tube(self, monkeypatch):
         rng = np.random.default_rng(23)
         X = rng.normal(size=(50, 2))
         y = np.abs(X[:, 0] - X[:, 1])
         data = Dataset(X, y[:, None], np.arange(50))
         eps = 0.2
-        model = fit_svr(data, C=10.0, epsilon=eps, tol=1e-4)
+        solve_with(monkeypatch, tol=1e-4)
+        model = fit_svr(data, C=10.0, epsilon=eps)
         pred = model.predict(X)[:, 0]
         sv_rows = {tuple(r) for r in model.support[0]}
         outside = [
@@ -691,23 +727,36 @@ class TestSvr:
         assert model.C in (0.1, 10.0)
         assert set(model.cv_mse) == {0.1, 10.0}
 
-    def test_resource_error_carries_partial_model(self):
+    def test_unconverged_fit_raises_with_no_model(self, monkeypatch):
         rng = np.random.default_rng(25)
         X = rng.normal(size=(60, 2))
         y = np.abs(np.sin(3 * X[:, 0]) + X[:, 1])
         data = Dataset(X, y[:, None], np.arange(60))
-        with pytest.raises(ResourceLimitError) as err:
-            fit_svr(data, C=100.0, epsilon=0.001, max_iter=3)
-        assert err.value.partial is not None
-        assert err.value.partial.predict(X).shape == (60, 1)
+        converged = solve_with(monkeypatch, max_iter=3)
+        with pytest.raises(ResourceLimitError, match=r"output 0, C=100\.0") as err:
+            fit_svr(data, C=100.0, epsilon=0.001)
+        assert converged == [False]
+        assert not hasattr(err.value, "partial")
 
-    def test_cv_raises_when_a_fold_does_not_converge(self):
+    def test_first_unconverged_output_stops_the_fit(self, monkeypatch):
+        rng = np.random.default_rng(75)
+        converged = solve_with(monkeypatch, max_iter=3)
+        built = []
+        monkeypatch.setattr(svr, "SvrModel", lambda *args, **kwargs: built.append(args))
+        with pytest.raises(ResourceLimitError, match="output 1"):
+            fit_svr(TestSvrPredict.whole_dataset(rng), C=100.0, epsilon=0.001)
+        # the constant output converged, the next did not; no later output
+        # was solved and no model was built
+        assert converged == [True, False] and not built
+
+    def test_cv_raises_when_a_fold_does_not_converge(self, monkeypatch):
         rng = np.random.default_rng(26)
         data = make_dataset(rng, n=40, p=2, q=3)
-        with pytest.raises(ResourceLimitError) as err:
-            fit_svr(data, C=[1.0, 10.0], folds=4, max_iter=2)
+        converged = solve_with(monkeypatch, max_iter=2)
+        with pytest.raises(ResourceLimitError, match=r"output 0, C=1\.0"):
+            fit_svr(data, C=[1.0, 10.0], folds=4)
         # the error comes from the first fold's first output, before any CV score
-        assert err.value.partial.n_outputs == 1
+        assert converged == [False]
 
     @pytest.mark.parametrize("C", [(), (-1.0, 1.0), (0.0,), (float("nan"),), -2.0])
     def test_invalid_c_rejected_before_cv(self, C):
@@ -792,17 +841,6 @@ class TestSvrPredict:
             for X in (rng.integers(-2, 6, size=(7, model.n_features)).astype(float),
                       rng.normal(size=(7, model.n_features))):
                 assert same_bits(loaded.predict(X), model.predict(X))
-
-    def test_partial_model_is_validated(self):
-        rng = np.random.default_rng(75)
-        with pytest.raises(ResourceLimitError) as err:
-            fit_svr(self.whole_dataset(rng), C=100.0, epsilon=0.001, max_iter=3)
-        partial = err.value.partial
-        # the constant output converged, the next did not
-        assert partial.support[0].shape[0] == 0 and partial.n_outputs == 2
-        replace(partial)  # runs the constructor's checks again
-        X = rng.integers(-2, 6, size=(7, 4)).astype(float)
-        assert same_bits(partial.predict(X), reference_svr_predict(partial, X))
 
 
 class TestPredictApi:

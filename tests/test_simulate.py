@@ -12,7 +12,6 @@ from surropt.simulate import (
     as_demand,
     check_feasibility,
     decision_length,
-    receipts_state,
     repair,
     run_horizon,
     step,
@@ -21,7 +20,7 @@ from surropt.simulate import (
 )
 from surropt.two_stage import evaluate_decision
 
-from _oracles import audit_total_cost, reference_evaluate_decision, reference_step
+from _oracles import audit_total_cost, reference_evaluate_decision, reference_repair, reference_step
 
 # Non-integer rates: sums of their products round differently in another order.
 RATES = (0.0, 1e-3, 0.1, 0.7, 1.3, 2.9, 35.35, 40.1)
@@ -227,6 +226,44 @@ class TestRepair:
         assert fixed.transship[0, 2, 0] == 0
         assert check_feasibility(state, fixed) == []
 
+    def test_tied_remainders_go_to_the_lower_destination(self):
+        # 18 available, lanes (7, 21): quotas (4.5, 13.5) tie at one half, so
+        # the leftover unit goes to destination 1; in floats, 21 * (18 / 28)
+        # lands above 13.5 and would break the tie the other way
+        state = _state([[18], [0], [0]])
+        fixed = repair(state, _ship_one_slot(3, 1, 0, 0, {1: 7, 2: 21}))
+        assert fixed.transship[0, :, 0].tolist() == [0, 5, 13]
+
+    def test_large_counts_ship_exactly_the_stock(self):
+        # near 2**60, float quotas round up and would ship 2 units more than
+        # the stock, which step rejects
+        stock, lanes = 38110133898286102, {1: 937636748031247989, 2: 1052335533587000166}
+        state = _state([[stock], [0], [0]])
+        fixed = repair(state, _ship_one_slot(3, 1, 0, 0, lanes))
+        assert int(fixed.transship.sum()) == stock
+        assert check_feasibility(state, fixed) == []
+        step(state, fixed, np.zeros(3, int), CostParams())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(0, 62))
+    def test_matches_the_exact_reference(self, seed, bits):
+        # lanes up to 2**bits, some of them 0, scaled down so that the decision
+        # ships fewer than 2**62 units in all; each slot holds at most what its
+        # lanes ship, so most slots are over-shipped
+        rng = np.random.default_rng(seed)
+        h, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        lanes = rng.integers(0, 2**bits, size=(h, h, m), endpoint=True) * (rng.random((h, h, m)) < 0.7)
+        lanes[np.arange(h), np.arange(h)] = 0
+        lanes //= sum(lanes.ravel().tolist()) // 2**62 + 1
+        units = [[int(rng.integers(0, lanes[i, :, a].sum(), endpoint=True)) for a in range(m)] for i in range(h)]
+        state = InventoryState(np.array(units))
+        decision = DecisionVector(np.zeros(h, dtype=np.int64), lanes)
+        fixed = repair(state, decision)
+        assert np.array_equal(fixed.transship, reference_repair(state, decision).transship)
+        assert not fixed.transship[np.arange(h), np.arange(h)].any()
+        assert check_feasibility(state, fixed) == []
+        assert np.all(fixed.transship <= decision.transship)
+
     def test_zero_stock_zeroes_lanes(self):
         state = InventoryState.zeros(2, 2)
         decision = _ship_one_slot(2, 2, 0, 1, {1: 4})
@@ -345,8 +382,6 @@ class TestStepInputs:
         decision = DecisionVector(np.array(orders), np.zeros(ship_shape, dtype=np.int64))
         with pytest.raises(InputError, match="shape"):
             step(state, decision, np.zeros(4, int), CostParams())
-        with pytest.raises(InputError, match="shape"):
-            receipts_state(state, decision)
         with pytest.raises(InputError, match="shape"):
             check_feasibility(state, decision)
         with pytest.raises(InputError, match="shape"):

@@ -19,7 +19,7 @@ from surropt.simulate import (
 from surropt.pipeline import ExperimentConfig, oracle_generation_run
 from surropt.two_stage import SaaConfig, build_saa, evaluate_decision, live_columns, solve_stage_one
 
-from _oracles import brute_force_oracle, build_age_lp, build_per_scenario_lp, first_stage
+from _oracles import brute_force_optima, brute_force_oracle, build_age_lp, build_per_scenario_lp, first_stage
 
 NEWSVENDOR_COSTS = CostParams(
     holding=0.1, ordering=1.0, transship_unit=0.0, shortage=10.0, outdate=0.0
@@ -510,6 +510,26 @@ class TestMetamorphic:
             assert got.orders[at] == 0 and not got.transship[at].any() and not got.transship[:, at].any(), case
             assert np.array_equal(got.orders[others], base.orders), case
             assert np.array_equal(got.transship[np.ix_(others, others)], base.transship), case
+
+    def test_relabelled_hospitals_permute_the_decision(self):
+        # swapping the two hospitals of an instance swaps the oracle's orders
+        # and lanes, wherever the integer optimum is unique (orders above 3
+        # cannot pay when no demand exceeds 3, so the box holds it)
+        rng = np.random.default_rng(31)
+        checked = 0
+        for m in (1, 2):
+            for _ in range(60):
+                state, costs, scenarios = random_tiny_instance(rng, 2, m)
+                if len(brute_force_optima(state, costs, scenarios, cap=3)) != 1:
+                    continue
+                base = solve_stage_one(state, scenarios, costs).decision
+                swapped = InventoryState(state.units[::-1])
+                got = solve_stage_one(swapped, [s[::-1] for s in scenarios], costs).decision
+                case = (state.units.tolist(), costs, np.stack(scenarios).tolist())
+                assert np.array_equal(got.orders, base.orders[::-1]), case
+                assert np.array_equal(got.transship, base.transship[::-1, ::-1]), case
+                checked += 1
+        assert checked >= 100
 
 
 class TestPresolve:
