@@ -69,13 +69,7 @@ def kfold_split(n: int, folds: int = 10, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(101,)))
     perm = rng.permutation(n)
     assignment = np.empty(n, dtype=np.int64)
-    base = n // folds
-    extra = n % folds
-    start = 0
-    for k in range(folds):
-        size = base + (1 if k < extra else 0)
-        assignment[perm[start : start + size]] = k
-        start += size
+    assignment[perm] = np.repeat(np.arange(folds), n // folds + (np.arange(folds) < n % folds))
     return assignment
 
 

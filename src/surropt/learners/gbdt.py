@@ -178,10 +178,8 @@ def _grow_round(cells, left_of, rows, feats, g, hess, residual, loss, params):
         if len(levels) < params.max_depth and cell_threshold.size:
             # a sum of k copies of hess is exactly hess * k in float64
             g_tot, h_tot = np.bincount(node, e_g, minlength=size), hess * count
-            # the nodes' own scores: float ** is libm pow, which can round unlike
-            # the array square; no node is empty, so h_tot > 0
-            parent = np.array([max(abs(gt) - params.l1, 0.0) ** 2 for gt in g_tot.tolist()])
-            parent /= h_tot + params.l2
+            # no node is empty, so h_tot > 0
+            parent = _score(g_tot, h_tot, params)
             can = h_tot >= 2 * params.min_child_weight
             grow = np.flatnonzero(can)
             counted = grow

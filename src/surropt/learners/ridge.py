@@ -51,7 +51,7 @@ def solve_ridge(X, Y, lam: float) -> np.ndarray:
 class RidgeModel:
     """Per-output coefficient rows (intercept first) at the selected lambda.
     A coef that is not a 2-D float array with an intercept column raises
-    ``ValueError``."""
+    ``ValueError``.  The ``cv_mse`` keys are read as floats."""
 
     coef: np.ndarray      # (n_outputs, n_features + 1)
     lam: float
@@ -60,8 +60,9 @@ class RidgeModel:
     def __post_init__(self):
         if self.coef.ndim != 2 or self.coef.shape[1] < 1 or self.coef.dtype.kind != "f":
             raise ValueError(f"coef is a {self.coef.dtype} array of shape {self.coef.shape}")
-        # a fitted coef is F-ordered: one layout gives fitted and loaded models one BLAS path
-        object.__setattr__(self, "coef", np.ascontiguousarray(self.coef))
+        # F-ordered, as fitted: coef[:, 1:].T is then C-contiguous for loaded models too
+        object.__setattr__(self, "coef", np.asfortranarray(self.coef))
+        object.__setattr__(self, "cv_mse", {float(k): float(v) for k, v in self.cv_mse.items()})
 
     @property
     def n_features(self) -> int:

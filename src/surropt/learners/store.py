@@ -1,76 +1,47 @@
 """Versioned on-disk model format.
 
-A model file is a deterministic zip archive holding one JSON header
-(``meta.json``) and the numeric payload as .npy members.  Arrays round-trip
-bit-exactly, so save -> load -> predict is bit-identical to the in-memory
-model.  ``format_version`` guards future layout changes.
+A model file is a deterministic zip archive of one model dataclass's
+fields.  Each ``np.ndarray`` field is the .npy member of its name, a field
+holding a dataclass (``GbdtParams``, ``LossSpec``) is a JSON object in the
+header ``meta.json``, and every other field is a header value, beside
+``format_version`` and ``kind``.  Arrays round-trip bit-exactly, so save ->
+load -> predict is bit-identical to the in-memory model.  Loading rebuilds
+the model through its constructor, which checks the arrays; a file that
+lacks a field, holds a key or member that is not one, or that the
+constructor refuses raises ``InputError`` naming it.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
+from typing import get_type_hints
 
 import numpy as np
 
 from ..errors import InputError
-from ..losses import LossSpec
 from ..util import load_arrays, save_arrays
-from .gbdt import PACKED, GbdtModel, GbdtParams
+from .gbdt import GbdtModel
 from .ridge import RidgeModel
 from .svr import SvrModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+KINDS = {"ridge": RidgeModel, "gbdt": GbdtModel, "svr": SvrModel}
 
 
 def save_model(path, model) -> None:
-    if isinstance(model, RidgeModel):
-        meta = {
-            "format_version": FORMAT_VERSION,
-            "kind": "ridge",
-            "lambda": model.lam,
-            "cv_mse": {str(k): v for k, v in model.cv_mse.items()},
-        }
-        save_arrays(path, meta, {"coef": model.coef})
-        return
-    if isinstance(model, GbdtModel):
-        arrays = {name: getattr(model, name) for name in PACKED}
-        meta = {
-            "format_version": FORMAT_VERSION,
-            "kind": "gbdt",
-            "params": asdict(model.params),
-            "loss": asdict(model.loss),
-            "n_features": model.n_features,
-            "seed": model.seed,
-            "diagnostics": model.diagnostics,
-        }
-        save_arrays(path, meta, arrays)
-        return
-    if isinstance(model, SvrModel):
-        arrays = {"bias": model.bias}
-        sv_counts = []
-        for j, sv in enumerate(model.support):
-            sv_counts.append(sv.shape[0])
-            arrays[f"sv_{j:04d}"] = sv
-            arrays[f"coef_{j:04d}"] = model.coef[j]
-        arrays["sv_counts"] = np.asarray(sv_counts, dtype=np.int64)
-        meta = {
-            "format_version": FORMAT_VERSION,
-            "kind": "svr",
-            "gamma": model.gamma,
-            "epsilon": model.epsilon,
-            "C": model.C,
-            "n_features": model.n_features,
-            "cv_mse": {str(k): v for k, v in model.cv_mse.items()},
-        }
-        save_arrays(path, meta, arrays)
-        return
-    raise InputError(f"cannot serialize model of type {type(model).__name__}")
+    kind = next((k for k, cls in KINDS.items() if type(model) is cls), None)
+    if kind is None:
+        raise InputError(f"cannot serialize model of type {type(model).__name__}")
+    values = {f.name: getattr(model, f.name) for f in fields(model)}
+    meta = {k: asdict(v) if is_dataclass(v) else v for k, v in values.items() if not isinstance(v, np.ndarray)}
+    arrays = {k: v for k, v in values.items() if isinstance(v, np.ndarray)}
+    save_arrays(path, {"format_version": FORMAT_VERSION, "kind": kind, **meta}, arrays)
 
 
 def load_model(path):
     """Read a model file; a malformed one raises ``InputError`` naming it."""
     meta, arrays = load_arrays(path)
-    version = meta.get("format_version")
+    version = meta.pop("format_version", None)
     if version != FORMAT_VERSION:
         raise InputError(f"{path}: unsupported model format version {version}")
     try:
@@ -82,32 +53,19 @@ def load_model(path):
 
 
 def _model_from(meta: dict, arrays: dict):
-    kind = meta.get("kind")
-    if kind == "ridge":
-        return RidgeModel(
-            coef=arrays["coef"],
-            lam=float(meta["lambda"]),
-            cv_mse={float(k): v for k, v in meta.get("cv_mse", {}).items()},
-        )
-    if kind == "gbdt":
-        return GbdtModel(
-            params=GbdtParams(**meta["params"]),
-            loss=LossSpec(**meta["loss"]),
-            **{name: arrays[name] for name in PACKED},
-            n_features=int(meta["n_features"]),
-            seed=int(meta["seed"]),
-            diagnostics=meta.get("diagnostics", {}),
-        )
-    if kind == "svr":
-        n_out = arrays["sv_counts"].size
-        return SvrModel(
-            support=[arrays[f"sv_{j:04d}"] for j in range(n_out)],
-            coef=[arrays[f"coef_{j:04d}"] for j in range(n_out)],
-            bias=arrays["bias"],
-            gamma=float(meta["gamma"]),
-            epsilon=float(meta["epsilon"]),
-            C=float(meta["C"]),
-            n_features=int(meta["n_features"]),
-            cv_mse={float(k): v for k, v in meta.get("cv_mse", {}).items()},
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+    """The ``kind`` model of the members and the rest of the header: an array
+    field is its member, a dataclass field that class of its JSON object, and
+    any other field its declared type of its value."""
+    cls = KINDS.get(kind := meta.pop("kind", None))
+    if cls is None:
+        raise ValueError(f"unknown model kind {kind!r}")
+    hints = get_type_hints(cls)
+    types = {f.name: hints[f.name] for f in fields(cls)}
+    members = {name for name, t in types.items() if t is np.ndarray}
+    unknown = sorted(meta.keys() - (types.keys() - members)) + sorted(f"{a}.npy" for a in arrays.keys() - members)
+    if unknown:
+        raise ValueError(f"unknown {kind} key(s) or member(s) {', '.join(unknown)}")
+    return cls(**{
+        name: arrays[name] if t is np.ndarray else t(**meta[name]) if is_dataclass(t) else t(meta[name])
+        for name, t in types.items()
+    })

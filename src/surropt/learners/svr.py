@@ -10,11 +10,14 @@ iteration cap raises ResourceLimitError, and no model is built.
 The penalty C may be a single value or a candidate list cross-validated
 with shared folds; the default bandwidth is 1 / (n_features * Var(X)).
 
-Prediction computes one RBF kernel between the inputs and the distinct
-support rows of all outputs (the outputs share most of them, since every
-support vector is a training row), whose squared norms the model keeps from
-its construction, then takes each output's dot product over its own columns
-of it, output by output.  Where the inputs and the support rows are whole
+A model is five packed arrays, which its file holds: the distinct support
+rows of all outputs, each once (the outputs share most of them, since every
+support vector is a training row), found by the fit; and per output its
+count of support vectors, their indices among those rows, their dual
+coefficients, and its bias.  Prediction computes one RBF kernel between the
+inputs and the distinct rows, whose squared norms the model keeps from its
+construction, then takes each output's dot product over its own columns of
+it, output by output.  Where the inputs and the support rows are whole
 numbers, as the pipeline's inventory counts are, every squared distance is
 exact, so each output gets the bits of a kernel against its own support
 vectors alone.  On other float rows a kernel entry's matrix product can
@@ -31,6 +34,7 @@ from ..errors import InputError, ResourceLimitError
 from .data import Dataset, cross_validate
 
 DEFAULT_EPSILON = 0.1
+_PACKED = ("rows", "sv_counts", "sv_rows", "dual", "bias")
 
 
 def rbf_kernel(A, B, gamma: float, B_sq=None) -> np.ndarray:
@@ -139,62 +143,66 @@ def smo_solve(K, y, C, epsilon, tol=1e-3, max_iter=None):
 
 @dataclass
 class SvrModel:
-    """Per-output support vectors, dual coefficients, and bias.  Arrays that
-    do not fit together (float arrays, one support set, coefficient vector
-    and bias per output, each support vector of ``n_features`` entries and
-    one coefficient per support vector) raise ``ValueError``.
+    """Output j owns the next ``sv_counts[j]`` entries of ``sv_rows`` (its
+    support vectors, as indices into ``rows``) and of ``dual``, and
+    ``bias[j]``.  Arrays that do not fit together raise ``ValueError``, and
+    the ``cv_mse`` keys are read as floats."""
 
-    Construction also keeps the distinct support rows of all outputs, their
-    squared norms and, per output with support vectors, its columns among
-    them, so that ``predict`` computes one kernel and no norm of a support
-    row."""
-
-    support: list                 # per output: (n_sv, n_features) array
-    coef: list                    # per output: (n_sv,) dual coefficients
-    bias: np.ndarray              # per output
+    rows: np.ndarray              # (distinct rows, n_features)
+    sv_counts: np.ndarray         # (outputs,) int64
+    sv_rows: np.ndarray           # (support vectors,) int64 indices into rows
+    dual: np.ndarray              # (support vectors,) dual coefficients
+    bias: np.ndarray              # (outputs,)
     gamma: float
     epsilon: float
     C: float
     n_features: int
-    cv_mse: dict = field(default_factory=dict)
+    cv_mse: dict = field(default_factory=dict)   # C -> mean CV MSE summed over outputs
 
     def __post_init__(self):
-        bias = self.bias
-        if len(self.coef) != len(self.support) or bias.shape != (len(self.support),) or bias.dtype.kind != "f":
-            raise ValueError(
-                f"{len(self.support)} support sets, {len(self.coef)} coefficient vectors "
-                f"and a {bias.dtype} bias of shape {bias.shape}"
-            )
-        for j, (sv, coef) in enumerate(zip(self.support, self.coef)):
-            if (
-                sv.ndim != 2 or sv.shape[1] != self.n_features or coef.shape != sv.shape[:1]
-                or sv.dtype.kind != "f" or coef.dtype.kind != "f"
-            ):
-                raise ValueError(
-                    f"output {j}: {sv.dtype} support vectors {sv.shape} and {coef.dtype} "
-                    f"coefficients {coef.shape} for {self.n_features} features"
-                )
-        stacked = np.concatenate([np.zeros((0, self.n_features))] + list(self.support))
-        self._rows, inverse = np.unique(stacked, axis=0, return_inverse=True)
-        self._rows_sq = np.sum(self._rows * self._rows, axis=1)
-        cols = np.split(inverse.reshape(-1), np.cumsum([sv.shape[0] for sv in self.support])[:-1])
-        self._terms = [(j, c, coef) for j, (c, coef) in enumerate(zip(cols, self.coef)) if c.size]
+        rows, counts, sv_rows, dual, bias = self.rows, self.sv_counts, self.sv_rows, self.dual, self.bias
+        if (
+            rows.ndim != 2 or rows.shape[1] != self.n_features or rows.dtype.kind != "f"
+            or counts.ndim != 1 or counts.dtype.kind != "i" or (counts < 0).any()
+            or sv_rows.ndim != 1 or sv_rows.dtype.kind != "i" or dual.shape != sv_rows.shape
+            or dual.dtype.kind != "f" or bias.shape != counts.shape or bias.dtype.kind != "f"
+            or counts.sum() != sv_rows.size or (sv_rows < 0).any() or (sv_rows >= len(rows)).any()
+        ):
+            raise ValueError(f"{self.n_features} features and " + ", ".join(
+                f"{a.dtype} {name} {a.shape}" for name, a in zip(_PACKED, (rows, counts, sv_rows, dual, bias))))
+        self.cv_mse = {float(k): float(v) for k, v in self.cv_mse.items()}
+        self._rows_sq = np.sum(rows * rows, axis=1)
+        self._spans = [slice(e - c, e) for c, e in zip(counts.tolist(), np.cumsum(counts).tolist())]
+        self._terms = [(j, sv_rows[s], dual[s]) for j, s in enumerate(self._spans) if s.start < s.stop]
 
     @property
     def n_outputs(self) -> int:
-        return len(self.support)
+        return self.sv_counts.size
+
+    @property
+    def coef(self) -> list:
+        """Per output, its dual coefficients as a view of ``dual``."""
+        return [self.dual[s] for s in self._spans]
 
     def predict(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise InputError(f"expected (N, {self.n_features}) inputs, got {X.shape}")
         out = np.tile(self.bias, (X.shape[0], 1))
-        K = rbf_kernel(X, self._rows, self.gamma, self._rows_sq)
+        K = rbf_kernel(X, self.rows, self.gamma, self._rows_sq)
         for j, cols, coef in self._terms:
             # take gives a C-ordered block, as a kernel of its own would be, so
             # the product adds each row's terms in the same order
             out[:, j] += K.take(cols, axis=1) @ coef
         return out
+
+
+def pack_support(support, coef, n_features: int) -> dict:
+    """``SvrModel``'s arrays but ``bias`` from per-output support vectors,
+    (n_sv, n_features) arrays, and their (n_sv,) dual coefficients."""
+    rows, sv_rows = np.unique(np.concatenate([np.zeros((0, n_features)), *support]), axis=0, return_inverse=True)
+    counts = np.array([len(c) for c in coef], dtype=np.int64)
+    return dict(rows=rows, sv_counts=counts, sv_rows=sv_rows.reshape(-1), dual=np.concatenate([np.zeros(0), *coef]))
 
 
 def _fit_all_outputs(X, Y, gamma, C, epsilon) -> SvrModel:
@@ -207,10 +215,11 @@ def _fit_all_outputs(X, Y, gamma, C, epsilon) -> SvrModel:
         if not converged:
             raise ResourceLimitError(f"SMO did not converge within the iteration cap (output {j}, C={C})")
         sv = np.abs(beta) > 1e-9
-        support.append(X[sv].copy())
-        coefs.append(beta[sv].copy())
+        support.append(X[sv])
+        coefs.append(beta[sv])
         bias.append(b)
-    return SvrModel(support, coefs, np.array(bias), gamma=gamma, epsilon=epsilon, C=C, n_features=X.shape[1])
+    return SvrModel(**pack_support(support, coefs, X.shape[1]), bias=np.array(bias),
+                    gamma=gamma, epsilon=epsilon, C=C, n_features=X.shape[1])
 
 
 def fit_svr(

@@ -215,16 +215,7 @@ class RolloutReport:
 def summarize_inventory(states) -> np.ndarray:
     """Five-number summary of daily inventory levels per (hospital, age)."""
     stack = np.stack([s.units for s in states]).astype(float)
-    return np.stack(
-        [
-            stack.min(axis=0),
-            np.percentile(stack, 25, axis=0),
-            np.percentile(stack, 50, axis=0),
-            np.percentile(stack, 75, axis=0),
-            stack.max(axis=0),
-        ],
-        axis=-1,
-    )
+    return np.moveaxis(np.percentile(stack, [0, 25, 50, 75, 100], axis=0), 0, -1)
 
 
 def report_from_run(label: str, result: HorizonResult) -> RolloutReport:

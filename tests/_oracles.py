@@ -410,14 +410,20 @@ def reference_gbdt_predict(model, X):
     return out
 
 
+def support_rows(model):
+    """Per output of an ``SvrModel``, its support vectors as rows."""
+    end = np.cumsum(model.sv_counts)
+    return [model.rows[model.sv_rows[e - c : e]] for c, e in zip(model.sv_counts, end)]
+
+
 def reference_svr_predict(model, X):
     """SvrModel.predict one output at a time: each output adds to its bias
     the product of its own support vectors' kernel and its coefficients."""
     X = np.asarray(X, dtype=float)
     out = np.tile(model.bias, (X.shape[0], 1))
-    for j in range(model.n_outputs):
-        if model.support[j].shape[0]:
-            out[:, j] += rbf_kernel(X, model.support[j], model.gamma) @ model.coef[j]
+    for j, sv in enumerate(support_rows(model)):
+        if sv.shape[0]:
+            out[:, j] += rbf_kernel(X, sv, model.gamma) @ model.coef[j]
     return out
 
 

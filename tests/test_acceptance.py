@@ -313,7 +313,7 @@ def test_criterion_8_loss_effect_on_outliers():
 # the labels of the 500-day generate; a change to them must be declared
 DATASET_SHA256 = "e75d8b57a1d5e9c907195ea28df129698714f08afc86edc40b49614c4e5ade2b"
 # the gbdt-mae model fitted on them, whose losses head the benchmark; likewise
-GBDT_MAE_MODEL_SHA256 = "751539a8d5f3c37d1e505218f7b7c2ea26e4b1d542ee084a2441af64b2e5b712"
+GBDT_MAE_MODEL_SHA256 = "a9a898461d30471bdab00253fcc4c9e527508dd39a237ee30c0f8743385e77f8"
 # the five surrogates' and the oracle's rollout costs, which every predict
 # path reaches; likewise
 COMPARISON_SHA256 = "bb148d27b5fecb58e94d0b17c53de43505a698adc680fda985e3dad054be02c8"

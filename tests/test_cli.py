@@ -16,7 +16,7 @@ from surropt.report import read_dataset_csv
 from surropt.simulate import trajectory_columns
 from surropt.util import load_arrays, save_arrays
 
-GBDT_MODEL = Path(__file__).parent / "data" / "gbdt-mae-v1.surropt"
+GBDT_MODEL = Path(__file__).parent / "data" / "gbdt-mae-v2.surropt"
 
 BASE_CONFIG = {
     "version": 2,
@@ -361,7 +361,7 @@ class TestMalformedFiles:
             None,  # not a zip archive
             {"coef.npy": b""},  # no meta.json
             {"meta.json": b"{not json"},
-            {"meta.json": json.dumps({"format_version": 1, "kind": "ridge", "lambda": 1.0})},
+            {"meta.json": json.dumps({"format_version": 2, "kind": "ridge", "lam": 1.0})},
         ],
         ids=["not-zip", "no-meta", "bad-json", "missing-array"],
     )
@@ -410,25 +410,40 @@ class TestMalformedFiles:
         """The meta and arrays of a well-formed model file for BASE_CONFIG."""
         rng = np.random.default_rng(3)
         if kind == "ridge":
-            meta = {"format_version": 1, "kind": "ridge", "lambda": 1.0, "cv_mse": {}}
+            meta = {"format_version": 2, "kind": "ridge", "lam": 1.0, "cv_mse": {}}
             return meta, {"coef": rng.normal(size=(n_out, n_in + 1))}
-        meta = {"format_version": 1, "kind": "svr", "gamma": 0.02, "epsilon": 0.1, "C": 1.0,
+        meta = {"format_version": 2, "kind": "svr", "gamma": 0.02, "epsilon": 0.1, "C": 1.0,
                 "n_features": n_in, "cv_mse": {}}
-        arrays = {"bias": rng.normal(size=n_out), "sv_counts": np.full(n_out, 2, dtype=np.int64)}
-        for j in range(n_out):
-            arrays[f"sv_{j:04d}"] = rng.normal(size=(2, n_in))
-            arrays[f"coef_{j:04d}"] = rng.normal(size=2)
-        return meta, arrays
+        # two support vectors per output among 50 distinct rows
+        return meta, {
+            "rows": rng.normal(size=(50, n_in)),
+            "sv_counts": np.full(n_out, 2, dtype=np.int64),
+            "sv_rows": rng.integers(0, 50, size=2 * n_out),
+            "dual": rng.normal(size=2 * n_out),
+            "bias": rng.normal(size=n_out),
+        }
+
+    @staticmethod
+    def rollout_exit(tmp_path, capsys, model):
+        """The exit code and stderr of a rollout of the model file."""
+        config = write_config(tmp_path)
+        code = cli.main(
+            ["rollout", "--config", str(config), "--model", str(model), "--out", str(tmp_path / "r")]
+        )
+        return code, capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "kind, edit",
         [
             ("ridge", lambda a: {"coef": a["coef"][0]}),  # 1-D coef
-            ("svr", lambda a: {"coef_0000": np.append(a["coef_0000"], 1.0)}),  # one coef too many
-            ("svr", lambda a: {"sv_0000": a["sv_0000"][:, :40]}),  # 40 of 44 features
+            ("svr", lambda a: {"sv_rows": np.append(a["sv_rows"][:-1], 50)}),  # past the 50 rows
+            ("svr", lambda a: {"sv_counts": a["sv_counts"] + np.eye(136, dtype=np.int64)[0]}),
+            ("svr", lambda a: {"dual": np.ones(272, dtype=np.int64)}),  # integer duals
+            ("svr", lambda a: {"rows": a["rows"][:, :40]}),  # 40 of 44 features
             ("svr", lambda a: {"bias": a["bias"][:-1]}),  # shorter than sv_counts
         ],
-        ids=["ridge-1d-coef", "svr-long-coef", "svr-narrow-sv", "svr-short-bias"],
+        ids=["ridge-1d-coef", "svr-row-out-of-range", "svr-counts-sum", "svr-int-dual",
+             "svr-narrow-rows", "svr-short-bias"],
     )
     def test_malformed_ridge_svr_model_exit_2(self, tmp_path, capsys, kind, edit):
         meta, arrays = self.fitted_arrays(kind)
@@ -436,13 +451,28 @@ class TestMalformedFiles:
         save_arrays(model, meta, arrays)
         assert load_model(model).n_outputs == 136
         save_arrays(model, meta, {**arrays, **edit(arrays)})
-        config = write_config(tmp_path)
-        code = cli.main(
-            ["rollout", "--config", str(config), "--model", str(model), "--out", str(tmp_path / "r")]
-        )
+        code, err = self.rollout_exit(tmp_path, capsys, model)
         assert code == 2
-        err = capsys.readouterr().err
         assert err.startswith(f"error: {model}: malformed model file")
+
+    @pytest.mark.parametrize(
+        "kind, edit, message",
+        [
+            ("ridge", lambda m, a: ({**m, "format_version": 1}, a), "unsupported model format version 1"),
+            ("ridge", lambda m, a: ({**m, "lambda": 1.0}, a), "malformed model file (unknown ridge key"),
+            ("svr", lambda m, a: (m, {**a, "sv_0000": a["rows"][:2]}), "malformed model file (unknown svr key"),
+            ("svr", lambda m, a: ({**m, "rows": 1}, a), "malformed model file (unknown svr key"),
+            ("svr", lambda m, a: ({k: v for k, v in m.items() if k != "C"}, a), "model file lacks 'C'"),
+            ("svr", lambda m, a: (m, {k: v for k, v in a.items() if k != "dual"}), "model file lacks 'dual'"),
+        ],
+        ids=["version-1", "unknown-key", "unknown-member", "array-in-header", "missing-key", "missing-member"],
+    )
+    def test_model_file_outside_format_2_exit_2(self, tmp_path, capsys, kind, edit, message):
+        model = tmp_path / f"model-{kind}.surropt"
+        save_arrays(model, *edit(*self.fitted_arrays(kind)))
+        code, err = self.rollout_exit(tmp_path, capsys, model)
+        assert code == 2
+        assert err.startswith(f"error: {model}: {message}")
 
 
 class TestSurface:

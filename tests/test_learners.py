@@ -1,7 +1,6 @@
 import itertools
 import math
-from dataclasses import replace
-from pathlib import Path
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,9 +22,12 @@ from surropt.learners import (
 from surropt.learners.data import cross_validate
 from surropt.learners.gbdt import PACKED, GbdtModel, GbdtParams, Tree, _left_sums, _on_grid
 from surropt.learners.ridge import solve_ridge
-from surropt.learners.svr import SvrModel, rbf_kernel, scale_gamma, smo_solve
+from surropt.learners.store import KINDS
+from surropt.learners.svr import SvrModel, pack_support, rbf_kernel, scale_gamma, smo_solve
 from surropt.losses import LossSpec, loss_value
+from surropt.util import load_arrays
 
+from _fixtures import DATA, FORMAT_FIXTURES, LOSSES, format_fixture_model
 from _oracles import (
     apply_tree,
     dual_objective,
@@ -35,15 +37,8 @@ from _oracles import (
     reference_fit_gbdt,
     reference_gbdt_predict,
     reference_svr_predict,
+    support_rows,
 )
-
-# GBDT model files written by the tree-by-tree grower, before the forest was
-# packed in memory (mae); the huber file was written once the Huber leaf value
-# became the exact root (bisection moved it in the last bits), and the mse
-# file once the gradients went on the exact grid.  The fitting recipe is
-# format_fixture_model below.
-GBDT_FORMAT_FIXTURES = Path(__file__).parent / "data"
-LOSSES = [LossSpec("mse"), LossSpec("mae"), LossSpec("huber", 1.0)]
 
 
 def make_dataset(rng, n=80, p=5, q=3, fn=None):
@@ -412,14 +407,6 @@ def probe_rows(model, n, rng):
     return X
 
 
-def format_fixture_model(loss=LossSpec("mae")):
-    rng = np.random.default_rng(60)
-    X = rng.normal(size=(60, 4))
-    Y = np.column_stack([np.abs(X[:, 0] + X[:, 1]), np.full(60, 1.5), np.abs(np.sin(2 * X[:, 2]))])
-    params = GbdtParams(n_iterations=6, max_depth=3, min_child_weight=1, subsample=0.7)
-    return fit_gbdt(Dataset(X, Y, np.arange(60)), params, loss, seed=4)
-
-
 class TestGbdtPredict:
     """The packed forest predicts the same bits as adding trees one by one."""
 
@@ -673,7 +660,7 @@ class TestSvr:
         data = Dataset(X, np.full((30, 1), 4.5), np.arange(30))
         model = fit_svr(data, C=1.0, epsilon=0.1)
         assert model.bias[0] == pytest.approx(4.5, abs=1e-9)
-        assert model.support[0].shape[0] == 0
+        assert model.sv_counts[0] == 0
         assert np.allclose(model.predict(X), 4.5)
 
     def test_sine_fit_and_pg_oracle(self):
@@ -712,7 +699,7 @@ class TestSvr:
         solve_with(monkeypatch, tol=1e-4)
         model = fit_svr(data, C=10.0, epsilon=eps)
         pred = model.predict(X)[:, 0]
-        sv_rows = {tuple(r) for r in model.support[0]}
+        sv_rows = {tuple(r) for r in support_rows(model)[0]}
         outside = [
             abs(pred[i] - y[i]) for i in range(50) if tuple(X[i]) not in sv_rows
         ]
@@ -800,16 +787,16 @@ class TestSvrPredict:
         rng = np.random.default_rng(71)
         pool = rng.integers(-3, 4, size=(6, p)).astype(float)
         return SvrModel(
-            support=[pool[list(k)].reshape(-1, p) for k in picks],
-            coef=[rng.normal(size=len(k)) for k in picks],
+            **pack_support([pool[list(k)].reshape(-1, p) for k in picks],
+                           [rng.normal(size=len(k)) for k in picks], p),
             bias=rng.normal(size=len(picks)),
             gamma=0.3, epsilon=0.1, C=1.0, n_features=p,
         )
 
     def models(self):
         fitted = fit_svr(self.whole_dataset(np.random.default_rng(70)), C=2.0, epsilon=0.1)
-        sizes = [sv.shape[0] for sv in fitted.support]
-        distinct = np.unique(np.concatenate(fitted.support), axis=0).shape[0]
+        sizes = [sv.shape[0] for sv in support_rows(fitted)]
+        distinct = np.unique(np.concatenate(support_rows(fitted)), axis=0).shape[0]
         assert sizes[0] == 0 and min(sizes[1:]) > 0 and distinct < sum(sizes)
         return [
             fitted,
@@ -897,8 +884,8 @@ class TestSerialization:
     @pytest.mark.parametrize("kind", ["gbdt", "svr"])
     def test_reloaded_model_rebuilds_its_derived_state(self, kind, tmp_path):
         """A loaded model rebuilds what its constructor derives (the GBDT's
-        cells, child table and term row; the SVR's support rows and their
-        norms) and predicts the saved model's bits, one row or many."""
+        cells, child table and term row; the SVR's row norms and per-output
+        spans) and predicts the saved model's bits, one row or many."""
         rng = np.random.default_rng(44)
         data = make_dataset(rng, n=80)
         if kind == "gbdt":
@@ -919,7 +906,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.kind)
     def test_gbdt_file_format_unchanged(self, tmp_path, loss):
-        fixture = GBDT_FORMAT_FIXTURES / f"gbdt-{loss.kind}-v1.surropt"
+        fixture = DATA / f"gbdt-{loss.kind}-v2.surropt"
         model = load_model(fixture)
         assert model.loss == loss
         X = probe_rows(model, 37, np.random.default_rng(42))
@@ -928,6 +915,32 @@ class TestSerialization:
             path = tmp_path / f"again-{i}.surropt"
             save_model(path, source)
             assert path.read_bytes() == fixture.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["ridge", "svr"])
+    def test_ridge_svr_file_format_unchanged(self, tmp_path, kind):
+        fixture = DATA / f"{kind}-v2.surropt"
+        model, fitted = load_model(fixture), FORMAT_FIXTURES[fixture.name]()
+        assert model.cv_mse == fitted.cv_mse and all(type(k) is float for k in model.cv_mse)
+        X = np.random.default_rng(43).integers(-1, 5, size=(37, model.n_features)).astype(float)
+        assert same_bits(model.predict(X), fitted.predict(X))
+        if kind == "svr":
+            assert same_bits(model.predict(X), reference_svr_predict(model, X))
+        for i, source in enumerate((model, fitted)):
+            path = tmp_path / f"again-{i}.surropt"
+            save_model(path, source)
+            assert path.read_bytes() == fixture.read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(FORMAT_FIXTURES))
+    def test_file_holds_the_model_fields(self, name):
+        """Every header key but format_version and kind names a field that is
+        not an array, and every member an array field, of the file's kind."""
+        meta, arrays = load_arrays(DATA / name)
+        model = load_model(DATA / name)
+        assert type(model) is KINDS[meta.pop("kind")] and meta.pop("format_version") == 2
+        values = {f.name: getattr(model, f.name) for f in fields(model)}
+        assert set(meta) | set(arrays) == set(values) and not set(meta) & set(arrays)
+        for key, value in values.items():
+            assert isinstance(value, np.ndarray) == (key in arrays), key
 
     def test_save_is_deterministic(self, tmp_path):
         rng = np.random.default_rng(41)
