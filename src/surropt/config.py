@@ -43,40 +43,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import sys
 
 from .demand import ZinbParams
 from .errors import ConfigError, InputError
 from .pipeline import ExperimentConfig
 from .simulate import InventoryState
 from .two_stage import SaaConfig
+from .util import coerce
 
 CONFIG_VERSION = 2
-
-_EXPECTED = {"int": "an integer", "float": "a finite number", "str": "a string"}
-
-
-def _coerce(value, kind: str, where: str):
-    """``value`` checked against a declared field type such as ``"int"`` or
-    ``"float | None"``: an int takes a JSON integer (not a bool), a float a
-    finite number, a str a string, a tuple a nonempty list of finite numbers."""
-    options = kind.split(" | ")
-    if value is None and "None" in options:
-        return None
-    if "tuple" in options and (isinstance(value, list) or options == ["tuple"]):
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"{where}: expected a nonempty list of numbers, got {value!r:.60}")
-        return tuple(_coerce(v, "float", f"{where}[{k}]") for k, v in enumerate(value))
-    kind = options[0]
-    if not isinstance(value, bool):
-        if kind == "int" and isinstance(value, int):
-            return value
-        if kind == "float" and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
-            return float(value)
-        if kind == "str" and isinstance(value, str):
-            return value
-    raise ConfigError(f"{where}: expected {_EXPECTED[kind]}, got {value!r:.60}")
-
 
 def _object(obj, where: str) -> dict:
     if not isinstance(obj, dict):
@@ -110,7 +85,7 @@ def _build(cls, obj, where: str, **given):
         elif dataclasses.is_dataclass(f.default):
             given[f.name] = _build(type(f.default), obj[f.name], key)
         else:
-            given[f.name] = _coerce(obj[f.name], f.type, key)
+            given[f.name] = coerce(obj[f.name], f.type, key, ConfigError)
     return _construct(cls, where, **given)
 
 
@@ -121,7 +96,7 @@ def _inventory(grid, where: str) -> InventoryState:
     if len({len(row) for row in grid}) > 1:
         raise ConfigError(f"{where}: hospital rows differ in length")
     rows = [
-        [_coerce(v, "int", f"{where}[{i}][{a}]") for a, v in enumerate(row)]
+        [coerce(v, "int", f"{where}[{i}][{a}]", ConfigError) for a, v in enumerate(row)]
         for i, row in enumerate(grid)
     ]
     # the state's one count rule judges them: from 2**63 up, numpy reads a
@@ -131,7 +106,7 @@ def _inventory(grid, where: str) -> InventoryState:
 
 def parse_config(obj, where: str = "config") -> ExperimentConfig:
     obj = _object(obj, where)
-    version = _coerce(obj.pop("version", CONFIG_VERSION), "int", f"{where}.version")
+    version = coerce(obj.pop("version", CONFIG_VERSION), "int", f"{where}.version", ConfigError)
     if version != CONFIG_VERSION:
         raise ConfigError(f"{where}.version: unsupported version {version}")
     if "hospitals" not in obj:

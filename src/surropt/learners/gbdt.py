@@ -35,12 +35,13 @@ NeurIPS 2017), exact as well.  The trees are, bit for bit, those of
 growing each output's tree alone, node by node, with or without the
 sibling rule.  Each output draws its rows, then its features, from its own
 stream; the best split is the first maximum over the cells, feature by
-feature in ascending threshold; one ``leaf_optimal_value`` call per level
-values all its leaves, each ``eta`` times the constant of its own
-residuals alone, so a leaf's value does not depend on which leaves share
-its level; every row, sampled or not, goes left by its entry of that
-matrix at the split's cell; and each tree's nodes are numbered
-depth-first, left subtree first.
+feature in ascending threshold; every row, sampled or not, goes left by
+its entry of that matrix at the split's cell; and each tree's nodes are
+numbered depth-first, left subtree first.  After the round's last level,
+one ``leaf_optimal_value`` call values all its leaves, each ``eta`` times
+the constant of its own sampled residuals alone, so a leaf's value does
+not depend on which leaves share its round; one call before the first
+round gives every output's base.
 
 A fitted forest is packed into the flat arrays of the model file.
 Prediction first compares each row once with every cell of the forest, a
@@ -166,11 +167,17 @@ def _grow_round(cells, left_of, rows, feats, g, hess, residual, loss, params):
     sample = (np.arange(n_trees)[:, None] * n + rows).ravel()
     # each (tree, row)'s node in the level, or the level's size past a leaf
     at = np.repeat(np.arange(n_trees), n).reshape(n_trees, n)
-    leaf_value, levels, owner = np.empty((n_trees, n)), [], np.arange(n_trees)
+    levels, owner = [], np.arange(n_trees)
+    # the round's leaves are numbered level by level; each (tree, row)'s leaf,
+    # and each leaf's sampled residuals and their count
+    leaf_of, residuals, counts = np.full((n_trees, n), -1), [], []
+    left_flat, row_start = left_of.ravel(), np.arange(n) * left_of.shape[1]
     while size := owner.size:
-        # the sampled rows grouped by node, ascending within a node
-        count = np.bincount(at.ravel()[sample], minlength=size + 1)[:size]
-        order = sample[np.argsort(at.ravel()[sample], kind="stable")[: count.sum()]]
+        # the sampled rows grouped by node, ascending within a node; numpy
+        # sorts node numbers of 8 or 16 bits stably by radix
+        key = at.ravel()[sample]
+        count = np.bincount(key, minlength=size + 1)[:size]
+        order = sample[np.argsort(key.astype(np.min_scalar_type(size)), kind="stable")[: count.sum()]]
         node, row = at.ravel()[order], order % n
         e_g, e_res = g.ravel()[order], residual.ravel()[order]
         # each node's split cell; a node past a leaf or not split keeps cell 0
@@ -210,19 +217,28 @@ def _grow_round(cells, left_of, rows, feats, g, hess, residual, loss, params):
             best[grow] = np.argmax(gain, axis=1)
             split[grow] = gain[np.arange(grow.size), best[grow]] > _GAIN_TOL
             kept = hist[split[grow]]
-        # one call values every leaf of the level, each from its own rows
-        leaf, value = np.flatnonzero(~split[:-1]), np.zeros(size + 1)
-        value[leaf] = params.eta * leaf_optimal_value(loss, e_res[~split[node]], count[leaf])
+        # each node's leaf number, or -1
+        leaf, number = np.flatnonzero(~split[:-1]), np.full(size + 1, -1)
+        number[leaf] = np.arange(leaf.size) + sum(c.size for c in counts)
+        residuals.append(e_res[~split[node]])
+        counts.append(count[leaf])
         hit = np.flatnonzero(split)
         feature, threshold = np.full(size, -1, np.int32), np.zeros(size)
         feature[hit], threshold[hit] = cell_feature[best[hit]], cell_threshold[best[hit]]
-        levels.append((owner, split[:-1], feature, threshold, value[:-1]))
-        # every row moves on, sampled or not, right unless x <= the threshold
-        np.copyto(leaf_value, value[at], where=(at < size) & ~split[at])
-        right = left_of[np.arange(n), best[at]] == 0.0
-        at = np.where(split[at], (2 * np.cumsum(split) - 2)[at] + right, 2 * hit.size)
+        levels.append((owner, split[:-1], feature, threshold, number[:-1]))
+        # each (tree, row) reaches one leaf, at one level
+        np.maximum(leaf_of, number[at], out=leaf_of)
+        # every row moves on, sampled or not, right unless x <= the threshold;
+        # past a leaf, or at one, to the next level's size
+        first = np.where(split, 2 * np.cumsum(split) - 2, 2 * hit.size)
+        at = first.take(at) + (split.take(at) > left_flat.take(row_start + best.take(at)))
         owner = np.repeat(owner[hit], 2)
-    return _preorder(levels, n_trees) + (leaf_value,)
+    # one call values every leaf of the round, each from its own rows; a
+    # split's value, at number -1, is 0
+    value = params.eta * leaf_optimal_value(loss, np.concatenate(residuals), np.concatenate(counts))
+    value = np.append(value, 0.0)
+    levels = [level[:4] + (value[level[4]],) for level in levels]
+    return _preorder(levels, n_trees) + (value[leaf_of],)
 
 
 def _preorder(levels, n_trees):
@@ -364,7 +380,7 @@ def fit_gbdt(data: Dataset, params: GbdtParams, loss: LossSpec, seed: int = 0) -
     # predict's comparison x <= threshold, once per (row, cell), 1.0 in place
     left_of = data.X[:, cells[0]]
     np.less_equal(left_of, cells[1], out=left_of)
-    base = np.array([leaf_optimal_value(loss, y) for y in Y], dtype=float)
+    base = leaf_optimal_value(loss, Y.ravel(), np.full(data.n_outputs, n))
     pred = np.repeat(base[:, None], n, axis=1)
     rngs = [stream(seed, TAG_LEARNER, j) for j in range(data.n_outputs)]
     n_rows = max(1, int(round(params.subsample * n)))

@@ -84,16 +84,17 @@ def smo_solve(K, y, C, epsilon, tol=1e-3, max_iter=None):
         max_iter = max(20_000, 300 * n)
     a = np.zeros(2 * n)                       # stacked multipliers, box [0, C]
     z = np.concatenate([np.ones(n), -np.ones(n)])
-    p = np.concatenate([epsilon - y, epsilon + y])
-    G = p.copy()                              # gradient of the dual objective
+    # -z times the gradient of the dual objective, kept across iterations:
+    # negation is exact, so -(G + x) is -G - x
+    zg = -z * np.concatenate([epsilon - y, epsilon + y])
     sample = np.concatenate([np.arange(n), np.arange(n)])
+    # who may move up or down; only a[i] and a[j] change, so only they are redone
+    up = ((z > 0) & (a < C - 1e-12)) | ((z < 0) & (a > 1e-12))
+    low = ((z > 0) & (a > 1e-12)) | ((z < 0) & (a < C - 1e-12))
 
     it = 0
     converged = False
     while it < max_iter:
-        zg = -z * G
-        up = ((z > 0) & (a < C - 1e-12)) | ((z < 0) & (a > 1e-12))
-        low = ((z > 0) & (a > 1e-12)) | ((z < 0) & (a < C - 1e-12))
         if not up.any() or not low.any():
             converged = True
             break
@@ -120,21 +121,22 @@ def smo_solve(K, y, C, epsilon, tol=1e-3, max_iter=None):
             break
         a[i] += z[i] * t
         a[j] -= z[j] * t
-        # gradient update: dG_t = z_t * t * (K[sample(t), si] - K[sample(t), sj])
-        col = K[:, si] - K[:, sj]
-        G[:n] += col * t
-        G[n:] -= col * t
+        for k in (i, j):
+            inner, outer = a[k] < C - 1e-12, a[k] > 1e-12
+            up[k], low[k] = (inner, outer) if z[k] > 0 else (outer, inner)
+        # dG_t = z_t * t * (K[sample(t), si] - K[sample(t), sj]), so each half
+        # of -z G falls by t (K[:, si] - K[:, sj])
+        step = (K[:, si] - K[:, sj]) * t
+        zg[:n] -= step
+        zg[n:] -= step
         it += 1
 
     beta = a[:n] - a[n:]
     # bias from free multipliers, else midpoint of the KKT interval
-    zg = -z * G
     free = (a > 1e-9) & (a < C - 1e-9)
     if free.any():
         b = float(np.mean(zg[free]))
     else:
-        up = ((z > 0) & (a < C - 1e-12)) | ((z < 0) & (a > 1e-12))
-        low = ((z > 0) & (a > 1e-12)) | ((z < 0) & (a < C - 1e-12))
         hi = np.max(np.where(up, zg, -np.inf)) if up.any() else 0.0
         lo = np.min(np.where(low, zg, np.inf)) if low.any() else 0.0
         b = float((hi + lo) / 2.0)

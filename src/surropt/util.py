@@ -1,4 +1,5 @@
-"""Shared plumbing: seeded RNG streams, deterministic archives, config digests.
+"""Shared plumbing: seeded RNG streams, deterministic archives, typed JSON
+values, config digests.
 
 All randomness in the package flows through :func:`stream` so that every
 consumer owns an independent, reproducible generator derived from a single
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 import zipfile
 
 import numpy as np
@@ -67,6 +69,35 @@ def load_arrays(path):
     if not isinstance(meta, dict):
         raise InputError(f"{path}: meta.json must hold a JSON object")
     return meta, arrays
+
+
+_EXPECTED = {"int": "an integer", "float": "a finite number", "str": "a string", "dict": "a JSON object"}
+
+
+def coerce(value, kind: str, where: str, error: type):
+    """A JSON ``value`` checked against a declared field type such as
+    ``"int"`` or ``"float | None"``, or ``error`` naming ``where``: an int
+    takes a JSON integer (not a bool), a float a finite number, a str a
+    string, a dict an object, a tuple a nonempty list of finite numbers.
+    The config file and the model file headers are both read by it."""
+    options = kind.split(" | ")
+    if value is None and "None" in options:
+        return None
+    if "tuple" in options and (isinstance(value, list) or options == ["tuple"]):
+        if not isinstance(value, list) or not value:
+            raise error(f"{where}: expected a nonempty list of numbers, got {value!r:.60}")
+        return tuple(coerce(v, "float", f"{where}[{k}]", error) for k, v in enumerate(value))
+    kind = options[0]
+    if not isinstance(value, bool):
+        if kind == "int" and isinstance(value, int):
+            return value
+        if kind == "float" and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
+            return float(value)
+        if kind == "str" and isinstance(value, str):
+            return value
+        if kind == "dict" and isinstance(value, dict):
+            return value
+    raise error(f"{where}: expected {_EXPECTED[kind]}, got {value!r:.60}")
 
 
 def config_digest(obj) -> str:

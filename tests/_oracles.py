@@ -13,10 +13,11 @@ one-output, one-node-at-a-time recursive tree growth on its own
 searchsorted bins instead of the level-wise GBDT grower and its threshold
 comparisons, rational arithmetic instead of the integer quotients of the
 largest-remainder repair, bisection of the Huber leaf constant instead of
-the exact breakpoint search, one day and one scenario at a time with a
-slot-by-slot issuing loop instead of the batched day-cycle kernel, and one
-fold at a time on index arrays instead of the shared cross-validation
-loop.  The label replay rolls stored labels through the simulator so a
+the exact root, the rank bisection over each segment's merged and sorted
+Huber breakpoints instead of a checked guess of the bracket, one day and
+one scenario at a time with a slot-by-slot issuing loop instead of the
+batched day-cycle kernel, and one fold at a time on index arrays instead
+of the shared cross-validation loop.  The label replay rolls stored labels through the simulator so a
 test can check that they reproduce the oracle run's costs, and
 ``nonnegative_form`` writes an LP with variable bounds and a sense in the
 solver's nonnegative-min form.
@@ -391,6 +392,38 @@ def reference_huber_leaf(residuals, delta):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def reference_huber_roots(residuals, counts, delta):
+    """Each segment's Huber leaf constant by the rank bisection over its
+    merged, sorted breakpoints: the 2 * count values r - delta and r +
+    delta of a segment are sorted together, and their ranks are bisected,
+    keeping F(bp[lo]) > 0 >= F(bp[hi]) for F(c) = sum clip(r - c, -delta,
+    delta), each segment's terms added in sorted order.  The exact root is
+    then solved on the piece (bp[lo], bp[hi]), where F is linear."""
+    r, counts, d = np.asarray(residuals, dtype=float), np.asarray(counts, dtype=np.int64), delta
+    n, start = counts.size, np.cumsum(counts) - counts
+    seg = np.repeat(np.arange(n), counts)
+    s = r[np.lexsort((r, seg))]
+    bp = np.concatenate([s - d, s + d])
+    bp = bp[np.lexsort((bp, np.concatenate([seg, seg])))]
+    # F is count * d at the first breakpoint and -count * d at the last
+    lo, hi = 2 * start, 2 * (start + counts) - 1
+    while (hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        above = np.bincount(seg, np.clip(s - bp[mid][seg], -d, d), minlength=n) > 0
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    a, b = bp[lo], bp[hi]
+    below, over = s + d <= a[seg], s - d >= b[seg]
+    n_below, n_over = np.bincount(seg[below], minlength=n), np.bincount(seg[over], minlength=n)
+    ref = s[start + np.minimum(n_below, counts - 1)]
+    dev = np.bincount(seg, np.where(below | over, 0.0, s - ref[seg]), minlength=n)
+    inside = np.maximum(counts - n_below - n_over, 1)
+    root = np.clip(ref + (d * (n_over - n_below) + dev) / inside, a, b)
+    # a flat stretch of roots: its left end
+    half = start + counts // 2
+    left, right = s[half - 1] + d, s[half] - d
+    return np.where((counts % 2 == 0) & (left < right), left, root)
 
 
 def reference_gbdt_predict(model, X):

@@ -314,6 +314,11 @@ def test_criterion_8_loss_effect_on_outliers():
 DATASET_SHA256 = "e75d8b57a1d5e9c907195ea28df129698714f08afc86edc40b49614c4e5ade2b"
 # the gbdt-mae model fitted on them, whose losses head the benchmark; likewise
 GBDT_MAE_MODEL_SHA256 = "a9a898461d30471bdab00253fcc4c9e527508dd39a237ee30c0f8743385e77f8"
+# the gbdt-mse, gbdt-huber and SVR models fitted on them, which pin the leaf
+# values and the SMO path; likewise
+GBDT_MSE_MODEL_SHA256 = "6319c0f6dc51da9948361b7507e94b0911ac0d7eaaa809d3030cfc04956d7c10"
+GBDT_HUBER_MODEL_SHA256 = "6a980a0b28980177b9e749ba5fbe6e6468452f31bf87357918f2558776814724"
+SVR_MODEL_SHA256 = "3d4cf863107f4628f8ceea2b359d439b40fc99eeca4388672dbc8de95f540702"
 # the five surrogates' and the oracle's rollout costs, which every predict
 # path reaches; likewise
 COMPARISON_SHA256 = "bb148d27b5fecb58e94d0b17c53de43505a698adc680fda985e3dad054be02c8"
@@ -327,6 +332,15 @@ def test_dataset_labels_pinned(artifacts):
 def test_gbdt_mae_model_pinned(artifacts):
     digest = hashlib.sha256((artifacts["out"] / "model-gbdt-mae.surropt").read_bytes()).hexdigest()
     assert digest == GBDT_MAE_MODEL_SHA256
+
+
+@pytest.mark.parametrize(
+    "name, pinned",
+    [("gbdt-mse", GBDT_MSE_MODEL_SHA256), ("gbdt-huber", GBDT_HUBER_MODEL_SHA256), ("svr", SVR_MODEL_SHA256)],
+)
+def test_model_pinned(artifacts, name, pinned):
+    digest = hashlib.sha256((artifacts["out"] / f"model-{name}.surropt").read_bytes()).hexdigest()
+    assert digest == pinned
 
 
 def test_comparison_pinned(artifacts):

@@ -475,6 +475,52 @@ class TestMalformedFiles:
         assert err.startswith(f"error: {model}: {message}")
 
 
+    @pytest.mark.parametrize(
+        "kind, edit, message",
+        [
+            ("gbdt", lambda m: {**m, "seed": 4.7}, "seed: expected an integer, got 4.7"),
+            ("gbdt", lambda m: {**m, "n_features": 4.9}, "n_features: expected an integer, got 4.9"),
+            ("gbdt", lambda m: {**m, "params": {**m["params"], "max_depth": 4.5}},
+             "params.max_depth: expected an integer, got 4.5"),
+            ("gbdt", lambda m: {**m, "loss": {**m["loss"], "delta": "1.0"}},
+             "loss.delta: expected a finite number, got '1.0'"),
+            ("gbdt", lambda m: {**m, "params": [1]}, "params: expected a JSON object, got [1]"),
+            ("svr", lambda m: {**m, "gamma": True}, "gamma: expected a finite number, got True"),
+            ("svr", lambda m: {**m, "C": "2.5"}, "C: expected a finite number, got '2.5'"),
+            ("svr", lambda m: {**m, "cv_mse": []}, "cv_mse: expected a JSON object, got []"),
+            ("ridge", lambda m: {**m, "lam": float("nan")}, "lam: expected a finite number, got nan"),
+            # the right type out of its range: the file is named as well
+            ("gbdt", lambda m: {**m, "params": {**m["params"], "max_depth": 0}}, "max_depth must be >= 1"),
+            ("gbdt", lambda m: {**m, "loss": {**m["loss"], "kind": "quantile"}},
+             "unknown loss kind 'quantile'; valid kinds: mse, mae, huber"),
+        ],
+        ids=["gbdt-float-seed", "gbdt-float-features", "gbdt-float-depth", "gbdt-string-delta",
+             "gbdt-list-params", "svr-bool-gamma", "svr-string-C", "svr-list-cv", "ridge-nan-lambda",
+             "gbdt-zero-depth", "gbdt-unknown-loss"],
+    )
+    def test_header_value_of_the_wrong_type_exit_2(self, tmp_path, capsys, kind, edit, message):
+        """Every header value, those of the params and loss objects too, is
+        read by the config file's type rule: no bool, string or fraction
+        passes for a number or an integer.  Each error names the file."""
+        meta, arrays = load_arrays(GBDT_MODEL) if kind == "gbdt" else self.fitted_arrays(kind)
+        model = tmp_path / f"model-{kind}.surropt"
+        save_arrays(model, meta, arrays)
+        assert load_model(model)
+        save_arrays(model, edit(meta), arrays)
+        code, err = self.rollout_exit(tmp_path, capsys, model)
+        assert code == 2
+        assert err.startswith(f"error: {model}: malformed model file ({message})")
+
+    @pytest.mark.parametrize("version", [2.0, True, "2"])
+    def test_format_version_of_the_wrong_type_exit_2(self, tmp_path, capsys, version):
+        meta, arrays = self.fitted_arrays("ridge")
+        model = tmp_path / "model-ridge.surropt"
+        save_arrays(model, {**meta, "format_version": version}, arrays)
+        code, err = self.rollout_exit(tmp_path, capsys, model)
+        assert code == 2
+        assert err.startswith(f"error: {model}: unsupported model format version {version}")
+
+
 class TestSurface:
     """The console script, the subcommands ``--help`` lists and the module
     doc describe one command-line surface."""

@@ -13,6 +13,7 @@ from surropt.learners import (
     fit_gbdt,
     fit_ridge,
     fit_svr,
+    gbdt,
     kfold_split,
     load_model,
     save_model,
@@ -589,6 +590,27 @@ class TestGbdtGrower:
         # gridded gradient sums are exact, so a parent less its sibling is the
         # sum a direct count gives under every loss
         self.assert_grid_matches(loss, False, subsample, colsample, max_depth)
+
+    @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.kind)
+    def test_one_leaf_value_call_per_round(self, loss, monkeypatch):
+        """One ``leaf_optimal_value`` call values the bases of all outputs,
+        and one more every leaf of a round, whatever its depth."""
+        calls = []
+        real = gbdt.leaf_optimal_value
+        monkeypatch.setattr(gbdt, "leaf_optimal_value", lambda *a: calls.append(a) or real(*a))
+        data = self.data()
+        params = GbdtParams(eta=1.0, n_iterations=5, max_depth=3, min_child_weight=2)
+        model = fit_gbdt(data, params, loss, seed=7)
+        # output 0 grows no trees and output 1 stops early, so the other
+        # outputs' tree counts are the rounds grown
+        assert model.tree_counts.tolist()[:2] == [0, 1] and model.tree_counts.max() == 5
+        assert len(calls) == 1 + model.tree_counts.max()
+        assert calls[0][2].tolist() == [data.n_rows] * data.n_outputs
+        for k, (_, residuals, counts) in enumerate(calls[1:]):
+            # every leaf of round k's trees, each with its sampled rows
+            trees = [ensemble[k] for ensemble in model.ensembles if len(ensemble) > k]
+            assert counts.size == sum(int((tree.feature == -1).sum()) for tree in trees)
+            assert counts.sum() == residuals.size == len(trees) * round(0.7 * data.n_rows)
 
     @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.kind)
     def test_level_with_no_counted_node(self, loss):

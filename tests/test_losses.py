@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surropt.errors import ConfigError, InputError
 from surropt.losses import LossSpec, leaf_optimal_value, loss_grad_hess, loss_value
 
-from _oracles import central_difference, reference_huber_leaf
+from _oracles import central_difference, reference_huber_leaf, reference_huber_roots
 
 
 def test_huber_quadratic_branch():
@@ -131,6 +135,39 @@ def test_input_validation():
         LossSpec("huber", 0.0)
 
 
+@pytest.mark.parametrize("kind", ["mse", "mae", "huber"])
+@pytest.mark.parametrize(
+    "residuals, counts",
+    [
+        ([1.0, np.inf], None),
+        ([1.0, np.nan, 2.0], [2, 1]),
+        ([1.0, 2.0], [1]),  # one residual left over
+        ([1.0, 2.0], [0, 2]),  # an empty segment
+        ([1.0, 2.0], [3, -1]),
+        ([1.0, 2.0], [1.5, 0.5]),
+        ([1.0, 2.0], [True, True]),
+        ([1.0, 2.0], [[2]]),
+        ([[1.0], [2.0]], [2]),
+        (3.0, None),
+    ],
+    ids=["inf", "nan", "short-counts", "zero-count", "negative-count", "fractional-counts",
+         "bool-counts", "2d-counts", "2d-residuals", "scalar"],
+)
+def test_leaf_value_inputs_checked(kind, residuals, counts):
+    """Non-finite residuals, or counts that are not positive integers adding
+    up to the residual count, raise InputError, with no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError):
+            leaf_optimal_value(LossSpec(kind), residuals, counts)
+
+
+def test_leaf_value_of_no_segments():
+    for kind in ("mse", "mae", "huber"):
+        out = leaf_optimal_value(LossSpec(kind), [], np.zeros(0, dtype=np.int64))
+        assert out.dtype == float and out.shape == (0,)
+
+
 def huber_sets(rng, count):
     """(residuals, delta) of sizes 1-300: normal at three scales, rounded to
     0.1 and to whole numbers (ties, and roots on breakpoints), and Cauchy."""
@@ -198,6 +235,74 @@ def test_mae_leaf_has_median_bits():
         r = rng.normal(size=int(rng.integers(1, 200))) * 3
         r = np.round(r, 1) if i % 2 else r
         assert leaf_optimal_value(LossSpec("mae"), r) == np.median(r)
+
+
+def huber_segments(rng, count):
+    """(residuals, counts, delta) of up to 40 segments of 1-60 residuals:
+    delta from 1e-3 to 5 and scales from 1e-3 to 1e6, log-uniform; normal,
+    whole-number (ties, roots on breakpoints), on the delta grid (roots on
+    breakpoints), five distinct values (long ties), Cauchy, and two far
+    clusters, whose even segments are flat stretches."""
+    for i in range(count):
+        counts = rng.integers(1, 61, size=int(rng.integers(1, 41)))
+        counts[rng.random(counts.size) < 0.2] = 1
+        delta, scale = 10 ** rng.uniform(-3, np.log10(5)), 10 ** rng.uniform(-3, 6)
+        r = rng.normal(size=counts.sum()) * scale
+        r = (
+            r, np.round(r), np.round(r / delta) * delta,
+            rng.choice(np.round(rng.normal(size=5) * scale), size=r.size),
+            rng.standard_cauchy(r.size) * scale,
+            r * 1e-3 + np.where(rng.random(r.size) < 0.5, -scale, scale) - 3 * delta,
+        )[i % 6]
+        yield r, counts, delta
+
+
+def test_huber_roots_match_rank_bisection():
+    """The checked guess finds, bit for bit, the bracket and root of the
+    rank bisection over merged, sorted breakpoints."""
+    rng = np.random.default_rng(13)
+    flats = singles = 0
+    for r, counts, delta in huber_segments(rng, 600):
+        got = leaf_optimal_value(LossSpec("huber", delta), r, counts)
+        assert got.tobytes() == reference_huber_roots(r, counts, delta).tobytes(), (counts, delta)
+        singles += int((counts == 1).sum())
+        for segment in np.split(r, np.cumsum(counts)[:-1]):
+            flats += flat_stretch(segment, delta) is not None
+    assert flats >= 200 and singles >= 1000
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    segments=st.lists(
+        st.lists(
+            st.one_of(
+                st.floats(-1e6, 1e6, allow_nan=False),
+                st.integers(-50, 50).map(float),
+                st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+            ),
+            min_size=1, max_size=30,
+        ),
+        min_size=1, max_size=8,
+    ),
+    delta=st.one_of(st.floats(1e-3, 5.0), st.sampled_from([1e-3, 0.5, 1.0, 5.0])),
+)
+def test_huber_roots_match_rank_bisection_drawn(segments, delta):
+    r, counts = np.concatenate([np.array(x) for x in segments]), [len(x) for x in segments]
+    got = leaf_optimal_value(LossSpec("huber", delta), r, counts)
+    assert got.tobytes() == reference_huber_roots(r, counts, delta).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(segments=st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), min_size=1, max_size=9),
+                         min_size=1, max_size=6))
+def test_mae_leaf_sorts_like_lexsort(segments):
+    """Each segment is sorted as a stable sort would: tied zeros keep their
+    signs in the given order, so the midpoint keeps its sign bit."""
+    r, counts = np.concatenate([np.array(x) for x in segments]), np.array([len(x) for x in segments])
+    start = np.cumsum(counts) - counts
+    s = r[np.lexsort((r, np.repeat(np.arange(counts.size), counts)))]
+    want = 0.5 * (s[start + (counts - 1) // 2] + s[start + counts // 2])
+    assert leaf_optimal_value(LossSpec("mae"), r, counts).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("spec", [LossSpec("mse"), LossSpec("mae"), LossSpec("huber", 0.7)],
