@@ -1,18 +1,18 @@
 """Experiment configuration: a single versioned JSON file.
 
-The JSON layout is the ``ExperimentConfig`` dataclass tree.  Each key is the
-name of a field, checked against the field's declared type, so a typo in a
-hyperparameter name or a value of the wrong type fails loudly instead of
-silently using a default.  A field whose default is a dataclass instance is
-a nested object of that class (``costs``, ``learner``, ``learner.loss``,
-``learner.gbdt``), and an absent key takes the field's default.  Three
-fields are read by hand: ``hospitals`` is a nonempty list of ``ZinbParams``
-objects, hospital 1 first; ``initial_state`` is ``"empty"`` or a
-per-hospital list of per-age unit counts; and ``saa`` leaves out
-``SaaConfig.seed``, which nothing reads and which stays at its default.  A
-file without ``version`` is read as the current one.  Every error is a
-``ConfigError`` (or an ``InputError`` from a constructor) naming the
-offending field.
+The JSON layout is the ``ExperimentConfig`` dataclass tree, read by
+``util.read_fields`` as the model file headers are.  Each key names a field
+and is checked against its declared type, so a typo in a hyperparameter
+name or a value of the wrong type fails loudly instead of silently using a
+default.  A dataclass-typed field is a nested object of that class
+(``costs``, ``learner``, ``learner.loss``, ``learner.gbdt``), and an absent
+key takes the field's default.  Three fields are read by hand:
+``hospitals`` is a nonempty list of ``ZinbParams`` objects, hospital 1
+first; ``initial_state`` is ``"empty"`` or a per-hospital list of per-age
+unit counts; and ``saa`` leaves out ``SaaConfig.seed``, which nothing reads
+and which stays at its default.  A file without ``version`` is read as the
+current one.  Every error is a ``ConfigError`` (or an ``InputError`` from a
+constructor) naming the offending field.
 
 An example file; every key it leaves out takes its default::
 
@@ -45,48 +45,13 @@ import dataclasses
 import json
 
 from .demand import ZinbParams
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 from .pipeline import ExperimentConfig
 from .simulate import InventoryState
 from .two_stage import SaaConfig
-from .util import coerce
+from .util import coerce, read_fields
 
 CONFIG_VERSION = 2
-
-def _object(obj, where: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: must be a JSON object")
-    return dict(obj)
-
-
-def _construct(cls, where: str, **kwargs):
-    """``cls(**kwargs)``, with the location put in front of its errors."""
-    try:
-        return cls(**kwargs)
-    except (ConfigError, InputError) as exc:
-        raise type(exc)(f"{where}: {exc}") from None
-
-
-def _build(cls, obj, where: str, **given):
-    """``cls`` read from the JSON object ``obj``, whose keys are the names of
-    the fields of ``cls`` less those in ``given``.  A field whose default is
-    a dataclass instance is read as a nested object of that class; an absent
-    key takes the field's default, and a field without one is required."""
-    obj = _object(obj, where)
-    fields = [f for f in dataclasses.fields(cls) if f.name not in given]
-    unknown = sorted(set(obj) - {f.name for f in fields})
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
-    for f in fields:
-        key = f"{where}.{f.name}"
-        if f.name not in obj:
-            if f.default is dataclasses.MISSING:
-                raise ConfigError(f"{where}: missing required field '{f.name}'")
-        elif dataclasses.is_dataclass(f.default):
-            given[f.name] = _build(type(f.default), obj[f.name], key)
-        else:
-            given[f.name] = coerce(obj[f.name], f.type, key, ConfigError)
-    return _construct(cls, where, **given)
 
 
 def _inventory(grid, where: str) -> InventoryState:
@@ -99,28 +64,26 @@ def _inventory(grid, where: str) -> InventoryState:
         [coerce(v, "int", f"{where}[{i}][{a}]", ConfigError) for a, v in enumerate(row)]
         for i, row in enumerate(grid)
     ]
-    # the state's one count rule judges them: from 2**63 up, numpy reads a
-    # count as uint64, float or object, and none passes
-    return _construct(InventoryState, where, units=rows)
+    # the state's one count rule judges them, its errors named by read_fields:
+    # from 2**63 up, numpy reads a count as uint64, float or object, and none passes
+    return read_fields(InventoryState, {}, where, ConfigError, units=rows)
 
 
 def parse_config(obj, where: str = "config") -> ExperimentConfig:
-    obj = _object(obj, where)
+    obj = dict(coerce(obj, "dict", where, ConfigError))
     version = coerce(obj.pop("version", CONFIG_VERSION), "int", f"{where}.version", ConfigError)
     if version != CONFIG_VERSION:
         raise ConfigError(f"{where}.version: unsupported version {version}")
-    if "hospitals" not in obj:
-        raise ConfigError(f"{where}: missing required field 'hospitals'")
-    hospitals = obj.pop("hospitals")
-    if not isinstance(hospitals, list) or not hospitals:
-        raise ConfigError(f"{where}.hospitals: must be a nonempty list")
+    entries = obj.pop("hospitals", None)
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError(f"{where}.hospitals: required, a nonempty list of hospital objects")
     hospitals = tuple(
-        _build(ZinbParams, entry, f"{where}.hospitals[{k}]") for k, entry in enumerate(hospitals)
+        read_fields(ZinbParams, e, f"{where}.hospitals[{k}]", ConfigError) for k, e in enumerate(entries)
     )
-    saa = _build(SaaConfig, obj.pop("saa", {}), f"{where}.saa", seed=SaaConfig.seed)
+    saa = read_fields(SaaConfig, obj.pop("saa", {}), f"{where}.saa", ConfigError, seed=SaaConfig.seed)
     initial = obj.pop("initial_state", "empty")
     state = None if initial == "empty" else _inventory(initial, f"{where}.initial_state")
-    return _build(ExperimentConfig, obj, where, hospitals=hospitals, saa=saa, initial_state=state)
+    return read_fields(ExperimentConfig, obj, where, ConfigError, hospitals=hospitals, saa=saa, initial_state=state)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InputError
+from ..util import coerce
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,20 @@ def cross_validate(data: Dataset, candidates, folds: int, seed: int, fold_predic
     if not cv_mse:
         raise InputError("every candidate's fold fit left a linear system singular")
     return min(cv_mse, key=lambda c: (cv_mse[c], c)), cv_mse
+
+
+def read_cv_mse(table: dict) -> dict:
+    """A candidate -> CV score table, each key and value read by the float rule
+    of ``util.coerce`` (a string key as the float it parses to), else InputError."""
+    out = {}
+    for k, v in table.items():
+        try:
+            key = float(k) if isinstance(k, str) else k
+        except ValueError:
+            key = k
+        where = f"cv_mse[{k!r:.60}]"
+        out[coerce(key, "float", f"{where} key", InputError)] = coerce(v, "float", where, InputError)
+    return out
 
 
 def split_train_test(data: Dataset, train_fraction: float):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InputError
-from .data import Dataset, cross_validate
+from .data import Dataset, cross_validate, read_cv_mse
 
 DEFAULT_LAMBDAS = tuple(np.logspace(-3, 3, 13))
 
@@ -51,7 +51,7 @@ def solve_ridge(X, Y, lam: float) -> np.ndarray:
 class RidgeModel:
     """Per-output coefficient rows (intercept first) at the selected lambda.
     A coef that is not a 2-D float array with an intercept column raises
-    ``ValueError``.  The ``cv_mse`` keys are read as floats."""
+    ``ValueError``, and ``cv_mse`` is read by ``read_cv_mse``."""
 
     coef: np.ndarray      # (n_outputs, n_features + 1)
     lam: float
@@ -62,7 +62,7 @@ class RidgeModel:
             raise ValueError(f"coef is a {self.coef.dtype} array of shape {self.coef.shape}")
         # F-ordered, as fitted: coef[:, 1:].T is then C-contiguous for loaded models too
         object.__setattr__(self, "coef", np.asfortranarray(self.coef))
-        object.__setattr__(self, "cv_mse", {float(k): float(v) for k, v in self.cv_mse.items()})
+        object.__setattr__(self, "cv_mse", read_cv_mse(self.cv_mse))
 
     @property
     def n_features(self) -> int:

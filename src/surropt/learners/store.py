@@ -5,24 +5,23 @@ fields.  Each ``np.ndarray`` field is the .npy member of its name, a field
 holding a dataclass (``GbdtParams``, ``LossSpec``) is a JSON object in the
 header ``meta.json``, and every other field is a header value, beside
 ``format_version`` and ``kind``.  Arrays round-trip bit-exactly, so save ->
-load -> predict is bit-identical to the in-memory model.  Loading checks
-each header value, a dataclass's fields too, by the config file's type
-rule (``util.coerce``: no bool, string or fraction passes for a number or
-an integer), and rebuilds the model through its constructor, which checks
-the arrays; a file that lacks a field, holds a key or member that is not
-one, holds a value of the wrong type, or that the constructor refuses
-raises ``InputError`` naming it.
+load -> predict is bit-identical to the in-memory model.  The header is
+read by ``util.read_fields``, as the config file is: each value, a
+dataclass's fields too, passes ``util.coerce``'s type rule and is kept as
+coerced, and a key whose field has a default may be left out.  A file that
+lacks a field, holds a key or member that is not one, holds a value of the
+wrong type, or that the model's constructor (which checks the arrays)
+refuses raises ``InputError`` naming it.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, fields, is_dataclass
-from typing import get_type_hints
 
 import numpy as np
 
 from ..errors import ConfigError, InputError
-from ..util import coerce, load_arrays, save_arrays
+from ..util import load_arrays, read_fields, save_arrays
 from .gbdt import GbdtModel
 from .ridge import RidgeModel
 from .svr import SvrModel
@@ -56,34 +55,12 @@ def load_model(path):
 
 
 def _model_from(meta: dict, arrays: dict):
-    """The ``kind`` model of the members and the rest of the header: an array
-    field is its member, and any other field its header value."""
-    cls = KINDS.get(kind := meta.pop("kind", None))
+    """The ``kind`` model: each array field is its member, the header the rest."""
+    kind = meta.pop("kind", None)
+    cls = KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise ValueError(f"unknown model kind {kind!r}")
-    types = _field_types(cls)
-    members = {name for name, t in types.items() if t is np.ndarray}
-    unknown = sorted(meta.keys() - (types.keys() - members)) + sorted(f"{a}.npy" for a in arrays.keys() - members)
-    if unknown:
-        raise ValueError(f"unknown {kind} key(s) or member(s) {', '.join(unknown)}")
-    return cls(**{
-        name: arrays[name] if t is np.ndarray else _value(meta[name], t, name) for name, t in types.items()
-    })
-
-
-def _field_types(cls) -> dict:
-    hints = get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}
-
-
-def _value(value, t, where: str):
-    """A header value checked against its declared type ``t`` by the config
-    file's rule and kept as written, so that a loaded model saves to the
-    same bytes; a dataclass is built from a JSON object of its fields."""
-    if not is_dataclass(t):
-        coerce(value, t.__name__, where, InputError)
-        return value
-    types = _field_types(t)
-    if unknown := sorted(coerce(value, "dict", where, InputError).keys() - types.keys()):
-        raise ValueError(f"unknown {where} key(s) {', '.join(unknown)}")
-    return t(**{name: _value(value[name], u, f"{where}.{name}") for name, u in types.items()})
+        raise ValueError(f"unknown model kind {kind!r:.60}")
+    members = [f.name for f in fields(cls) if f.type == "np.ndarray"]
+    if unknown := sorted(f"{a}.npy" for a in arrays.keys() - set(members)):
+        raise ValueError(f"unknown {kind} member(s) {', '.join(unknown)}")
+    return read_fields(cls, meta, kind, InputError, **{name: arrays[name] for name in members})

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InputError, ResourceLimitError
-from .data import Dataset, cross_validate
+from .data import Dataset, cross_validate, read_cv_mse
 
 DEFAULT_EPSILON = 0.1
 _PACKED = ("rows", "sv_counts", "sv_rows", "dual", "bias")
@@ -148,7 +148,7 @@ class SvrModel:
     """Output j owns the next ``sv_counts[j]`` entries of ``sv_rows`` (its
     support vectors, as indices into ``rows``) and of ``dual``, and
     ``bias[j]``.  Arrays that do not fit together raise ``ValueError``, and
-    the ``cv_mse`` keys are read as floats."""
+    ``cv_mse`` is read by ``read_cv_mse``."""
 
     rows: np.ndarray              # (distinct rows, n_features)
     sv_counts: np.ndarray         # (outputs,) int64
@@ -172,7 +172,7 @@ class SvrModel:
         ):
             raise ValueError(f"{self.n_features} features and " + ", ".join(
                 f"{a.dtype} {name} {a.shape}" for name, a in zip(_PACKED, (rows, counts, sv_rows, dual, bias))))
-        self.cv_mse = {float(k): float(v) for k, v in self.cv_mse.items()}
+        self.cv_mse = read_cv_mse(self.cv_mse)
         self._rows_sq = np.sum(rows * rows, axis=1)
         self._spans = [slice(e - c, e) for c, e in zip(counts.tolist(), np.cumsum(counts).tolist())]
         self._terms = [(j, sv_rows[s], dual[s]) for j, s in enumerate(self._spans) if s.start < s.stop]

@@ -7,8 +7,10 @@ learner.  A loss's hessian is one float for every sample: 2 for mse, else 1,
 also where the true curvature is 0, so that split gains stay finite; it only
 weighs split gains and child sizes; leaf values are leaf-optimal constants.
 
-A leaf value is exact.  mse takes the mean, mae the median from the sorted
-residuals.  The Huber constant is the root of the nonincreasing, piecewise
+A leaf value is exact.  mse takes the mean; mae the mean of the two middle
+residuals, sorted as ``np.lexsort`` sorts them (stably, so tied zeros keep
+their given signs), which is ``np.median``'s value up to the sign of a
+zero.  The Huber constant is the root of the nonincreasing, piecewise
 linear F(c) = sum clip(r - c, -delta, delta), whose breakpoints are the
 r +- delta (Huber 1964, "Robust estimation of a location parameter").  The
 root lies between the last breakpoint a with F(a) > 0 and the next one, b,
@@ -108,8 +110,9 @@ def leaf_optimal_value(spec: LossSpec, residuals, counts=None):
     ``counts``, ``residuals`` holds consecutive nonempty segments of
     ``counts[k]`` values, and the result is the array of their constants,
     each with the bits of a call on its segment alone.
-    mse: ``np.mean`` of the segment as given; mae: ``np.median``'s bits, the
-    mean of the two middle sorted values; huber: the exact root of the
+    mse: ``np.mean`` of the segment as given; mae: the mean of the two middle
+    values, sorted as ``np.lexsort`` sorts them, which is ``np.median``'s
+    value up to the sign of a zero; huber: the exact root of the
     module doc, the left end of a flat stretch of roots.  Residuals that are
     not a finite 1-D array, or counts that are not positive integers adding
     up to their number, raise ``InputError``.

@@ -35,7 +35,7 @@ parallel on independent states without locking.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -197,24 +197,14 @@ class CostBreakdown:
     outdate: float
     ordering: float
     shortage: float
-    total: float = field(default=None)
 
-    def __post_init__(self):
-        if self.total is None:
-            object.__setattr__(
-                self,
-                "total",
-                self.holding + self.transshipment + self.outdate + self.ordering + self.shortage,
-            )
+    @property
+    def total(self) -> float:
+        """The five parts added left to right, in field order."""
+        return self.holding + self.transshipment + self.outdate + self.ordering + self.shortage
 
     def scaled(self, factor: float) -> "CostBreakdown":
-        return CostBreakdown(
-            self.holding * factor,
-            self.transshipment * factor,
-            self.outdate * factor,
-            self.ordering * factor,
-            self.shortage * factor,
-        )
+        return CostBreakdown(*(part * factor for part in self.as_tuple()))
 
     def as_tuple(self):
         return (self.holding, self.transshipment, self.outdate, self.ordering, self.shortage)

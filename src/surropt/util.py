@@ -1,5 +1,5 @@
 """Shared plumbing: seeded RNG streams, deterministic archives, typed JSON
-values, config digests.
+values and the one reader of dataclass trees, config digests.
 
 All randomness in the package flows through :func:`stream` so that every
 consumer owns an independent, reproducible generator derived from a single
@@ -9,14 +9,16 @@ indices; the same (seed, tag, indices) always yields the same PCG64 state.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import sys
 import zipfile
+from typing import get_type_hints
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConfigError, InputError
 
 # Stream tags used across the package. Kept in one place so seeds never
 # collide between subsystems.
@@ -78,8 +80,7 @@ def coerce(value, kind: str, where: str, error: type):
     """A JSON ``value`` checked against a declared field type such as
     ``"int"`` or ``"float | None"``, or ``error`` naming ``where``: an int
     takes a JSON integer (not a bool), a float a finite number, a str a
-    string, a dict an object, a tuple a nonempty list of finite numbers.
-    The config file and the model file headers are both read by it."""
+    string, a dict an object, a tuple a nonempty list of finite numbers."""
     options = kind.split(" | ")
     if value is None and "None" in options:
         return None
@@ -98,6 +99,32 @@ def coerce(value, kind: str, where: str, error: type):
         if kind == "dict" and isinstance(value, dict):
             return value
     raise error(f"{where}: expected {_EXPECTED[kind]}, got {value!r:.60}")
+
+
+def read_fields(cls, obj, where: str, error: type, **given):
+    """``cls`` built from the JSON object ``obj``, whose keys name the fields
+    of ``cls`` less those in ``given``: a dataclass-typed field is a nested
+    object, any other value is checked by :func:`coerce` against the field's
+    type, and an absent key takes the field's default.  Errors name the
+    field; a constructor's ``ConfigError``/``InputError`` gets ``where`` in
+    front.  It reads both the config file and the model file headers."""
+    obj = coerce(obj, "dict", where, error)
+    hints = get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.name not in given]
+    if unknown := sorted(obj.keys() - {f.name for f in fields}):
+        raise error(f"{where}: unknown key(s) {', '.join(unknown)}")
+    for f in fields:
+        if f.name not in obj:
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise error(f"{where}: missing required field '{f.name}'")
+        elif dataclasses.is_dataclass(hints[f.name]):
+            given[f.name] = read_fields(hints[f.name], obj[f.name], f"{where}.{f.name}", error)
+        else:
+            given[f.name] = coerce(obj[f.name], f.type, f"{where}.{f.name}", error)
+    try:
+        return cls(**given)
+    except (ConfigError, InputError) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def config_digest(obj) -> str:

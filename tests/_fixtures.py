@@ -7,7 +7,10 @@ all.  The GBDT recipe is older than format 2: the mae file was first written
 by the tree-by-tree grower, before the forest was packed in memory, the
 huber file once the Huber leaf value became the exact root (bisection moved
 it in the last bits), and the mse file once the gradients went on the exact
-grid; format 2 changed only their ``format_version``.
+grid; format 2 changed only their ``format_version``.  The recipe passes
+``min_child_weight=1.0``: a header value is kept as its field's type reads
+it, so an integer 1 in that float field would reload as 1.0 and save to
+other bytes.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ def format_fixture_model(loss=LossSpec("mae")):
     rng = np.random.default_rng(60)
     X = rng.normal(size=(60, 4))
     Y = np.column_stack([np.abs(X[:, 0] + X[:, 1]), np.full(60, 1.5), np.abs(np.sin(2 * X[:, 2]))])
-    params = GbdtParams(n_iterations=6, max_depth=3, min_child_weight=1, subsample=0.7)
+    params = GbdtParams(n_iterations=6, max_depth=3, min_child_weight=1.0, subsample=0.7)
     return fit_gbdt(Dataset(X, Y, np.arange(60)), params, loss, seed=4)
 
 

@@ -459,13 +459,21 @@ class TestMalformedFiles:
         "kind, edit, message",
         [
             ("ridge", lambda m, a: ({**m, "format_version": 1}, a), "unsupported model format version 1"),
-            ("ridge", lambda m, a: ({**m, "lambda": 1.0}, a), "malformed model file (unknown ridge key"),
-            ("svr", lambda m, a: (m, {**a, "sv_0000": a["rows"][:2]}), "malformed model file (unknown svr key"),
-            ("svr", lambda m, a: ({**m, "rows": 1}, a), "malformed model file (unknown svr key"),
-            ("svr", lambda m, a: ({k: v for k, v in m.items() if k != "C"}, a), "model file lacks 'C'"),
+            ("ridge", lambda m, a: ({**m, "lambda": 1.0}, a),
+             "malformed model file (ridge: unknown key(s) lambda)"),
+            ("svr", lambda m, a: (m, {**a, "sv_0000": a["rows"][:2]}),
+             "malformed model file (unknown svr member(s) sv_0000.npy)"),
+            ("svr", lambda m, a: ({**m, "rows": 1}, a), "malformed model file (svr: unknown key(s) rows)"),
+            ("svr", lambda m, a: ({k: v for k, v in m.items() if k != "C"}, a),
+             "malformed model file (svr: missing required field 'C')"),
             ("svr", lambda m, a: (m, {k: v for k, v in a.items() if k != "dual"}), "model file lacks 'dual'"),
+            ("ridge", lambda m, a: ({**m, "kind": ["ridge"]}, a),
+             "malformed model file (unknown model kind ['ridge'])"),
+            ("ridge", lambda m, a: ({k: v for k, v in m.items() if k != "kind"}, a),
+             "malformed model file (unknown model kind None)"),
         ],
-        ids=["version-1", "unknown-key", "unknown-member", "array-in-header", "missing-key", "missing-member"],
+        ids=["version-1", "unknown-key", "unknown-member", "array-in-header", "missing-key", "missing-member",
+             "list-kind", "missing-kind"],
     )
     def test_model_file_outside_format_2_exit_2(self, tmp_path, capsys, kind, edit, message):
         model = tmp_path / f"model-{kind}.surropt"
@@ -478,25 +486,41 @@ class TestMalformedFiles:
     @pytest.mark.parametrize(
         "kind, edit, message",
         [
-            ("gbdt", lambda m: {**m, "seed": 4.7}, "seed: expected an integer, got 4.7"),
-            ("gbdt", lambda m: {**m, "n_features": 4.9}, "n_features: expected an integer, got 4.9"),
+            ("gbdt", lambda m: {**m, "seed": 4.7}, "gbdt.seed: expected an integer, got 4.7"),
+            ("gbdt", lambda m: {**m, "n_features": 4.9}, "gbdt.n_features: expected an integer, got 4.9"),
             ("gbdt", lambda m: {**m, "params": {**m["params"], "max_depth": 4.5}},
-             "params.max_depth: expected an integer, got 4.5"),
+             "gbdt.params.max_depth: expected an integer, got 4.5"),
             ("gbdt", lambda m: {**m, "loss": {**m["loss"], "delta": "1.0"}},
-             "loss.delta: expected a finite number, got '1.0'"),
-            ("gbdt", lambda m: {**m, "params": [1]}, "params: expected a JSON object, got [1]"),
-            ("svr", lambda m: {**m, "gamma": True}, "gamma: expected a finite number, got True"),
-            ("svr", lambda m: {**m, "C": "2.5"}, "C: expected a finite number, got '2.5'"),
-            ("svr", lambda m: {**m, "cv_mse": []}, "cv_mse: expected a JSON object, got []"),
-            ("ridge", lambda m: {**m, "lam": float("nan")}, "lam: expected a finite number, got nan"),
+             "gbdt.loss.delta: expected a finite number, got '1.0'"),
+            ("gbdt", lambda m: {**m, "params": [1]}, "gbdt.params: expected a JSON object, got [1]"),
+            ("svr", lambda m: {**m, "gamma": True}, "svr.gamma: expected a finite number, got True"),
+            ("svr", lambda m: {**m, "C": "2.5"}, "svr.C: expected a finite number, got '2.5'"),
+            ("svr", lambda m: {**m, "cv_mse": []}, "svr.cv_mse: expected a JSON object, got []"),
+            ("ridge", lambda m: {**m, "lam": float("nan")}, "ridge.lam: expected a finite number, got nan"),
             # the right type out of its range: the file is named as well
-            ("gbdt", lambda m: {**m, "params": {**m["params"], "max_depth": 0}}, "max_depth must be >= 1"),
+            ("gbdt", lambda m: {**m, "params": {**m["params"], "max_depth": 0}},
+             "gbdt.params: max_depth must be >= 1"),
             ("gbdt", lambda m: {**m, "loss": {**m["loss"], "kind": "quantile"}},
-             "unknown loss kind 'quantile'; valid kinds: mse, mae, huber"),
+             "gbdt.loss: unknown loss kind 'quantile'; valid kinds: mse, mae, huber"),
+            # a cv_mse value is read by the float rule, and a key must parse
+            # to a finite float
+            ("ridge", lambda m: {**m, "cv_mse": {"0.1": True}},
+             "ridge: cv_mse['0.1']: expected a finite number, got True"),
+            ("ridge", lambda m: {**m, "cv_mse": {"0.1": "1.5"}},
+             "ridge: cv_mse['0.1']: expected a finite number, got '1.5'"),
+            ("ridge", lambda m: {**m, "cv_mse": {"nan": 1.0}},
+             "ridge: cv_mse['nan'] key: expected a finite number, got nan"),
+            ("ridge", lambda m: {**m, "cv_mse": {"0.1": float("inf")}},
+             "ridge: cv_mse['0.1']: expected a finite number, got inf"),
+            ("svr", lambda m: {**m, "cv_mse": {"1e999": 1.0}},
+             "svr: cv_mse['1e999'] key: expected a finite number, got inf"),
+            ("svr", lambda m: {**m, "cv_mse": {"two": 1.0}},
+             "svr: cv_mse['two'] key: expected a finite number, got 'two'"),
         ],
         ids=["gbdt-float-seed", "gbdt-float-features", "gbdt-float-depth", "gbdt-string-delta",
              "gbdt-list-params", "svr-bool-gamma", "svr-string-C", "svr-list-cv", "ridge-nan-lambda",
-             "gbdt-zero-depth", "gbdt-unknown-loss"],
+             "gbdt-zero-depth", "gbdt-unknown-loss", "ridge-bool-cv", "ridge-string-cv", "ridge-nan-cv-key",
+             "ridge-infinite-cv", "svr-overflow-cv-key", "svr-word-cv-key"],
     )
     def test_header_value_of_the_wrong_type_exit_2(self, tmp_path, capsys, kind, edit, message):
         """Every header value, those of the params and loss objects too, is

@@ -126,7 +126,7 @@ MALFORMED = [
     # keys of the version-1 layout
     (("hospitals", 0, "id"), 2, "config.hospitals[0]: unknown key(s) id"),
     (("hospitals", 1, "id"), "2", "config.hospitals[1]: unknown key(s) id"),
-    (("learner", "loss"), "huber", "config.learner.loss: must be a JSON object"),
+    (("learner", "loss"), "huber", "config.learner.loss: expected a JSON object"),
     (("learner", "delta"), 0.5, "config.learner: unknown key(s) delta"),
     (("learner", "svr"), {"C": 1.0}, "config.learner: unknown key(s) svr"),
     (("saa", "seed"), 5, "config.saa: unknown key(s) seed"),
