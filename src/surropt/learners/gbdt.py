@@ -5,11 +5,15 @@ loss gradients.  Split gains use the regularized score T(G)^2 / (H + l2)
 with an L1 soft threshold on the gradient sum G; the hessian mass H is the
 loss's hessian ``hess``, one float, times the row count, and children must
 carry at least ``min_child_weight`` of it, ``min_child_weight / hess`` rows,
-and one row at the least.  Leaf values are the exact loss-minimizing
-constant of the leaf's residuals (mean, median, or the Huber minimizer)
-scaled by the learning rate, and the model boosts from the loss-optimal
-constant of the full target, so training loss never increases while
-subsampling is off.
+and one row at the least.  An mse or Huber leaf is ``eta`` times the Newton
+step of that score, -T(G) / (H + l2), the value whose gain the split was
+ranked by (Chen and Guestrin, "XGBoost", KDD 2016, eqs. 5-6), and those
+outputs boost from the target mean.  This is LightGBM's rule: it renews
+only the leaves of its L1-type objectives from the residuals, so mae alone
+boosts from the target median and takes the median of each leaf's residuals
+times ``eta``.  The Newton step is a shrunk step of at most the loss's
+curvature bound, and the median step moves towards the median, so training
+loss never increases while subsampling is off.
 
 The candidate splits are the fit's cells: per feature, its distinct
 quantiles at k / ``max_bins``, k = 1 .. ``max_bins`` - 1 (64 bins by
@@ -24,11 +28,13 @@ level at a time.  Each output's gradients are first rounded to multiples of
 magnitude, so every sum of them, a multiple of the step below 2^53 steps,
 is exact in any order (LightGBM's coarser integer grid is the same idea:
 Shi et al., "Quantized Training of Gradient Boosting Decision Trees",
-NeurIPS 2022).  mae's gradients -1, 0 and 1 lie on every such grid, and
-leaf values are taken from the residuals.  One matrix product gives a
-level's cumulative histograms: the counted nodes' gradients and 0/1 row
-memberships times the (row, cell) matrix that is 1 where x <= the cell's
-threshold.  Only the roots, and of the two children of each split the one
+NeurIPS 2022).  mae's gradients -1, 0 and 1 lie on every such grid.  As
+the sums are exact in any order, the sampled rows are never grouped by
+node: each level takes its nodes' row counts and gradient sums by
+``bincount``, and they value the mse and Huber leaves as well.  One matrix
+product gives a level's cumulative histograms: the counted nodes' gradients
+and 0/1 row memberships times the (row, cell) matrix that is 1 where x <=
+the cell's threshold.  Only the roots, and of the two children of each split the one
 with fewer sampled rows (the left one on a tie), are counted; the other
 child's cells are its parent's less its sibling's (Ke et al., "LightGBM",
 NeurIPS 2017), exact as well.  The trees are, bit for bit, those of
@@ -37,24 +43,25 @@ sibling rule.  Each output draws its rows, then its features, from its own
 stream; the best split is the first maximum over the cells, feature by
 feature in ascending threshold; every row, sampled or not, goes left by
 its entry of that matrix at the split's cell; and each tree's nodes are
-numbered depth-first, left subtree first.  After the round's last level,
-one ``leaf_optimal_value`` call values all its leaves, each ``eta`` times
-the constant of its own sampled residuals alone, so a leaf's value does
-not depend on which leaves share its round; one call before the first
-round gives every output's base.
+numbered depth-first, left subtree first.  Under mae, after the round's
+last level, one stable sort groups the sampled residuals by leaf, and one
+``leaf_optimal_value`` call values all the leaves, each from its own
+sampled residuals alone, so a leaf's value does not depend on which leaves
+share its round; one call before the first round gives every output's
+base.
 
 A fitted forest is packed into the flat arrays of the model file.
 Prediction first compares each row once with every cell of the forest, a
-distinct (feature, threshold) pair of its splits: the trees share the
-fit's cells, so the acceptance forests of 18,000 to 31,000 nodes have
-about 130 cells.  It then walks every (row, tree) pair down exactly as
-many levels as the deepest tree has, one ``take`` of the node's cell, its
-comparison and its child per level, through a (node, side) child table in
-which both entries of a leaf are the leaf itself, so a row that reaches a
-leaf early stays there.  The table holds each node's right child, then its
-left, so the comparison ``x <= threshold`` indexes it and NaN goes right.
-The walk does no arithmetic on x and reaches the same leaves for every
-input.
+distinct (feature, threshold) pair of its splits, found as one integer key
+per node: the trees share the fit's cells, so the acceptance forests of
+18,000 to 31,000 nodes have about 130 cells.  It then walks every (row,
+tree) pair down exactly as many levels as the deepest tree has, one
+``take`` of the node's cell, its comparison and its child per level,
+through a (node, side) child table in which both entries of a leaf are the
+leaf itself, so a row that reaches a leaf early stays there.  The table
+holds each node's right child, then its left, so the comparison ``x <=
+threshold`` indexes it and NaN goes right.  The walk does no arithmetic on
+x and reaches the same leaves for every input.
 Prediction then adds each output's leaf values to its base one at a time in
 fit order, from a row of bases the model keeps, so it gives the same bits as
 adding the trees one by one.
@@ -132,6 +139,12 @@ def _score(G, H, params):
     return np.maximum(np.abs(G) - params.l1, 0.0) ** 2 / (H + params.l2)
 
 
+def _newton_leaf(G, H, params):
+    """The leaf value of the split score's Newton step, ``eta`` times
+    -T(G) / (H + l2), T the L1 soft threshold."""
+    return -params.eta * (np.sign(G) * np.maximum(np.abs(G) - params.l1, 0.0)) / (H + params.l2)
+
+
 def _on_grid(g):
     """Each row of ``g`` rounded to multiples of 2^(ceil(log2(n G)) - 52), n
     its length and G its largest magnitude: any sum of its entries is exact."""
@@ -151,41 +164,41 @@ def _left_sums(left_of, slot, row, g, m):
 
 
 def _grow_round(cells, left_of, rows, feats, g, hess, residual, loss, params):
-    """Grow one tree per row of ``residual`` (an output's residuals on all
+    """Grow one tree per row of ``g`` (an output's gridded gradients on all
     training rows), level by level, tree i on the sampled rows ``rows[i]``
-    and features ``feats[i]``, with gridded gradients ``g`` and hessian
-    ``hess``; ``cells`` is ``_cells``'s (cell_feature, cell_threshold) and
-    ``left_of`` (rows, cells) 1.0 where the row's x <= the cell's threshold.
-    Returns the trees' node arrays and sizes, and the leaf value each (tree,
-    row) reaches.
+    and features ``feats[i]``, with hessian ``hess``; ``cells`` is
+    ``_cells``'s (cell_feature, cell_threshold) and ``left_of`` (rows,
+    cells) 1.0 where the row's x <= the cell's threshold.  mae leaves are
+    valued from ``residual``, the outputs' residuals.  Returns the trees'
+    node arrays and sizes, and the leaf value each (tree, row) reaches.
 
-    Sums of gridded gradients are exact in any order.  One product gives the
-    cells of the roots and, of each split's two children where either may
-    split, the one with fewer sampled rows (the left on a tie); the other's
-    are its parent's, kept from the last level, less its sibling's."""
-    (cell_feature, cell_threshold), (n_trees, n) = cells, residual.shape
+    Sums of gridded gradients are exact in any order, so the sampled rows
+    are never grouped by node: each level counts them with ``bincount``.
+    One product gives the cells of the roots and, of each split's two
+    children where either may split, the one with fewer sampled rows (the
+    left on a tie); the other's are its parent's, kept from the last level,
+    less its sibling's."""
+    (cell_feature, cell_threshold), (n_trees, n) = cells, g.shape
+    # the sampled (tree, row) pairs in ascending order, their rows and gradients
     sample = (np.arange(n_trees)[:, None] * n + rows).ravel()
+    row, s_g = sample % n, g.ravel()[sample]
     # each (tree, row)'s node in the level, or the level's size past a leaf
     at = np.repeat(np.arange(n_trees), n).reshape(n_trees, n)
-    levels, owner = [], np.arange(n_trees)
-    # the round's leaves are numbered level by level; each (tree, row)'s leaf,
-    # and each leaf's sampled residuals and their count
-    leaf_of, residuals, counts = np.full((n_trees, n), -1), [], []
+    levels, owner, values, n_leaves = [], np.arange(n_trees), [], 0
+    # the round's leaves are numbered level by level; each (tree, row)'s leaf
+    leaf_of = np.full((n_trees, n), -1)
     left_flat, row_start = left_of.ravel(), np.arange(n) * left_of.shape[1]
-    while size := owner.size:
-        # the sampled rows grouped by node, ascending within a node; numpy
-        # sorts node numbers of 8 or 16 bits stably by radix
-        key = at.ravel()[sample]
-        count = np.bincount(key, minlength=size + 1)[:size]
-        order = sample[np.argsort(key.astype(np.min_scalar_type(size)), kind="stable")[: count.sum()]]
-        node, row = at.ravel()[order], order % n
-        e_g, e_res = g.ravel()[order], residual.ravel()[order]
+    while True:
+        size = owner.size
+        # the extra bin gathers the rows past a leaf, and is dropped
+        node = at.ravel()[sample]
+        count = np.bincount(node, minlength=size + 1)[:size]
+        # a sum of k copies of hess is exactly hess * k in float64; no node
+        # is empty, so h_tot > 0
+        g_tot, h_tot = np.bincount(node, s_g, minlength=size + 1)[:size], hess * count
         # each node's split cell; a node past a leaf or not split keeps cell 0
         split, best = np.zeros(size + 1, dtype=bool), np.zeros(size + 1, dtype=np.int64)
         if len(levels) < params.max_depth and cell_threshold.size:
-            # a sum of k copies of hess is exactly hess * k in float64
-            g_tot, h_tot = np.bincount(node, e_g, minlength=size), hess * count
-            # no node is empty, so h_tot > 0
             parent = _score(g_tot, h_tot, params)
             can = h_tot >= 2 * params.min_child_weight
             grow = np.flatnonzero(can)
@@ -194,11 +207,11 @@ def _grow_round(cells, left_of, rows, feats, g, hess, residual, loss, params):
                 # nodes 2k and 2k + 1 are the children of the last level's k-th split
                 pair = np.flatnonzero(can.reshape(-1, 2).any(axis=1))
                 counted = 2 * pair + (count[2 * pair + 1] < count[2 * pair])
-            # each node's place in hist, or -1 for a node not counted
-            slot = np.full(size, -1)
+            # each node's place in hist, or -1 for a node not counted and past a leaf
+            slot = np.full(size + 1, -1)
             slot[counted] = np.arange(m := counted.size)
             mine = slot[node] >= 0
-            hist = _left_sums(left_of, slot[node[mine]], row[mine], e_g[mine], m)
+            hist = _left_sums(left_of, slot[node[mine]], row[mine], s_g[mine], m)
             if levels:
                 # node k ^ 1 is node k's sibling: its parent's cells less node k's
                 hist = np.concatenate([hist, kept[pair] - hist])
@@ -219,24 +232,32 @@ def _grow_round(cells, left_of, rows, feats, g, hess, residual, loss, params):
             kept = hist[split[grow]]
         # each node's leaf number, or -1
         leaf, number = np.flatnonzero(~split[:-1]), np.full(size + 1, -1)
-        number[leaf] = np.arange(leaf.size) + sum(c.size for c in counts)
-        residuals.append(e_res[~split[node]])
-        counts.append(count[leaf])
+        number[leaf] = n_leaves + np.arange(leaf.size)
+        n_leaves += leaf.size
+        if loss.kind != "mae":
+            values.append(_newton_leaf(g_tot[leaf], h_tot[leaf], params))
         hit = np.flatnonzero(split)
         feature, threshold = np.full(size, -1, np.int32), np.zeros(size)
         feature[hit], threshold[hit] = cell_feature[best[hit]], cell_threshold[best[hit]]
         levels.append((owner, split[:-1], feature, threshold, number[:-1]))
         # each (tree, row) reaches one leaf, at one level
         np.maximum(leaf_of, number[at], out=leaf_of)
+        if not hit.size:
+            break
         # every row moves on, sampled or not, right unless x <= the threshold;
         # past a leaf, or at one, to the next level's size
         first = np.where(split, 2 * np.cumsum(split) - 2, 2 * hit.size)
         at = first.take(at) + (split.take(at) > left_flat.take(row_start + best.take(at)))
         owner = np.repeat(owner[hit], 2)
-    # one call values every leaf of the round, each from its own rows; a
-    # split's value, at number -1, is 0
-    value = params.eta * leaf_optimal_value(loss, np.concatenate(residuals), np.concatenate(counts))
-    value = np.append(value, 0.0)
+    if loss.kind == "mae":
+        # the sampled residuals grouped by leaf, ascending within a leaf: one
+        # stable sort of leaf numbers, by radix where they fit 8 or 16 bits
+        key = leaf_of.ravel()[sample]
+        order = sample[np.argsort(key.astype(np.min_scalar_type(n_leaves)), kind="stable")]
+        counts = np.bincount(key, minlength=n_leaves)
+        values = [params.eta * leaf_optimal_value(loss, residual.ravel()[order], counts)]
+    # a split's value, at number -1, is 0
+    value = np.append(np.concatenate(values), 0.0)
     levels = [level[:4] + (value[level[4]],) for level in levels]
     return _preorder(levels, n_trees) + (value[leaf_of],)
 
@@ -313,14 +334,15 @@ class GbdtModel:
         # node 2k + side's child across the forest, the left one at side 1, so
         # x <= threshold picks it; a leaf is both its own children
         self._child = np.where(leaf, own, own - local + np.stack([self.right, self.left])).T.reshape(-1)
-        # each node's cell, a distinct (feature, threshold) pair of the forest;
-        # a leaf's is (0, 0.0), which any x can be compared against
-        cells, cell = np.unique(
-            np.stack([np.where(leaf, 0, self.feature), np.where(leaf, 0.0, self.threshold)]),
-            axis=1, return_inverse=True,
-        )
-        self._cell_feature, self._cell_threshold = cells[0].astype(np.intp), cells[1]
-        self._cell = cell.reshape(-1).astype(np.int32)
+        # each node's cell, a distinct (feature, threshold) pair of the forest,
+        # found by its key feature * thresholds + the threshold's rank among
+        # the forest's distinct thresholds; a leaf's is (0, 0.0), which any x
+        # can be compared against
+        thresholds, rank = np.unique(np.where(leaf, 0.0, self.threshold), return_inverse=True)
+        key = np.where(leaf, 0, self.feature).astype(np.int64) * thresholds.size + rank
+        keys, cell = np.unique(key, return_inverse=True)
+        self._cell_feature, self._cell_threshold = keys // thresholds.size, thresholds[keys % thresholds.size]
+        self._cell = cell.astype(np.int32)
         # the forest's depth: levels until every root's descendants are leaves
         level, self._depth = self._roots, 0
         while (inner := level[~leaf[level]]).size:
@@ -377,10 +399,13 @@ def fit_gbdt(data: Dataset, params: GbdtParams, loss: LossSpec, seed: int = 0) -
         raise InputError(f"{data.n_rows} rows cannot satisfy min_child_weight {params.min_child_weight}")
     (n, n_features), Y = data.X.shape, data.Y.T.copy()
     cells = _cells(data.X, params.max_bins)
-    # predict's comparison x <= threshold, once per (row, cell), 1.0 in place
-    left_of = data.X[:, cells[0]]
-    np.less_equal(left_of, cells[1], out=left_of)
-    base = leaf_optimal_value(loss, Y.ravel(), np.full(data.n_outputs, n))
+    # predict's comparison x <= threshold, once per (row, cell), as 1.0, C-ordered
+    left_of = np.empty((n, cells[1].size))
+    np.less_equal(data.X[:, cells[0]], cells[1], out=left_of)
+    if loss.kind == "mae":
+        base = leaf_optimal_value(loss, Y.ravel(), np.full(data.n_outputs, n))
+    else:
+        base = np.array([np.mean(y) for y in Y])
     pred = np.repeat(base[:, None], n, axis=1)
     rngs = [stream(seed, TAG_LEARNER, j) for j in range(data.n_outputs)]
     n_rows = max(1, int(round(params.subsample * n)))

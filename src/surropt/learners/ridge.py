@@ -51,7 +51,8 @@ def solve_ridge(X, Y, lam: float) -> np.ndarray:
 class RidgeModel:
     """Per-output coefficient rows (intercept first) at the selected lambda.
     A coef that is not a 2-D float array with an intercept column raises
-    ``ValueError``, and ``cv_mse`` is read by ``read_cv_mse``."""
+    ``ValueError``, a lambda below 0 ``InputError``, and ``cv_mse`` is read
+    by ``read_cv_mse``."""
 
     coef: np.ndarray      # (n_outputs, n_features + 1)
     lam: float
@@ -60,6 +61,7 @@ class RidgeModel:
     def __post_init__(self):
         if self.coef.ndim != 2 or self.coef.shape[1] < 1 or self.coef.dtype.kind != "f":
             raise ValueError(f"coef is a {self.coef.dtype} array of shape {self.coef.shape}")
+        check_lambdas((self.lam,))
         # F-ordered, as fitted: coef[:, 1:].T is then C-contiguous for loaded models too
         object.__setattr__(self, "coef", np.asfortranarray(self.coef))
         object.__setattr__(self, "cv_mse", read_cv_mse(self.cv_mse))

@@ -147,7 +147,8 @@ def smo_solve(K, y, C, epsilon, tol=1e-3, max_iter=None):
 class SvrModel:
     """Output j owns the next ``sv_counts[j]`` entries of ``sv_rows`` (its
     support vectors, as indices into ``rows``) and of ``dual``, and
-    ``bias[j]``.  Arrays that do not fit together raise ``ValueError``, and
+    ``bias[j]``.  Arrays that do not fit together raise ``ValueError``, C,
+    gamma or epsilon out of ``check_svr``'s range ``InputError``, and
     ``cv_mse`` is read by ``read_cv_mse``."""
 
     rows: np.ndarray              # (distinct rows, n_features)
@@ -172,6 +173,7 @@ class SvrModel:
         ):
             raise ValueError(f"{self.n_features} features and " + ", ".join(
                 f"{a.dtype} {name} {a.shape}" for name, a in zip(_PACKED, (rows, counts, sv_rows, dual, bias))))
+        check_svr(self.C, self.gamma, self.epsilon)
         self.cv_mse = read_cv_mse(self.cv_mse)
         self._rows_sq = np.sum(rows * rows, axis=1)
         self._spans = [slice(e - c, e) for c, e in zip(counts.tolist(), np.cumsum(counts).tolist())]

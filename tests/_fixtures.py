@@ -4,10 +4,9 @@ Each fixture is the file ``save_model`` writes for its recipe's model, and
 ``TestSerialization`` checks that the recipe and a reload of the fixture
 both write its bytes again.  ``tests/data/write_fixtures.py`` rewrites them
 all.  The GBDT recipe is older than format 2: the mae file was first written
-by the tree-by-tree grower, before the forest was packed in memory, the
-huber file once the Huber leaf value became the exact root (bisection moved
-it in the last bits), and the mse file once the gradients went on the exact
-grid; format 2 changed only their ``format_version``.  The recipe passes
+by the tree-by-tree grower, before the forest was packed in memory, and
+format 2 changed only its ``format_version``; the mse and huber files were
+rewritten when their leaves became the split score's Newton step.  The recipe passes
 ``min_child_weight=1.0``: a header value is kept as its field's type reads
 it, so an integer 1 in that float field would reload as 1.0 and save to
 other bytes.

@@ -11,16 +11,16 @@ row-by-row, tree-by-tree walk instead of the packed GBDT forest, one RBF
 kernel per output instead of one over all outputs' distinct support rows,
 one-output, one-node-at-a-time recursive tree growth on its own
 searchsorted bins instead of the level-wise GBDT grower and its threshold
-comparisons, rational arithmetic instead of the integer quotients of the
-largest-remainder repair, bisection of the Huber leaf constant instead of
-the exact root, the rank bisection over each segment's merged and sorted
-Huber breakpoints instead of a checked guess of the bracket, one day and
-one scenario at a time with a slot-by-slot issuing loop instead of the
+comparisons, a 2-D ``np.unique`` over the forest's (feature, threshold)
+columns instead of the model's integer cell keys, rational arithmetic
+instead of the integer quotients of the largest-remainder repair, one day
+and one scenario at a time with a slot-by-slot issuing loop instead of the
 batched day-cycle kernel, and one fold at a time on index arrays instead
-of the shared cross-validation loop.  The label replay rolls stored labels through the simulator so a
-test can check that they reproduce the oracle run's costs, and
-``nonnegative_form`` writes an LP with variable bounds and a sense in the
-solver's nonnegative-min form.
+of the shared cross-validation loop.  The label replay rolls stored labels
+through the simulator so a test can check that they reproduce the oracle
+run's costs, ``nonnegative_form`` writes an LP with variable bounds and a
+sense in the solver's nonnegative-min form, and ``paired_stream_costs``
+prices two model sets on the same fresh demand streams.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from surropt.learners.gbdt import _NODE_ARRAYS, GbdtModel, Tree
 from surropt.learners.svr import rbf_kernel
 from surropt.losses import leaf_optimal_value, loss_grad_hess, loss_value
 from surropt.lp import LinearProgram
-from surropt.pipeline import generation_demands
+from surropt.pipeline import generation_demands, rollout
 from surropt.simulate import (
     CostBreakdown,
     DecisionVector,
@@ -47,7 +47,7 @@ from surropt.simulate import (
     run_horizon,
 )
 from surropt.two_stage import evaluate_decision
-from surropt.util import TAG_LEARNER, stream
+from surropt.util import TAG_LEARNER, TAG_ROLLOUT_DEMAND, stream
 
 BRUTE_MAX_HOSPITALS = 2
 BRUTE_MAX_AGE = 2
@@ -375,55 +375,15 @@ def central_difference(fn, x, eps=1e-6):
     return (fn(x + eps) - fn(x - eps)) / (2.0 * eps)
 
 
-def reference_huber_leaf(residuals, delta):
-    """The Huber leaf constant by bisection, 64 halvings of the residual
-    range: the derivative of sum huber(r - c) in c is -sum clip(r - c,
-    -delta, delta), nondecreasing; bisect for its zero crossing."""
-    r = np.asarray(residuals, dtype=float)
-    lo = float(np.min(r))
-    hi = float(np.max(r))
-    if lo == hi:
-        return lo
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        slope = -np.clip(r - mid, -delta, delta).sum()
-        if slope < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def reference_huber_roots(residuals, counts, delta):
-    """Each segment's Huber leaf constant by the rank bisection over its
-    merged, sorted breakpoints: the 2 * count values r - delta and r +
-    delta of a segment are sorted together, and their ranks are bisected,
-    keeping F(bp[lo]) > 0 >= F(bp[hi]) for F(c) = sum clip(r - c, -delta,
-    delta), each segment's terms added in sorted order.  The exact root is
-    then solved on the piece (bp[lo], bp[hi]), where F is linear."""
-    r, counts, d = np.asarray(residuals, dtype=float), np.asarray(counts, dtype=np.int64), delta
-    n, start = counts.size, np.cumsum(counts) - counts
-    seg = np.repeat(np.arange(n), counts)
-    s = r[np.lexsort((r, seg))]
-    bp = np.concatenate([s - d, s + d])
-    bp = bp[np.lexsort((bp, np.concatenate([seg, seg])))]
-    # F is count * d at the first breakpoint and -count * d at the last
-    lo, hi = 2 * start, 2 * (start + counts) - 1
-    while (hi - lo > 1).any():
-        mid = (lo + hi) // 2
-        above = np.bincount(seg, np.clip(s - bp[mid][seg], -d, d), minlength=n) > 0
-        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
-    a, b = bp[lo], bp[hi]
-    below, over = s + d <= a[seg], s - d >= b[seg]
-    n_below, n_over = np.bincount(seg[below], minlength=n), np.bincount(seg[over], minlength=n)
-    ref = s[start + np.minimum(n_below, counts - 1)]
-    dev = np.bincount(seg, np.where(below | over, 0.0, s - ref[seg]), minlength=n)
-    inside = np.maximum(counts - n_below - n_over, 1)
-    root = np.clip(ref + (d * (n_over - n_below) + dev) / inside, a, b)
-    # a flat stretch of roots: its left end
-    half = start + counts // 2
-    left, right = s[half - 1] + d, s[half] - d
-    return np.where((counts % 2 == 0) & (left < right), left, root)
+def reference_cell_table(model):
+    """A ``GbdtModel``'s cells by ``np.unique`` over its (feature, threshold)
+    columns: each distinct pair of its splits, a leaf's as (0, 0.0), in
+    lexicographic order, and each node's cell.  Returns (cell_feature,
+    cell_threshold, cell)."""
+    leaf = model.feature == -1
+    pairs = np.stack([np.where(leaf, 0, model.feature), np.where(leaf, 0.0, model.threshold)])
+    cells, cell = np.unique(pairs, axis=1, return_inverse=True)
+    return cells[0].astype(np.intp), cells[1], cell.reshape(-1).astype(np.int32)
 
 
 def reference_gbdt_predict(model, X):
@@ -478,6 +438,8 @@ def _soft_threshold(G, l1):
 
 def _grow_tree(binned, thresholds, rows, feats, g, h, residual, loss, params, subtract):
     """Depth-first growth of one tree on the sampled rows and features.
+    A leaf is valued from its own rows: mae by ``leaf_optimal_value`` of
+    their residuals, mse and Huber by the Newton step of the split score.
 
     With ``subtract``, a split counts the cumulative histograms of its child
     with fewer rows (the left one on a tie) and gives the other child its
@@ -534,7 +496,11 @@ def _grow_tree(binned, thresholds, rows, feats, g, h, residual, loss, params, su
                 best = divmod(flat_best, max_bins)
 
         if best is None:
-            value[node] = params.eta * leaf_optimal_value(loss, residual[node_rows])
+            if loss.kind == "mae":
+                value[node] = params.eta * leaf_optimal_value(loss, residual[node_rows])
+            else:
+                # the Newton step of the split score
+                value[node] = -params.eta * _soft_threshold(g_tot, params.l1) / (h_tot + params.l2)
             return node
         k, b = best
         f = int(feats[k])
@@ -562,7 +528,7 @@ def _grow_tree(binned, thresholds, rows, feats, g, h, residual, loss, params, su
 
 
 def _fit_single_output(X, binned, thresholds, y, params, loss, rng, subtract):
-    base = leaf_optimal_value(loss, y)
+    base = leaf_optimal_value(loss, y) if loss.kind == "mae" else np.mean(y)
     pred = np.full(y.shape[0], base)
     n = y.shape[0]
     n_rows = max(1, int(round(params.subsample * n)))
@@ -861,3 +827,27 @@ def replay_rollout(config, data):
     demands = generation_demands(config, data.n_rows)
     policy = LabelReplayPolicy(data, config.n_hospitals, config.max_age)
     return run_horizon(config.initial_state, policy, demands, config.costs)
+
+
+def paired_stream_costs(config, models_a, models_b, streams):
+    """Each model of two sets with the same names, rolled over the same
+    ``config.rollout_days`` days of each stream ``stream(config.seed,
+    TAG_ROLLOUT_DEMAND, *k)`` for k in ``streams`` (``()`` is the stream the
+    comparison rolls over).  Per name: the cost per day of each set on each
+    stream, ``a`` and ``b``; their paired differences ``diff`` = b - a; and
+    the mean difference with the half-width of its 95% t-interval over the
+    streams (nan for one stream)."""
+    from scipy.stats import t
+
+    demand = config.demand_model()
+    days = [demand.sample_day(stream(config.seed, TAG_ROLLOUT_DEMAND, *k), config.rollout_days)
+            for k in streams]
+    out = {}
+    for name in models_a:
+        a, b = (np.array([rollout(config, models[name], d).cost_mean.total for d in days])
+                for models in (models_a, models_b))
+        diff, half = b - a, np.nan
+        if diff.size > 1:
+            half = t.ppf(0.975, diff.size - 1) * np.std(diff, ddof=1) / math.sqrt(diff.size)
+        out[name] = {"a": a, "b": b, "diff": diff, "mean": float(diff.mean()), "half_width": float(half)}
+    return out

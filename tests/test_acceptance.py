@@ -316,12 +316,12 @@ DATASET_SHA256 = "e75d8b57a1d5e9c907195ea28df129698714f08afc86edc40b49614c4e5ade
 GBDT_MAE_MODEL_SHA256 = "a9a898461d30471bdab00253fcc4c9e527508dd39a237ee30c0f8743385e77f8"
 # the gbdt-mse, gbdt-huber and SVR models fitted on them, which pin the leaf
 # values and the SMO path; likewise
-GBDT_MSE_MODEL_SHA256 = "6319c0f6dc51da9948361b7507e94b0911ac0d7eaaa809d3030cfc04956d7c10"
-GBDT_HUBER_MODEL_SHA256 = "6a980a0b28980177b9e749ba5fbe6e6468452f31bf87357918f2558776814724"
+GBDT_MSE_MODEL_SHA256 = "038896464834a3380f1d9e3ccb16df40a9c81865c6e0f822fb97b0804af86f34"
+GBDT_HUBER_MODEL_SHA256 = "358172a0c49a0d694ff3efbfaa22d446e9aa3b50e725b9a5c37f37daf32f6cb7"
 SVR_MODEL_SHA256 = "3d4cf863107f4628f8ceea2b359d439b40fc99eeca4388672dbc8de95f540702"
 # the five surrogates' and the oracle's rollout costs, which every predict
 # path reaches; likewise
-COMPARISON_SHA256 = "bb148d27b5fecb58e94d0b17c53de43505a698adc680fda985e3dad054be02c8"
+COMPARISON_SHA256 = "09ec99f9f6a486c380c876c9c980813419dac9a89ce94ee41bfced81e1bb6697"
 
 
 def test_dataset_labels_pinned(artifacts):

@@ -55,7 +55,8 @@ def test_traced_leaf_values_reach_the_patched_name(monkeypatch):
     rng = np.random.default_rng(0)
     X = rng.normal(size=(40, 3))
     params = GbdtParams(n_iterations=3, max_depth=2, min_child_weight=1, subsample=1.0)
-    fit_gbdt(Dataset(X, np.abs(X[:, :2]), np.arange(40)), params, LossSpec("huber", 1.0))
+    # mae leaves are the ones valued through it
+    fit_gbdt(Dataset(X, np.abs(X[:, :2]), np.arange(40)), params, LossSpec("mae"))
     # the base, then at least one level of leaves per round
     assert len(calls) >= 1 + params.n_iterations
 

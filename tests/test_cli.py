@@ -502,6 +502,11 @@ class TestMalformedFiles:
              "gbdt.params: max_depth must be >= 1"),
             ("gbdt", lambda m: {**m, "loss": {**m["loss"], "kind": "quantile"}},
              "gbdt.loss: unknown loss kind 'quantile'; valid kinds: mse, mae, huber"),
+            ("svr", lambda m: {**m, "gamma": -1.0}, "svr: gamma must be finite and positive, got -1.0"),
+            ("svr", lambda m: {**m, "C": 0.0}, "svr: C must be finite and positive, got 0.0"),
+            ("svr", lambda m: {**m, "epsilon": -3.0}, "svr: epsilon must be nonnegative, got -3.0"),
+            ("ridge", lambda m: {**m, "lam": -1.0},
+             "ridge: lambda candidates must be one or more numbers >= 0, got [-1.0]"),
             # a cv_mse value is read by the float rule, and a key must parse
             # to a finite float
             ("ridge", lambda m: {**m, "cv_mse": {"0.1": True}},
@@ -519,7 +524,8 @@ class TestMalformedFiles:
         ],
         ids=["gbdt-float-seed", "gbdt-float-features", "gbdt-float-depth", "gbdt-string-delta",
              "gbdt-list-params", "svr-bool-gamma", "svr-string-C", "svr-list-cv", "ridge-nan-lambda",
-             "gbdt-zero-depth", "gbdt-unknown-loss", "ridge-bool-cv", "ridge-string-cv", "ridge-nan-cv-key",
+             "gbdt-zero-depth", "gbdt-unknown-loss", "svr-negative-gamma", "svr-zero-C",
+             "svr-negative-epsilon", "ridge-negative-lambda", "ridge-bool-cv", "ridge-string-cv", "ridge-nan-cv-key",
              "ridge-infinite-cv", "svr-overflow-cv-key", "svr-word-cv-key"],
     )
     def test_header_value_of_the_wrong_type_exit_2(self, tmp_path, capsys, kind, edit, message):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 from dataclasses import fields, replace
@@ -34,6 +35,7 @@ from _oracles import (
     dual_objective,
     gradient_descent_ridge,
     projected_gradient_svr_dual,
+    reference_cell_table,
     reference_cv_mse,
     reference_fit_gbdt,
     reference_gbdt_predict,
@@ -270,22 +272,53 @@ class TestGbdt:
 
     @pytest.mark.parametrize("loss", [LossSpec("mse"), LossSpec("mae"), LossSpec("huber", 1.0)])
     def test_training_loss_monotone_without_subsampling(self, loss):
+        """Without subsampling each round lowers, or keeps, every output's
+        training loss: an mse or Huber leaf moves its rows by a shrunk
+        Newton step, at most the full step of the loss's curvature bound, and
+        an mae leaf moves them towards their median."""
         rng = np.random.default_rng(12)
         X = rng.normal(size=(80, 3))
         y = np.abs(X[:, 0] * 2 + np.sin(3 * X[:, 1]) + 0.3 * rng.normal(size=80))
-        data = Dataset(X, y[:, None], np.arange(80))
-        params = GbdtParams(
-            n_iterations=40, max_depth=3, min_child_weight=1.0, subsample=1.0,
-            colsample_bytree=1.0, eta=0.3,
-        )
-        model = fit_gbdt(data, params, loss)
-        pred = np.full(80, model.base[0])
-        losses = [loss_value(loss, y, pred).mean()]
-        for tree in model.ensembles[0]:
-            pred = pred + apply_tree(tree, X)
-            losses.append(loss_value(loss, y, pred).mean())
-        diffs = np.diff(losses)
-        assert np.all(diffs <= 1e-12)
+        Y = np.abs(np.column_stack([y, 3 * X[:, 0] + rng.standard_cauchy(80), X[:, 2] ** 2]))
+        data = Dataset(X, Y, np.arange(80))
+        for eta, l1, l2 in [(0.3, 0.1, 1.0)] + list(itertools.product((1.0,), (0.0, 0.1), (0.0, 1.0))):
+            params = GbdtParams(
+                n_iterations=40, max_depth=3, min_child_weight=1.0, subsample=1.0,
+                colsample_bytree=1.0, eta=eta, l1=l1, l2=l2,
+            )
+            model = fit_gbdt(data, params, loss)
+            for j, trees in enumerate(model.ensembles):
+                pred = np.full(80, model.base[j])
+                losses = [loss_value(loss, Y[:, j], pred).mean()]
+                for tree in trees:
+                    pred = pred + apply_tree(tree, X)
+                    losses.append(loss_value(loss, Y[:, j], pred).mean())
+                assert np.all(np.diff(losses) <= 1e-12 * max(1.0, losses[0])), (eta, l1, l2, j)
+
+    @pytest.mark.parametrize("loss", [LossSpec("mse"), LossSpec("huber", 1.0)], ids=lambda loss: loss.kind)
+    def test_leaf_is_the_newton_step(self, loss):
+        """With one round of stumps on whole numbers, each leaf is
+        -eta T(G) / (hess n + l2): G the leaf's gradient sum by math.fsum, n
+        its rows and T the L1 soft threshold.  64 rows make the mean base a
+        multiple of 1/64, so the gradients are already on the exact grid."""
+        rng = np.random.default_rng(66)
+        X = rng.integers(0, 4, size=(64, 3)).astype(float)
+        Y = np.column_stack([X[:, 0] * 3 + X[:, 1], rng.integers(0, 9, 64), np.abs(X[:, 2] - 2) * 5])
+        data = Dataset(X, Y.astype(float), np.arange(64))
+        for l1, l2 in itertools.product((0.0, 0.1), (0.0, 1.0)):
+            params = GbdtParams(eta=0.3, l1=l1, l2=l2, n_iterations=1, max_depth=1, min_child_weight=1.0,
+                                subsample=1.0)
+            model = fit_gbdt(data, params, loss)
+            assert model.tree_counts.tolist() == [1, 1, 1]
+            for j, (tree,) in enumerate(model.ensembles):
+                assert model.base[j] == np.mean(data.Y[:, j])
+                g, hess = gbdt.loss_grad_hess(loss, data.Y[:, j], np.full(64, model.base[j]))
+                assert same_bits(_on_grid(g[None]), g[None])
+                left = X[:, tree.feature[0]] <= tree.threshold[0]
+                for node, rows in ((tree.left[0], left), (tree.right[0], ~left)):
+                    G = math.fsum(g[rows])
+                    t = math.copysign(max(abs(G) - l1, 0.0), G)
+                    assert tree.value[node] == -0.3 * t / (hess * rows.sum() + l2), (l1, l2, j)
 
     def test_min_child_weight_respected(self):
         rng = np.random.default_rng(13)
@@ -463,6 +496,64 @@ class TestGbdtPredict:
         assert out[:, 2].tolist() == [2.0, 2.0, 6.0]
 
 
+def random_forest(rng, n_outputs, n_features, pool):
+    """Trees of random shape, depth 0 to 4, with thresholds from ``pool``."""
+
+    def tree():
+        arrays = {name: [] for name in ("feature", "threshold", "left", "right", "value")}
+
+        def node(depth):
+            k = len(arrays["feature"])
+            for name, v in zip(arrays, (-1, 0.0, -1, -1, float(rng.normal()))):
+                arrays[name].append(v)
+            if depth < 4 and rng.random() < 0.6:
+                arrays["feature"][k] = int(rng.integers(n_features))
+                arrays["threshold"][k] = float(rng.choice(pool))
+                arrays["left"][k] = node(depth + 1)
+                arrays["right"][k] = node(depth + 1)
+            return k
+
+        node(0)
+        return Tree(*(np.array(arrays[name], dtype=d)
+                      for name, d in zip(arrays, (np.int32, float, np.int32, np.int32, float))))
+
+    ensembles = [[tree() for _ in range(int(rng.integers(0, 5)))] for _ in range(n_outputs)]
+    return GbdtModel(params=GbdtParams(), loss=LossSpec("mse"), base=rng.normal(size=n_outputs),
+                     **packed_forest(ensembles), n_features=n_features, seed=0)
+
+
+class TestGbdtCells:
+    """The model finds its cells by one integer key per node; they are the
+    distinct (feature, threshold) pairs of the 2-D ``np.unique``, in its
+    order, and predict with them gives the bits it gives with that rule."""
+
+    @staticmethod
+    def assert_matches_the_reference(model, X):
+        feature, threshold, cell = reference_cell_table(model)
+        assert np.array_equal(model._cell_feature, feature) and np.array_equal(model._cell, cell)
+        # a zero's sign may differ where -0.0 and 0.0 merged; x <= 0.0 may not
+        assert np.array_equal(model._cell_threshold, threshold)
+        reference = copy.copy(model)
+        reference._cell_feature, reference._cell_threshold, reference._cell = feature, threshold, cell
+        assert same_bits(model.predict(X), reference.predict(X))
+        assert same_bits(model.predict(X), reference_gbdt_predict(model, X))
+
+    @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.kind)
+    def test_fixture_cells(self, loss):
+        model = load_model(DATA / f"gbdt-{loss.kind}-v2.surropt")
+        assert model._cell_threshold.size > 10
+        self.assert_matches_the_reference(model, probe_rows(model, 40, np.random.default_rng(67)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_drawn_forest_with_signed_zeros(self, seed):
+        rng = np.random.default_rng(seed)
+        pool = np.array([-0.0, 0.0, -1.5, 0.25, 2.0, 5e-324])
+        model = random_forest(rng, 3, 3, pool)
+        X = rng.choice(np.concatenate([pool, [-0.5, 1.0, np.nan]]), size=(30, 3))
+        self.assert_matches_the_reference(model, X)
+
+
 def forest_depth(model):
     """The most splits on any root-to-leaf path of the model's trees."""
     depth = 0
@@ -566,7 +657,9 @@ class TestGbdtGrower:
 
     @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.kind)
     def test_stops_like_the_reference(self, loss):
-        model, reference = self.fit_both(loss, max_depth=3, min_child_weight=2, subsample=1.0)
+        # without l1 and l2 an mse or Huber leaf moves its rows by their mean
+        # gradient step, so output 1's residual, +-0.5, is 0 after one round
+        model, reference = self.fit_both(loss, max_depth=3, min_child_weight=2, subsample=1.0, l1=0.0, l2=0.0)
         assert model.tree_counts[:2].tolist() == [0, 1] and min(model.tree_counts[2:]) == 5
         assert model.diagnostics == reference.diagnostics
 
@@ -593,14 +686,18 @@ class TestGbdtGrower:
 
     @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.kind)
     def test_one_leaf_value_call_per_round(self, loss, monkeypatch):
-        """One ``leaf_optimal_value`` call values the bases of all outputs,
-        and one more every leaf of a round, whatever its depth."""
+        """Under mae, one ``leaf_optimal_value`` call values the bases of all
+        outputs, and one more every leaf of a round, whatever its depth;
+        mse and Huber take no call, as their leaves are Newton steps."""
         calls = []
         real = gbdt.leaf_optimal_value
         monkeypatch.setattr(gbdt, "leaf_optimal_value", lambda *a: calls.append(a) or real(*a))
         data = self.data()
         params = GbdtParams(eta=1.0, n_iterations=5, max_depth=3, min_child_weight=2)
         model = fit_gbdt(data, params, loss, seed=7)
+        if loss.kind != "mae":
+            assert not calls and model.tree_counts.max() == 5
+            return
         # output 0 grows no trees and output 1 stops early, so the other
         # outputs' tree counts are the rounds grown
         assert model.tree_counts.tolist()[:2] == [0, 1] and model.tree_counts.max() == 5
@@ -611,6 +708,21 @@ class TestGbdtGrower:
             trees = [ensemble[k] for ensemble in model.ensembles if len(ensemble) > k]
             assert counts.size == sum(int((tree.feature == -1).sum()) for tree in trees)
             assert counts.sum() == residuals.size == len(trees) * round(0.7 * data.n_rows)
+
+    def test_mae_keeps_the_signs_of_tied_zeros(self):
+        """Signed-zero targets give leaves whose middle residuals are zeros of
+        both signs; the median keeps the sign of their order, ascending (tree,
+        row) as in the reference, so the forest keeps the reference's bits."""
+        rng = np.random.default_rng(5)
+        X = rng.integers(0, 3, size=(40, 2)).astype(float)
+        data = Dataset(X, rng.choice([-0.0, 0.0, 0.0, 2.0], size=(40, 3)), np.arange(40))
+        params = GbdtParams(eta=0.5, n_iterations=3, max_depth=2, min_child_weight=1.0, subsample=0.7)
+        model = fit_gbdt(data, params, LossSpec("mae"), seed=1)
+        reference = reference_fit_gbdt(data, params, LossSpec("mae"), seed=1)
+        zero = model.value[(model.feature == -1) & (model.value == 0)]
+        assert np.signbit(zero).any() and not np.signbit(zero).all()
+        for name in PACKED:
+            assert same_bits(getattr(model, name), getattr(reference, name)), name
 
     @pytest.mark.parametrize("loss", LOSSES, ids=lambda loss: loss.kind)
     def test_level_with_no_counted_node(self, loss):

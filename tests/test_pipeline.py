@@ -27,7 +27,7 @@ from surropt.simulate import (
 )
 from surropt.two_stage import SaaConfig
 
-from _oracles import replay_rollout
+from _oracles import paired_stream_costs, replay_rollout
 
 
 def tiny_config(**kwargs):
@@ -227,6 +227,26 @@ class TestCompare:
         text = comparison.table()
         for col in ("Holding", "Transshipment", "Outdate", "Ordering", "Shortage", "Total"):
             assert col in text
+
+    def test_paired_stream_costs_of_identical_models(self, tmp_path):
+        """The same models on both sides differ by exactly zero on every
+        stream, and a second call gives the same bytes."""
+        pytest.importorskip("scipy")
+        config = tiny_config(
+            horizon_days=30, rollout_days=20,
+            learner=LearnerSpec(kind="gbdt", loss=LossSpec("mae"),
+                                gbdt=GbdtParams(n_iterations=4, max_depth=2, min_child_weight=1.0)),
+        )
+        models = {"gbdt-mae": train_surrogate(config, dataset_via_csv(config, tmp_path / "d.csv")),
+                  "zero": ZeroModel(44, 136)}
+        runs = [paired_stream_costs(config, models, dict(models), [(), (1,)]) for _ in range(2)]
+        for name in models:
+            first, second = runs[0][name], runs[1][name]
+            assert first["diff"].tolist() == [0.0, 0.0] and first["mean"] == first["half_width"] == 0.0
+            assert all(first[k].tobytes() == second[k].tobytes() for k in ("a", "b", "diff"))
+        # the first stream is the one the comparison rolls over
+        assert runs[0]["zero"]["a"][0] == compare_models(config, {"zero": models["zero"]}).rows()[0]["total"]
+        assert runs[0]["gbdt-mae"]["a"][0] != runs[0]["gbdt-mae"]["a"][1]
 
     def test_oracle_mimic_matches_oracle_row(self):
         from surropt.pipeline import ROLLOUT_PHASE, OraclePolicy
